@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -289,18 +288,30 @@ def cmd_shoot(args) -> int:
             stem = cfg["out"] or str(_outdir() / "profile")
             ext = "json" if cfg["format"] == "json" else "csv"
             jobs.append((job_cfg, job_heights, f"{stem}_{i:03d}.{ext}"))
-        workers = max(1, int(cfg["workers"]))
+        workers = int(cfg["workers"])
+        if workers < 1:
+            raise UsageError(f"--workers must be at least 1, got {workers}")
+        # the pool forks all its workers at once: never more than there are
+        # jobs or CPUs
+        workers = min(workers, len(jobs), os.cpu_count() or 1)
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_sweep_job, jobs))
+                done = list(pool.map(_run_sweep_job, jobs))
         else:
-            results = [_run_sweep_job(j) for j in jobs]
+            done = [_run_sweep_job(j) for j in jobs]
+        results = [info for info, _ in done]
         lines = [
             f"height {h:g}: masses {np.round(info['final_masses'], 6).tolist()} "
             f"({info['reason']})"
             for h, info in zip(sweep_vals, results)
         ]
-        _emit(args, lines, {"config": cfg, "sweep": results})
+        _emit(
+            args,
+            lines,
+            {"config": cfg, "sweep": results, "stats": [st for _, st in done]},
+        )
         return 0
 
     out = cfg["out"] or str(
@@ -320,16 +331,19 @@ def cmd_shoot(args) -> int:
         lines.append(
             f"max mean-value identity residual: {info['max_mean_value_residual']:.3e}"
         )
+    if info["reason"] == "step_underflow":
+        lines.append(f"solver: {prof.stats.message}")
     lines.append(f"wrote {out}")
-    _emit(args, lines, {"config": cfg, **info})
+    # solver counts sit apart from the byte-reproducible numeric payload
+    _emit(args, lines, {"config": cfg, **info, "stats": prof.stats.to_json_dict()})
     return 0
 
 
 def _run_sweep_job(job):
     cfg, heights, out = job
     spec = _build_spec(cfg, heights)
-    _, info = _shoot_payload(spec, cfg, out)
-    return info
+    prof, info = _shoot_payload(spec, cfg, out)
+    return info, prof.stats.to_json_dict()
 
 
 # --------------------------------------------------------------------------

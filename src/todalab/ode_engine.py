@@ -8,8 +8,10 @@ t = log r the state (u, w = du/dt, m = cumulative mass) obeys
 which makes the far field linear in t and cheap to follow out to large
 radii.  Integration starts from a second-order series head at a small
 radius (regular data) or from the power-law asymptote 2 b log r + c
-(singular data), runs an embedded-pair adaptive stepper, and guards
-against component blow-up at +50.
+(singular data), runs the in-house Dormand-Prince 8(5,3) stepper of
+``dop853`` (the method and controller of scipy's ``solve_ivp(DOP853)``,
+without scipy), and guards against component blow-up at +50.  Each
+profile carries the stepper's counts and message in ``stats``.
 
 Masses ride along in the state, so the divergence-theorem identity
 r u_i'(r) = -(signed mass combination) holds to solver tolerance and is
@@ -24,9 +26,9 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
+from . import dop853
+from .dop853 import SolverStats
 from .systems import SystemKind, Variant
 
 BLOWUP_GUARD = 50.0
@@ -153,7 +155,8 @@ class RadialProfile:
 
     ``values[k, i]`` is u_i at ``grid[k]``; ``derivs`` holds du_i/dr and
     ``masses`` the running integrals int_0^r e^{u_i} s ds (analytic head
-    included).
+    included).  ``stats`` records what the shot cost and why it stopped;
+    it is neither serialized nor compared.
     """
 
     system: SystemKind
@@ -164,7 +167,7 @@ class RadialProfile:
     reason: TerminationReason
     spec: Optional[ShootSpec] = None
     provenance: str = "shoot"
-    _mass_interp: list | None = field(default=None, repr=False, compare=False)
+    stats: Optional[SolverStats] = field(default=None, repr=False, compare=False)
 
     @property
     def n_components(self) -> int:
@@ -208,17 +211,24 @@ class RadialProfile:
         running integral is preserved exactly.
         """
         r = self._check_radius(r)
+        if len(self.grid) < 2:
+            return self.masses[0].copy()
         tg = np.log(self.grid)
-        if self._mass_interp is None:
-            dm = np.exp(np.minimum(self.values + 2.0 * tg[:, None], 600.0))
-            self._mass_interp = [
-                CubicHermiteSpline(tg, self.masses[:, i], dm[:, i])
-                for i in range(self.n_components)
-            ]
         t = math.log(r)
         k = int(np.clip(np.searchsorted(tg, t), 1, len(tg) - 1))
         lo, hi = self.masses[k - 1], self.masses[k]
-        out = np.array([float(f(t)) for f in self._mass_interp])
+        # the cubic of the interval holding t, left-closed like a piecewise
+        # polynomial (t_j <= t < t_j+1), in its power form about t_j
+        j = min(max(int(np.searchsorted(tg, t, side="right")) - 1, 0), len(tg) - 2)
+        dt = tg[j + 1] - tg[j]
+        m0, m1 = self.masses[j], self.masses[j + 1]
+        d0, d1 = np.exp(np.minimum(self.values[j : j + 2] + 2.0 * tg[j : j + 2, None], 600.0))
+        slope = (m1 - m0) / dt
+        curv = (d0 + d1 - 2 * slope) / dt
+        c2 = (slope - d0) / dt - curv
+        c3 = curv / dt
+        s = t - tg[j]
+        out = m0 + d0 * s + c2 * (s * s) + c3 * (s * s * s)
         return np.clip(out, lo, hi)
 
     def witness_at(self, r: float) -> np.ndarray:
@@ -282,8 +292,9 @@ def shoot(spec: ShootSpec) -> RadialProfile:
         t_eval = np.append(t_eval, t1)
 
     if np.max(y0[:n]) >= BLOWUP_GUARD:
+        stats = SolverStats(0, 0, 0, "initial state at or above the blow-up guard")
         return _assemble(spec, np.array([t0]), y0[:, None],
-                         TerminationReason.COMPONENT_BLOW_UP)
+                         TerminationReason.COMPONENT_BLOW_UP, stats)
 
     def rhs(t, y):
         u = y[:n]
@@ -296,49 +307,31 @@ def shoot(spec: ShootSpec) -> RadialProfile:
     def blow_up(t, y):
         return BLOWUP_GUARD - np.max(y[:n])
 
-    blow_up.terminal = True
-    blow_up.direction = -1
-
     def mass_overflow(t, y):
         # caps runaway oscillatory regimes whose cumulative mass grows
         # without bound (desk-scale runs never approach the default)
         return spec.mass_guard - np.sum(y[2 * n :])
 
-    mass_overflow.terminal = True
-    mass_overflow.direction = -1
-
     # overflow in rejected trial steps is handled by the error controller
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(
-            rhs,
-            (t0, t1),
-            y0,
-            method="DOP853",
-            rtol=spec.rel_tol,
-            atol=spec.abs_tol,
-            t_eval=t_eval,
+        sol = dop853.integrate(
+            rhs, t0, t1, y0, spec.rel_tol, spec.abs_tol, t_eval,
             events=(blow_up, mass_overflow),
         )
 
     ts = sol.t
     ys = sol.y
-    if sol.status == 1:
-        hit_blow = sol.t_events[0].size > 0
-        te_arr, ye_arr = (
-            (sol.t_events[0], sol.y_events[0])
-            if hit_blow
-            else (sol.t_events[1], sol.y_events[1])
-        )
-        te = float(te_arr[0])
+    if sol.status == dop853.EVENT:
+        te = sol.t_event
         if ts.size == 0 or te > ts[-1] + 1e-12:
             ts = np.append(ts, te)
-            ys = np.hstack([ys, ye_arr.T])
+            ys = np.hstack([ys, sol.y_event[:, None]])
         reason = (
             TerminationReason.COMPONENT_BLOW_UP
-            if hit_blow
+            if sol.event == 0
             else TerminationReason.MASS_OVERFLOW
         )
-    elif sol.status == 0:
+    elif sol.status == dop853.FINISHED:
         reason = TerminationReason.REACHED_R_MAX
     else:
         reason = TerminationReason.STEP_UNDERFLOW
@@ -347,11 +340,15 @@ def shoot(spec: ShootSpec) -> RadialProfile:
         ts = np.array([t0])
         ys = y0[:, None]
 
-    return _assemble(spec, ts, ys, reason)
+    return _assemble(spec, ts, ys, reason, sol.stats)
 
 
 def _assemble(
-    spec: ShootSpec, ts: np.ndarray, ys: np.ndarray, reason: TerminationReason
+    spec: ShootSpec,
+    ts: np.ndarray,
+    ys: np.ndarray,
+    reason: TerminationReason,
+    stats: SolverStats,
 ) -> RadialProfile:
     n = spec.system.n_components
     r = np.exp(ts)
@@ -368,6 +365,7 @@ def _assemble(
         masses=masses,
         reason=reason,
         spec=spec,
+        stats=stats,
     )
 
 
@@ -393,6 +391,7 @@ def rescale(p: RadialProfile, eps: float) -> RadialProfile:
         reason=p.reason,
         spec=p.spec,
         provenance=f"{p.provenance};rescale(eps={eps!r})",
+        stats=p.stats,
     )
 
 
@@ -571,10 +570,26 @@ def find_decaying(
 
     One-component variants are degenerate (every height decays): the
     anchor shot itself is classified and returned.
+
+    Regular data of a variant whose constraint sum_i w_i u_i = 0 has
+    positive weights (su3, su4) keeps max_i u_i >= 0, so the decay witness
+    is at least 2 log r and no shot reaching r > e^{-n_detect/2} can be
+    UNDER; such a search raises ``TargetSearchError`` before any shot.
     """
     n = system.n_components
     if not 0 <= anchor_component < n:
         raise ValueError("anchor component out of range")
+    wts = system.constraint_weights()
+    r_witness = math.exp(-n_detect / 2.0)
+    if wts is not None and min(wts) > 0 and not system.is_singular \
+            and r_max > r_witness:
+        raise TargetSearchError(
+            f"no {system.variant.value} shot can decay: the constraint "
+            f"{wts} . u = 0 keeps max_i u_i >= 0, so the decay witness "
+            "max_i u_i + 2 log r is at least 2 log r, above "
+            f"-n_detect = {-n_detect:g} for r > e^(-n_detect/2) = "
+            f"{r_witness:.3g}, and r_max = {r_max:g}"
+        )
     if free_component is None:
         free_component = next(i for i in range(n) if i != anchor_component) \
             if n > 1 else anchor_component

@@ -125,7 +125,7 @@ class SystemKind:
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
         """F(u), the vector right-hand side of -Lap(u) = F(u)."""
-        ct, e = _matrices(self.variant)[2], _matrices(self.variant)[1]
+        _, e, ct = _matrices(self.variant)
         return ct @ np.exp(np.minimum(e @ u, _EXP_CAP))
 
     def constraint_weights(self) -> tuple[float, ...] | None:

@@ -288,3 +288,100 @@ class TestProfileRoundTrip:
         assert prof.n_components == 3
         assert np.all(np.diff(prof.grid) > 0)
         assert prof.spec is not None and prof.spec.r_max == 10
+
+
+class TestSolverStatsOutput:
+    def test_shoot_json_stats_key(self, capsys, outdir):
+        argv = ("shoot", "--system", "liouville", "--height", "2.0",
+                "--r-max", "1000", "--json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        st = doc["stats"]
+        assert sorted(st) == ["n_accepted", "n_rejected", "nfev"]
+        assert st["n_accepted"] > 0
+        dense = st["nfev"] - 2 - 12 * (st["n_accepted"] + st["n_rejected"])
+        assert dense % 3 == 0 and 0 < dense // 3 <= st["n_accepted"]
+        # counts only: the payload stays byte-reproducible
+        assert run(capsys, *argv)[1] == out
+
+    def test_sweep_json_stats_per_job(self, capsys, outdir):
+        code, out, _ = run(
+            capsys,
+            "shoot", "--system", "liouville", "--height", "0.0",
+            "--sweep", "0.5,1.0", "--r-max", "100", "--json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["stats"]) == 2 and all(s["nfev"] > 0 for s in doc["stats"])
+        assert all("stats" not in entry for entry in doc["sweep"])
+
+
+class TestSweepWorkers:
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        """Replace the process pool with an in-process stand-in that records
+        the pool size it was asked for and starts no process."""
+        import concurrent.futures
+        import os
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        return sizes
+
+    def sweep(self, capsys, heights, workers):
+        return run(
+            capsys,
+            "shoot", "--system", "liouville", "--height", "0.0",
+            "--sweep", heights, "--r-max", "10", "--workers", workers, "--json",
+        )
+
+    def test_capped_by_jobs(self, capsys, outdir, pools):
+        code, out, _ = self.sweep(capsys, "0.5,1.0,1.5", "1000000")
+        assert code == 0 and len(json.loads(out)["sweep"]) == 3
+        assert pools == [3]
+
+    def test_capped_by_cpus(self, capsys, outdir, pools):
+        code, _, _ = self.sweep(capsys, "0.1,0.2,0.3,0.4,0.5,0.6", "64")
+        assert code == 0 and pools == [4]
+
+    def test_one_worker_runs_in_process(self, capsys, outdir, pools):
+        code, _, _ = self.sweep(capsys, "0.5,1.0", "1")
+        assert code == 0 and pools == []
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_below_one_is_usage_error(self, capsys, outdir, pools, workers):
+        code, _, err = self.sweep(capsys, "0.5,1.0", workers)
+        assert code == 2 and "--workers" in err
+        assert pools == []
+
+
+class TestTargetFailsFast:
+    def test_su3_exits_one_before_any_shot(self, capsys, outdir, monkeypatch):
+        from todalab import ode_engine
+
+        shots = []
+        monkeypatch.setattr(ode_engine, "shoot", lambda spec: shots.append(spec))
+        code, out, _ = run(
+            capsys,
+            "target", "--system", "su3", "--anchor", "2.0794415417",
+            "--bracket=-5,5", "--json",
+        )
+        assert code == 1 and shots == []
+        doc = json.loads(out)
+        assert "constraint" in doc["error"] and doc["trace"] == []

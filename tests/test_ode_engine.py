@@ -333,3 +333,24 @@ class TestProfileQueries:
     def test_value_query_outside_grid(self, liouville_profile):
         with pytest.raises(ValueError):
             liouville_profile.value_at(1e9)
+
+
+class TestConstrainedTargetingFailsFast:
+    @pytest.mark.parametrize("variant", [Variant.AFFINE_SU3, Variant.AFFINE_SU4])
+    def test_positive_constraint_weights_cannot_decay(self, variant):
+        """sum_i w_i u_i = 0 with w > 0 keeps max_i u_i >= 0, so the witness
+        max_i u_i + 2 log r >= 2 log r > -10 past r = e^-5."""
+        with pytest.raises(TargetSearchError, match="constraint") as err:
+            find_decaying(SystemKind(variant), 0, LOG8, (-5.0, 5.0))
+        assert err.value.trace == []
+
+    def test_witness_radius_is_the_threshold(self):
+        sk = SystemKind(Variant.AFFINE_SU3)
+        # below e^{-n_detect/2} an UNDER verdict stays possible: the search
+        # runs (and fails for other reasons) instead of refusing up front
+        with pytest.raises((TargetSearchError, BracketError)) as err:
+            find_decaying(sk, 0, 0.0, (-1.0, 1.0), r_max=math.exp(-6.0))
+        assert err.value.trace
+        # n_detect moves the threshold radius: with n_detect = 20 it is e^-10
+        with pytest.raises(TargetSearchError, match="constraint"):
+            find_decaying(sk, 0, 0.0, (-1.0, 1.0), r_max=math.exp(-9.0), n_detect=20.0)
