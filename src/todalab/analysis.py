@@ -11,14 +11,13 @@ slot 2 empty, and scalar profiles fill slot 1 only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .ode_engine import RadialProfile, cumulative_mass, rescale
+from .ode_engine import RadialProfile, rescale
 from .spectrum import (
     MassTriple,
     ParamIndex,
@@ -122,35 +121,23 @@ def final_fast_decay_onset(p: RadialProfile, threshold: float) -> Optional[float
 # Pohozaev checks
 # --------------------------------------------------------------------------
 
-_TRIPLE_VARIANTS = (Variant.AFFINE_SU3, Variant.LIMIT_PAIR, Variant.LIOUVILLE)
+# component feeding each (s1, s2, s3) slot, None for an empty slot
+_SLOTS = {
+    Variant.AFFINE_SU3: (0, 1, 2),
+    Variant.LIMIT_PAIR: (0, None, 1),
+    Variant.LIOUVILLE: (0, None, None),
+}
 
 
-def _triple_slots(p: RadialProfile, r: float) -> np.ndarray:
-    """Masses of the profile mapped into the (s1, s2, s3) slots."""
-    m = cumulative_mass(p, r)
-    v = p.system.variant
-    if v is Variant.AFFINE_SU3:
-        return m
-    if v is Variant.LIMIT_PAIR:
-        return np.array([m[0], 0.0, m[1]])
-    if v is Variant.LIOUVILLE:
-        return np.array([m[0], 0.0, 0.0])
-    raise ValueError(
-        f"no mass-triple mapping for variant {v.value}; expected one of "
-        + ", ".join(x.value for x in _TRIPLE_VARIANTS)
-    )
-
-
-def _slot_exponentials(p: RadialProfile, r: float) -> np.ndarray:
-    u = p.value_at(r)
-    v = p.system.variant
-    if v is Variant.AFFINE_SU3:
-        return np.exp(u)
-    if v is Variant.LIMIT_PAIR:
-        return np.array([math.exp(u[0]), 0.0, math.exp(u[1])])
-    if v is Variant.LIOUVILLE:
-        return np.array([math.exp(u[0]), 0.0, 0.0])
-    raise ValueError(f"no slot mapping for variant {v.value}")
+def _to_slots(p: RadialProfile, x: np.ndarray) -> np.ndarray:
+    """A per-component vector of the profile mapped into the (s1, s2, s3) slots."""
+    slots = _SLOTS.get(p.system.variant)
+    if slots is None:
+        raise ValueError(
+            f"no mass-triple mapping for variant {p.system.variant.value}; "
+            "expected one of " + ", ".join(v.value for v in _SLOTS)
+        )
+    return np.array([0.0 if i is None else x[i] for i in slots])
 
 
 @dataclass(frozen=True)
@@ -188,8 +175,8 @@ class PohozaevCheck:
 
 def pohozaev_check(p: RadialProfile, r: float) -> PohozaevCheck:
     """Full Pohozaev bookkeeping at radius r (three-component mapping)."""
-    s = _triple_slots(p, r)
-    ex = _slot_exponentials(p, r)
+    s = _to_slots(p, p.mass_at(r))
+    ex = _to_slots(p, np.exp(p.value_at(r)))
     residual = float(
         (s[0] - s[2]) ** 2 + (s[1] - s[2]) ** 2 - 4 * (s[0] + s[1] + 2 * s[2])
     )
@@ -272,7 +259,7 @@ def su4_radial_balance(p: RadialProfile, r: float) -> Su4Balance:
     """Measure the SU(4) radial Pohozaev balance pieces at radius r."""
     if p.system.variant is not Variant.AFFINE_SU4:
         raise ValueError("su4 balance needs an su4 profile")
-    m = cumulative_mass(p, r)
+    m = p.mass_at(r)
     u = p.value_at(r)
     w = p.log_deriv_at(r)
     quad = float(
@@ -333,13 +320,11 @@ def nearest_member(
     """Euclidean-nearest spectrum member; lexicographic order breaks ties."""
     if len(spectrum) == 0:
         raise ValueError("spectrum set is empty")
-    x = np.asarray(triple, dtype=float)
-    best, best_idx, best_d = None, None, math.inf
-    for t, idx in zip(spectrum.members, spectrum.indices):
-        d = float(np.linalg.norm(x - np.array(t.as_tuple(), dtype=float)))
-        if d < best_d:
-            best, best_idx, best_d = t, idx, d
-    return best, best_idx, best_d
+    pts = np.array([t.as_tuple() for t in spectrum.members], dtype=float)
+    d = np.linalg.norm(pts - np.asarray(triple, dtype=float), axis=1)
+    # argmin keeps the first minimum, the lexicographically smallest member
+    k = int(np.argmin(d))
+    return spectrum.members[k], spectrum.indices[k], float(d[k])
 
 
 def _spectrum_residual(spectrum: SpectrumSet, triple: Sequence[float]) -> float:
@@ -378,7 +363,7 @@ def bubble_masses(
     eps_table = []
     for e in eps:
         zoomed = rescale(base, 1.0 / e)
-        tri = _triple_slots(zoomed, delta)
+        tri = _to_slots(zoomed, zoomed.mass_at(delta))
         eps_table.append((e, tuple(float(x) for x in tri)))
 
     r_fast = final_fast_decay_onset(base, decay_threshold)
@@ -395,7 +380,7 @@ def bubble_masses(
             break
         if d / e_min < r_fast:
             break
-        tri = _triple_slots(zoomed, d)
+        tri = _to_slots(zoomed, zoomed.mass_at(d))
         delta_ladder.append((d, tuple(float(x) for x in tri)))
         d *= 0.5
 

@@ -14,8 +14,11 @@ without scipy), and guards against component blow-up at +50.  Each
 profile carries the stepper's counts and message in ``stats``.
 
 Masses ride along in the state, so the divergence-theorem identity
-r u_i'(r) = -(signed mass combination) holds to solver tolerance and is
-the engine's primary self-consistency check (``mean_value_residuals``).
+r u_i'(r) = -(signed mass combination) is a linear invariant of the
+system, which every Runge-Kutta step preserves exactly:
+``mean_value_residuals`` checks the stored-state bookkeeping, not the
+integration accuracy.  The Pohozaev balances of ``analysis`` are the
+accuracy checks.
 """
 
 from __future__ import annotations
@@ -151,19 +154,20 @@ class ShootSpec:
 
 @dataclass
 class RadialProfile:
-    """Sampled radial solution with derivatives and cumulative masses.
+    """The integrator's state (u, w = r du/dr, sigma) at every grid node.
 
-    ``values[k, i]`` is u_i at ``grid[k]``; ``derivs`` holds du_i/dr and
-    ``masses`` the running integrals int_0^r e^{u_i} s ds (analytic head
-    included).  ``stats`` records what the shot cost and why it stopped;
-    it is neither serialized nor compared.
+    ``values``, ``log_derivs`` and ``masses`` are views of the column blocks
+    of ``state``; sigma_i is int_0^r e^{u_i} s ds (analytic head included).
+    Between nodes every query is the cubic Hermite in t = log r with the
+    ODE's own slopes, which does not resolve the far field past the last
+    bubble: it oscillates in t faster than the grid samples it.  ``stats``
+    records what the shot cost and why it stopped; it is neither
+    serialized nor compared.
     """
 
     system: SystemKind
     grid: np.ndarray
-    values: np.ndarray
-    derivs: np.ndarray
-    masses: np.ndarray
+    state: np.ndarray
     reason: TerminationReason
     spec: Optional[ShootSpec] = None
     provenance: str = "shoot"
@@ -173,63 +177,62 @@ class RadialProfile:
     def n_components(self) -> int:
         return self.system.n_components
 
+    values = property(lambda self: self.state[:, : self.n_components])
+    log_derivs = property(
+        lambda self: self.state[:, self.n_components : 2 * self.n_components])
+    masses = property(lambda self: self.state[:, 2 * self.n_components :])
+    derivs = property(lambda self: self.log_derivs / self.grid[:, None])  # du/dr
+
     @property
     def r_end(self) -> float:
         return float(self.grid[-1])
 
-    def _check_radius(self, r: float) -> float:
-        r = float(r)
-        lo, hi = self.grid[0], self.grid[-1]
-        if not (lo * (1 - 1e-12) <= r <= hi * (1 + 1e-12)):
-            raise ValueError(f"radius {r:g} outside profile range [{lo:g}, {hi:g}]")
-        return min(max(r, lo), hi)
+    def _hermite(self, r: float, block: int, slopes) -> tuple[np.ndarray, np.ndarray]:
+        """Column block ``block`` (0 = u, 1 = w, 2 = sigma) at radius r, and
+        the two state rows ``node`` bracketing r, whose d(block)/dt at log
+        radii ``t`` (a column) is ``slopes(node, t)``."""
+        g, r = self.grid, float(r)
+        if not (g[0] * (1 - 1e-12) <= r <= g[-1] * (1 + 1e-12)):
+            raise ValueError(f"radius {r:g} outside profile range [{g[0]:g}, {g[-1]:g}]")
+        r = min(max(r, g[0]), g[-1])
+        n = self.n_components
+        cols = slice(block * n, (block + 1) * n)
+        if len(g) < 2:
+            return self.state[0, cols].copy(), self.state[:1]
+        j = min(max(int(g.searchsorted(r, side="right")) - 1, 0), len(g) - 2)
+        node = self.state[j : j + 2]
+        t0, t1 = math.log(g[j]), math.log(g[j + 1])
+        dt = t1 - t0
+        x = (math.log(r) - t0) / dt
+        # Hermite basis weights of the node values and of the nodal slopes
+        wy = ((1.0 + 2.0 * x) * (1.0 - x) ** 2, x * x * (3.0 - 2.0 * x))
+        wd = (x * (1.0 - x) ** 2 * dt, x * x * (x - 1.0) * dt)
+        d = slopes(node, np.array(((t0,), (t1,))))
+        return wy @ node[:, cols] + wd @ d, node
 
     def value_at(self, r: float) -> np.ndarray:
-        """u_i(r) by linear interpolation in log r."""
-        r = self._check_radius(r)
-        t = math.log(r)
-        tg = np.log(self.grid)
-        return np.array(
-            [np.interp(t, tg, self.values[:, i]) for i in range(self.n_components)]
-        )
+        """u_i(r), with slopes du/dt = w."""
+        n = self.n_components
+        return self._hermite(r, 0, lambda node, t: node[:, n : 2 * n])[0]
 
     def log_deriv_at(self, r: float) -> np.ndarray:
-        """w_i(r) = r du_i/dr by linear interpolation in log r."""
-        r = self._check_radius(r)
-        t = math.log(r)
-        tg = np.log(self.grid)
-        w = self.derivs * self.grid[:, None]
-        return np.array(
-            [np.interp(t, tg, w[:, i]) for i in range(self.n_components)]
-        )
+        """w_i(r) = r du_i/dr, with slopes dw/dt = -r^2 F(u)."""
+        n, rhs = self.n_components, self.system.rhs
+        return self._hermite(
+            r, 1, lambda node, t: -np.exp(2.0 * t) * rhs(node[:, :n].T).T
+        )[0]
 
     def mass_at(self, r: float) -> np.ndarray:
-        """sigma_i(r) by monotone interpolation in log r.
+        """sigma_i(r), with slopes dsigma/dt = r^2 e^u.
 
-        Cubic Hermite with the exact nodal slopes d sigma/dt = e^{u + 2t},
-        clamped into the bracketing node values so monotonicity of the
+        Clamped into the bracketing node values, so monotonicity of the
         running integral is preserved exactly.
         """
-        r = self._check_radius(r)
-        if len(self.grid) < 2:
-            return self.masses[0].copy()
-        tg = np.log(self.grid)
-        t = math.log(r)
-        k = int(np.clip(np.searchsorted(tg, t), 1, len(tg) - 1))
-        lo, hi = self.masses[k - 1], self.masses[k]
-        # the cubic of the interval holding t, left-closed like a piecewise
-        # polynomial (t_j <= t < t_j+1), in its power form about t_j
-        j = min(max(int(np.searchsorted(tg, t, side="right")) - 1, 0), len(tg) - 2)
-        dt = tg[j + 1] - tg[j]
-        m0, m1 = self.masses[j], self.masses[j + 1]
-        d0, d1 = np.exp(np.minimum(self.values[j : j + 2] + 2.0 * tg[j : j + 2, None], 600.0))
-        slope = (m1 - m0) / dt
-        curv = (d0 + d1 - 2 * slope) / dt
-        c2 = (slope - d0) / dt - curv
-        c3 = curv / dt
-        s = t - tg[j]
-        out = m0 + d0 * s + c2 * (s * s) + c3 * (s * s * s)
-        return np.clip(out, lo, hi)
+        n = self.n_components
+        out, node = self._hermite(
+            r, 2, lambda node, t: np.exp(np.minimum(node[:, :n] + 2.0 * t, 600.0))
+        )
+        return out.clip(node[0, 2 * n :], node[-1, 2 * n :])
 
     def witness_at(self, r: float) -> np.ndarray:
         """The decay witnesses u_i(r) + 2 log r."""
@@ -351,18 +354,14 @@ def _assemble(
     stats: SolverStats,
 ) -> RadialProfile:
     n = spec.system.n_components
-    r = np.exp(ts)
-    values = ys[:n].T.copy()
-    derivs = (ys[n : 2 * n] / r).T.copy()
+    state = ys.T.copy()
     # running integrals are non-decreasing; wash out interpolation-level
     # dips far below solver tolerance
-    masses = np.maximum.accumulate(ys[2 * n :].T.copy(), axis=0)
+    np.maximum.accumulate(state[:, 2 * n :], axis=0, out=state[:, 2 * n :])
     return RadialProfile(
         system=spec.system,
-        grid=r,
-        values=values,
-        derivs=derivs,
-        masses=masses,
+        grid=np.exp(ts),
+        state=state,
         reason=reason,
         spec=spec,
         stats=stats,
@@ -377,19 +376,19 @@ def cumulative_mass(p: RadialProfile, r: float) -> np.ndarray:
 def rescale(p: RadialProfile, eps: float) -> RadialProfile:
     """The profile v_i(r) = u_i(eps r) + 2 log eps.
 
-    Pure reindexing of the stored samples, so the mass law
-    sigma_i(r; v) = sigma_i(eps r; u) holds exactly on the grid.
+    Pure reindexing of the stored samples (w and sigma are scale-invariant),
+    so the mass law sigma_i(r; v) = sigma_i(eps r; u) holds exactly on the
+    grid.  No shot reproduces the new grid, so ``spec`` is dropped.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
+    state = p.state.copy()
+    state[:, : p.n_components] += 2.0 * math.log(eps)
     return RadialProfile(
         system=p.system,
         grid=p.grid / eps,
-        values=p.values + 2.0 * math.log(eps),
-        derivs=p.derivs * eps,
-        masses=p.masses.copy(),
+        state=state,
         reason=p.reason,
-        spec=p.spec,
         provenance=f"{p.provenance};rescale(eps={eps!r})",
         stats=p.stats,
     )
@@ -412,8 +411,10 @@ def mean_value_residuals(p: RadialProfile) -> np.ndarray:
     """Residual of r u_i'(r) + sum_j A_ij (sigma_j(r) - sigma_j(r0)) - r0 u_i'(r0).
 
     The divergence theorem makes this vanish identically for exact
-    solutions; the returned array (grid x components) measures the
-    integrator's self-consistency.
+    solutions.  It is a linear invariant of the radial system, which every
+    Runge-Kutta step preserves exactly, so the returned array (grid x
+    components) checks the stored-state bookkeeping, not the integration
+    accuracy; the Pohozaev balances of ``analysis`` measure that.
     """
     A = _exp_linear_matrix(p.system)
     if A is None:
@@ -421,7 +422,7 @@ def mean_value_residuals(p: RadialProfile) -> np.ndarray:
             f"mean-value identity needs an exponential-linear variant, "
             f"got {p.system.variant.value}"
         )
-    w = p.derivs * p.grid[:, None]
+    w = p.log_derivs
     dm = p.masses - p.masses[0]
     return w - w[0] + dm @ A.T
 
@@ -491,7 +492,7 @@ def classify_shot(
     """OVER when some component turns upward (or blows up) before r_max,
     UNDER when every component ends in fast decay with converged mass."""
     n = p.n_components
-    w = p.derivs * p.grid[:, None]
+    w = p.log_derivs
     thresholds = np.maximum(w[0], 0.0) + up_jump
 
     first_idx, first_comp = None, None

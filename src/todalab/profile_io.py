@@ -69,12 +69,15 @@ def profile_from_json_dict(d: dict) -> RadialProfile:
         Variant(d["variant"]), tuple(d.get("singular_weights") or ())
     )
     spec = d.get("shoot_spec")
+    grid = np.asarray(d["grid"], dtype=float)
+    # the file keeps du/dr; the profile stores w = r du/dr
+    w = np.asarray(d["derivs"], dtype=float) * grid[:, None]
+    state = np.column_stack([np.asarray(d["values"], dtype=float), w,
+                             np.asarray(d["masses"], dtype=float)])
     return RadialProfile(
         system=system,
-        grid=np.asarray(d["grid"], dtype=float),
-        values=np.asarray(d["values"], dtype=float),
-        derivs=np.asarray(d["derivs"], dtype=float),
-        masses=np.asarray(d["masses"], dtype=float),
+        grid=grid,
+        state=state,
         reason=TerminationReason(d["reason"]),
         spec=None if spec is None else ShootSpec.from_json_dict(spec),
         provenance=d.get("provenance", "loaded"),

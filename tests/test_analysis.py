@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from todalab.analysis import (
@@ -196,6 +197,46 @@ class TestSu4Balance:
             su4_radial_balance(liouville_profile, 1.0)
 
 
+def _poho_rel(p, r):
+    """|Pohozaev balance| over the sum of its terms' sizes, su3 profile."""
+    c = pohozaev_check(p, r)
+    s1, s2, s3 = c.triple
+    scale = (s1 - s3) ** 2 + (s2 - s3) ** 2 + 4 * (s1 + s2 + 2 * s3) + c.boundary_defect
+    return abs(c.balance_residual) / scale
+
+
+def _su4_rel(p, r):
+    """|quad - (8 sum - 4 defect)| over the sum of its terms' sizes."""
+    b = su4_radial_balance(p, r)
+    scale = b.quad_mass + 8 * b.mass_sum + 4 * b.boundary_defect
+    return abs(b.defect_corrected_residual) / scale
+
+
+class TestBalancesBetweenNodes:
+    """The balances hold between grid nodes as well as at them, over the
+    resolved range from one decade past the start radius out to r = 1."""
+
+    CASES = (("su3_ladder_profile", _poho_rel), ("su4_bubble_profile", _su4_rel))
+
+    @pytest.fixture(scope="class")
+    def node_levels(self):
+        """Largest grid-node balance per case, filled on first use."""
+        return {}
+
+    @pytest.mark.parametrize("fixture,rel", CASES)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(x=st.floats(0.0, 1.0))
+    def test_off_node_balance(self, request, node_levels, fixture, rel, x):
+        p = request.getfixturevalue(fixture)
+        lo = float(p.grid[p.spec.samples_per_decade])
+        if fixture not in node_levels:
+            nodes = p.grid[(p.grid >= lo) & (p.grid <= 1.0)]
+            node_levels[fixture] = max(rel(p, float(r)) for r in nodes)
+        got = rel(p, lo ** (1.0 - x))
+        assert got <= 1e-4
+        assert got <= 10 * node_levels[fixture]
+
+
 class TestBubbleMasses:
     def test_limitpair_double_limit(self, limitpair_target, spectrum_400):
         _, base = limitpair_target
@@ -258,3 +299,28 @@ class TestBubbleMasses:
         # equidistant between (0,4,0) and (4,0,0); the smaller one wins
         member, _, _ = nearest_member(spectrum_400, [2.0, 2.0, 0.0])
         assert member == MassTriple(0, 4, 0)
+
+    def test_nearest_member_matches_loop(self, spectrum_400):
+        def loop(spectrum, triple):
+            x = np.asarray(triple, dtype=float)
+            best, best_idx, best_d = None, None, math.inf
+            for t, idx in zip(spectrum.members, spectrum.indices):
+                d = float(np.linalg.norm(x - np.array(t.as_tuple(), dtype=float)))
+                if d < best_d:
+                    best, best_idx, best_d = t, idx, d
+            return best, best_idx, best_d
+
+        members = [np.array(t.as_tuple(), dtype=float) for t in spectrum_400.members]
+        rng = np.random.default_rng(17)
+        queries = []
+        for _ in range(20):
+            a = members[rng.integers(len(members))]
+            queries.append(a + rng.uniform(-3.0, 3.0, 3))
+            # midpoint to a nearest other member: an exact tie
+            d = [np.linalg.norm(b - a) if b is not a else math.inf for b in members]
+            queries.append((a + members[int(np.argmin(d))]) / 2)
+        for q in queries:
+            got, idx, dist = nearest_member(spectrum_400, q)
+            want, want_idx, want_dist = loop(spectrum_400, q)
+            assert got == want and idx == want_idx
+            assert dist == pytest.approx(want_dist, rel=1e-12)

@@ -1,5 +1,6 @@
 """Radial integration engine tests against the closed-form oracles."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from todalab.closed_forms import (
     BubbleSpec,
+    bubble_derivative,
     bubble_mass,
     bubble_value,
     from_w_eta,
@@ -24,6 +26,11 @@ from todalab.ode_engine import (
     rescale,
     shoot,
     total_masses,
+)
+from todalab.profile_io import (
+    FORMAT_VERSION,
+    profile_from_json_dict,
+    profile_to_json_dict,
 )
 from todalab.systems import SystemKind, Variant
 
@@ -286,6 +293,18 @@ class TestRescale:
         q = rescale(liouville_profile, 7.3)
         assert np.array_equal(q.masses, liouville_profile.masses)
 
+    def test_rescaled_profile_drops_spec_and_round_trips(self, liouville_profile):
+        # no shot reproduces the rescaled grid; provenance records the rescale
+        q = rescale(liouville_profile, 7.3)
+        assert q.spec is None
+        assert q.provenance.endswith("rescale(eps=7.3)")
+        d = json.loads(json.dumps(profile_to_json_dict(q)))
+        assert d["shoot_spec"] is None
+        back = profile_from_json_dict(d)
+        assert back.spec is None
+        for name in ("grid", "values", "masses"):
+            assert np.array_equal(getattr(back, name), getattr(q, name))
+
 
 class TestFindDecaying:
     def test_limitpair_masses(self, limitpair_target):
@@ -333,6 +352,42 @@ class TestProfileQueries:
     def test_value_query_outside_grid(self, liouville_profile):
         with pytest.raises(ValueError):
             liouville_profile.value_at(1e9)
+
+    def test_off_node_queries_match_closed_form(self, liouville_profile):
+        p = liouville_profile
+        spec = BubbleSpec(1.0)
+        rng = np.random.default_rng(20240607)
+        for t in rng.uniform(math.log(1e-3), math.log(1e3), 200):
+            r = math.exp(t)
+            assert not np.any(p.grid == r)
+            assert p.value_at(r)[0] == pytest.approx(bubble_value(spec, r), abs=1e-6)
+            w = r * bubble_derivative(spec, r)
+            assert p.log_deriv_at(r)[0] == pytest.approx(w, abs=1e-6)
+
+    def test_queries_return_nodes_exactly(self, su3_ladder_profile):
+        p = su3_ladder_profile
+        for k in (0, 1, len(p.grid) // 2, len(p.grid) - 1):
+            r = float(p.grid[k])
+            assert np.array_equal(p.value_at(r), p.values[k])
+            assert np.array_equal(p.log_deriv_at(r), p.log_derivs[k])
+            assert np.array_equal(p.mass_at(r), p.masses[k])
+
+    def test_state_is_stored_once(self, su3_ladder_profile):
+        p = su3_ladder_profile
+        n = p.n_components
+        assert p.state.shape == (len(p.grid), 3 * n)
+        for view in (p.values, p.log_derivs, p.masses):
+            assert np.shares_memory(view, p.state)
+        np.testing.assert_array_equal(p.derivs, p.log_derivs / p.grid[:, None])
+
+    def test_json_round_trip_keeps_format(self, su3_ladder_profile):
+        p = su3_ladder_profile
+        d = json.loads(json.dumps(profile_to_json_dict(p)))
+        assert d["format_version"] == FORMAT_VERSION == 1
+        assert np.array_equal(np.asarray(d["derivs"]), p.derivs)
+        back = profile_from_json_dict(d)
+        for name in ("grid", "values", "derivs", "masses"):
+            assert np.array_equal(getattr(back, name), getattr(p, name))
 
 
 class TestConstrainedTargetingFailsFast:
