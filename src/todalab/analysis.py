@@ -200,11 +200,6 @@ def pohozaev_check(p: RadialProfile, r: float) -> PohozaevCheck:
     )
 
 
-def pohozaev_profile_residual(p: RadialProfile, r: float) -> float:
-    """Mass-form residual (s1-s3)^2 + (s2-s3)^2 - 4(s1+s2+2 s3) at radius r."""
-    return pohozaev_check(p, r).residual
-
-
 @dataclass(frozen=True)
 class Su4Balance:
     """Measured pieces of the radial Pohozaev balance for the SU(4) system.

@@ -1,11 +1,15 @@
 """Command-line front end.
 
 Subcommands: ``spectrum`` (enumerate / check / equiv), ``shoot``,
-``target`` and ``bubble``.  Every run resolves a configuration from
-defaults, an optional ``--config`` JSON file, and explicit flags (in that
-order of precedence), embeds the resolved configuration in its output
-files, and follows the exit contract 0 = success, 1 = domain failure,
-2 = usage error.  ``--json`` switches stdout to a single JSON document.
+``target`` and ``bubble``.  Each option is declared once (``_opt``): its
+config key, default, flag spellings and argparse keywords.  The parser
+and the defaults are both built from these declarations.  ``main``
+resolves one configuration per run from defaults, an optional
+``--config`` JSON file, and explicit flags (in that order of
+precedence); a config-file value must satisfy the same ``choices`` as
+its flag.  Runs embed the resolved configuration in their output files
+and follow the exit contract 0 = success, 1 = domain failure, 2 = usage
+error.  ``--json`` switches stdout to a single JSON document.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +39,7 @@ from .systems import SystemKind, Variant
 
 SCHEMA_VERSION = 1
 
-_VARIANTS = {v.value: v for v in Variant}
+_ENUMERATE = {"su3": spec_mod.enumerate_su3, "su4": spec_mod.enumerate_su4}
 
 
 class DomainError(RuntimeError):
@@ -49,18 +54,13 @@ def _outdir() -> Path:
     return Path(os.environ.get("TODALAB_OUTDIR", "."))
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"malformed number list {text!r}") from exc
-
-
 def _as_floats(value) -> tuple[float, ...]:
     """Coerce a flag string or a config-file list into a float tuple."""
-    if isinstance(value, (list, tuple)):
-        return tuple(float(x) for x in value)
-    return _parse_floats(str(value))
+    parts = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    try:
+        return tuple(float(x) for x in parts)
+    except ValueError as exc:
+        raise UsageError(f"malformed number list {value!r}") from exc
 
 
 def _parse_triple(text: str) -> MassTriple:
@@ -75,10 +75,26 @@ def _parse_triple(text: str) -> MassTriple:
     return MassTriple(*vals)
 
 
-def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
+class _Option(NamedTuple):
+    """One config key: its default, its flag spellings and the argparse
+    keywords (``type``, ``choices``, ``help``) of those flags."""
+
+    key: str
+    default: object
+    flags: tuple[str, ...]
+    kwargs: dict
+
+
+def _opt(key: str, default=None, *flags: str, **kwargs) -> _Option:
+    """Declare an option; its flag is ``--key-name`` unless ``flags`` say
+    otherwise."""
+    return _Option(key, default, flags or ("--" + key.replace("_", "-"),), kwargs)
+
+
+def _resolve_config(args: argparse.Namespace, options: tuple[_Option, ...]) -> dict:
     """defaults < config file < explicit flags; returns the resolved dict."""
-    cfg = dict(defaults)
-    path = getattr(args, "config", None)
+    cfg = {o.key: o.default for o in options}
+    path = args.config
     if path:
         try:
             loaded = json.loads(Path(path).read_text())
@@ -87,14 +103,21 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
         version = loaded.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise DomainError(f"unsupported config schema_version {version}")
-        unknown = set(loaded) - set(defaults)
+        unknown = set(loaded) - set(cfg)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
+        for o in options:
+            choices = o.kwargs.get("choices")
+            if choices and o.key in loaded and loaded[o.key] not in choices:
+                raise DomainError(
+                    f"config key {o.key!r} must be one of {choices}, "
+                    f"got {loaded[o.key]!r}"
+                )
         cfg.update(loaded)
-    for key in defaults:
-        val = getattr(args, key, None)
+    for o in options:
+        val = getattr(args, o.key, None)
         if val is not None:
-            cfg[key] = val
+            cfg[o.key] = val
     cfg["schema_version"] = SCHEMA_VERSION
     return cfg
 
@@ -106,43 +129,33 @@ def _embed_cfg(cfg: dict) -> dict:
 
 
 def _emit(args, human_lines: list[str], payload: dict) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in human_lines:
             print(line)
 
 
-def _maybe_print_config(args, cfg: dict) -> bool:
-    if getattr(args, "print_config", False):
-        print(json.dumps(cfg, sort_keys=True, indent=2))
-        return True
-    return False
-
-
 # --------------------------------------------------------------------------
 # spectrum
 # --------------------------------------------------------------------------
 
-_SPECTRUM_DEFAULTS = {"variant": "su3", "bound": 400, "triple": None, "out": None}
+_SPECTRUM = (
+    _opt("variant", "su3", choices=sorted(_ENUMERATE)),
+    _opt("bound", 400, type=int),
+    # a config key of every spectrum subcommand, a flag of ``check`` only
+    _opt("triple", help="s1,s2,s3"),
+)
 
 
-def cmd_spectrum(args) -> int:
-    cfg = _resolve_config(args, _SPECTRUM_DEFAULTS)
-    if _maybe_print_config(args, cfg):
-        return 0
+def cmd_spectrum(args, cfg: dict) -> int:
     variant = cfg["variant"]
-    if variant not in ("su3", "su4"):
-        raise DomainError(f"unknown spectrum variant {variant!r}")
-    enumerate_fn = (
-        spec_mod.enumerate_su3 if variant == "su3" else spec_mod.enumerate_su4
-    )
 
     if args.spectrum_cmd == "enumerate":
         bound = int(cfg["bound"])
         if bound < 0:
             raise DomainError("bound must be non-negative")
-        sset = enumerate_fn(bound)
+        sset = _ENUMERATE[variant](bound)
         out = cfg["out"] or str(_outdir() / f"spectrum_{variant}_{bound}.txt")
         Path(out).write_text(
             "\n".join([f"# config {json.dumps(_embed_cfg(cfg), sort_keys=True)}"] + sset.to_lines())
@@ -186,51 +199,52 @@ def cmd_spectrum(args) -> int:
         )
         return 0 if member else 1
 
-    if args.spectrum_cmd == "equiv":
-        bound = int(cfg["bound"])
-        if variant != "su3":
-            raise DomainError("equiv applies to the su3 spectrum")
-        # enumerate_su3 raises internally on any brute-force/parametrized
-        # mismatch, so reaching the report line is the equivalence proof
-        sset = spec_mod.enumerate_su3(bound)
-        _emit(
-            args,
-            [f"equivalence holds up to bound {bound} ({len(sset)} members)"],
-            {"config": cfg, "equal": True, "count": len(sset)},
-        )
-        return 0
-
-    raise DomainError(f"unknown spectrum subcommand {args.spectrum_cmd!r}")
+    # equiv
+    bound = int(cfg["bound"])
+    if variant != "su3":
+        raise DomainError("equiv applies to the su3 spectrum")
+    # enumerate_su3 raises internally on any brute-force/parametrized
+    # mismatch, so reaching the report line is the equivalence proof
+    sset = spec_mod.enumerate_su3(bound)
+    _emit(
+        args,
+        [f"equivalence holds up to bound {bound} ({len(sset)} members)"],
+        {"config": cfg, "equal": True, "count": len(sset)},
+    )
+    return 0
 
 
 # --------------------------------------------------------------------------
 # shoot
 # --------------------------------------------------------------------------
 
-_SHOOT_DEFAULTS = {
-    "system": "liouville",
-    "heights": None,
-    "weights": None,
-    "r_start": None,
-    "r_max": 1e6,
-    "rel_tol": 1e-10,
-    "abs_tol": 1e-12,
-    "samples_per_decade": 40,
-    "mass_guard": 1e6,
-    "format": "csv",
-    "out": None,
-    "sweep": None,
-    "workers": 1,
-}
+_SYSTEM = _opt("system", "liouville", choices=sorted(v.value for v in Variant))
+# the integrator settings that ``shoot`` and ``target`` share
+_TOLERANCES = (
+    _opt("r_max", 1e6, type=float),
+    _opt("rel_tol", 1e-10, type=float),
+    _opt("abs_tol", 1e-12, type=float),
+    _opt("samples_per_decade", 40, type=int),
+)
+
+_SHOOT = (
+    _SYSTEM,
+    _opt("heights", None, "--height", "--heights",
+         help="h1,h2,... initial heights (one height for scalar systems)"),
+    _opt("weights", help="b1,b2,... singular weights at the origin"),
+    _opt("r_start", type=float),
+    *_TOLERANCES,
+    _opt("mass_guard", 1e6, type=float),
+    _opt("format", "csv", choices=["csv", "json"]),
+    _opt("sweep", help="comma list of first-component heights"),
+    _opt("workers", 1, type=int),
+)
 
 
 def _build_spec(cfg: dict, heights: tuple[float, ...]) -> ShootSpec:
-    variant = _VARIANTS.get(cfg["system"])
-    if variant is None:
-        raise DomainError(f"unknown system {cfg['system']!r}")
     weights = _as_floats(cfg["weights"]) if cfg["weights"] else ()
     try:
-        system = SystemKind(variant, weights)
+        system = SystemKind(Variant(cfg["system"]), weights)
         return ShootSpec(
             system=system,
             init_heights=heights,
@@ -245,8 +259,8 @@ def _build_spec(cfg: dict, heights: tuple[float, ...]) -> ShootSpec:
         raise DomainError(str(exc)) from exc
 
 
-def _shoot_payload(spec: ShootSpec, cfg: dict, out_path: str | None):
-    prof = shoot(spec)
+def _shoot_payload(cfg: dict, heights: tuple[float, ...], out_path: str):
+    prof = shoot(_build_spec(cfg, heights))
     totals, converged = total_masses(prof)
     try:
         mv = float(np.max(np.abs(mean_value_residuals(prof))))
@@ -260,19 +274,14 @@ def _shoot_payload(spec: ShootSpec, cfg: dict, out_path: str | None):
         "max_mean_value_residual": mv,
         "r_end": prof.r_end,
     }
-    if out_path:
-        if cfg["format"] == "json":
-            profile_io.write_profile_json(prof, out_path, config=_embed_cfg(cfg))
-        else:
-            profile_io.write_profile_csv(prof, out_path, config=_embed_cfg(cfg))
-        info["out"] = out_path
+    write = (profile_io.write_profile_json if cfg["format"] == "json"
+             else profile_io.write_profile_csv)
+    write(prof, out_path, config=_embed_cfg(cfg))
+    info["out"] = out_path
     return prof, info
 
 
-def cmd_shoot(args) -> int:
-    cfg = _resolve_config(args, _SHOOT_DEFAULTS)
-    if _maybe_print_config(args, cfg):
-        return 0
+def cmd_shoot(args, cfg: dict) -> int:
     if cfg["heights"] is None:
         raise UsageError("shoot needs --height/--heights")
     heights = _as_floats(cfg["heights"])
@@ -281,13 +290,9 @@ def cmd_shoot(args) -> int:
     if cfg["sweep"]:
         sweep_vals = _as_floats(cfg["sweep"])
         cfg["sweep"] = list(sweep_vals)
-        jobs = []
-        for i, h in enumerate(sweep_vals):
-            job_cfg = dict(cfg)
-            job_heights = (h,) + tuple(heights[1:])
-            stem = cfg["out"] or str(_outdir() / "profile")
-            ext = "json" if cfg["format"] == "json" else "csv"
-            jobs.append((job_cfg, job_heights, f"{stem}_{i:03d}.{ext}"))
+        stem = cfg["out"] or str(_outdir() / "profile")
+        jobs = [(cfg, (h,) + heights[1:], f"{stem}_{i:03d}.{cfg['format']}")
+                for i, h in enumerate(sweep_vals)]
         workers = int(cfg["workers"])
         if workers < 1:
             raise UsageError(f"--workers must be at least 1, got {workers}")
@@ -314,11 +319,8 @@ def cmd_shoot(args) -> int:
         )
         return 0
 
-    out = cfg["out"] or str(
-        _outdir() / f"profile_{cfg['system']}.{ 'json' if cfg['format']=='json' else 'csv'}"
-    )
-    spec = _build_spec(cfg, heights)
-    prof, info = _shoot_payload(spec, cfg, out)
+    out = cfg["out"] or str(_outdir() / f"profile_{cfg['system']}.{cfg['format']}")
+    prof, info = _shoot_payload(cfg, heights, out)
     decaying = all(info["mass_converged"])
     lines = [
         f"terminated: {info['reason']} at r = {info['r_end']:g}",
@@ -340,9 +342,7 @@ def cmd_shoot(args) -> int:
 
 
 def _run_sweep_job(job):
-    cfg, heights, out = job
-    spec = _build_spec(cfg, heights)
-    prof, info = _shoot_payload(spec, cfg, out)
+    prof, info = _shoot_payload(*job)
     return info, prof.stats.to_json_dict()
 
 
@@ -350,34 +350,24 @@ def _run_sweep_job(job):
 # target
 # --------------------------------------------------------------------------
 
-_TARGET_DEFAULTS = {
-    "system": "limitpair",
-    "anchor": None,
-    "anchor_component": 0,
-    "bracket": None,
-    "tol": 1e-3,
-    "r_max": 1e6,
-    "rel_tol": 1e-10,
-    "abs_tol": 1e-12,
-    "samples_per_decade": 40,
-    "out": None,
-}
+_TARGET = (
+    _SYSTEM._replace(default="limitpair"),
+    _opt("anchor", type=float, help="anchored initial height"),
+    _opt("anchor_component", 0, type=int),
+    _opt("bracket", help="lo,hi for the free height"),
+    _opt("tol", 1e-3, type=float),
+    *_TOLERANCES,
+)
 
 
-def cmd_target(args) -> int:
-    cfg = _resolve_config(args, _TARGET_DEFAULTS)
-    if _maybe_print_config(args, cfg):
-        return 0
+def cmd_target(args, cfg: dict) -> int:
     if cfg["anchor"] is None or cfg["bracket"] is None:
         raise UsageError("target needs --anchor and --bracket lo,hi")
-    variant = _VARIANTS.get(cfg["system"])
-    if variant is None:
-        raise DomainError(f"unknown system {cfg['system']!r}")
     bracket = _as_floats(cfg["bracket"])
     if len(bracket) != 2:
         raise DomainError("bracket must be lo,hi")
     cfg["bracket"] = list(bracket)
-    system = SystemKind(variant)
+    system = SystemKind(Variant(cfg["system"]))
     try:
         heights, prof = find_decaying(
             system,
@@ -392,7 +382,7 @@ def cmd_target(args) -> int:
         )
     except (BracketError, TargetSearchError) as exc:
         trace = [c.summary() for c in exc.trace]
-        if getattr(args, "json", False):
+        if args.json:
             print(json.dumps({"config": cfg, "error": str(exc), "trace": trace}))
         else:
             print(f"error: {exc}", file=sys.stderr)
@@ -401,7 +391,7 @@ def cmd_target(args) -> int:
         return 1
 
     totals, _ = total_masses(prof)
-    residual = analysis.pohozaev_profile_residual(prof, prof.r_end)
+    residual = analysis.pohozaev_check(prof, prof.r_end).residual
     out = cfg["out"] or str(_outdir() / f"target_{cfg['system']}.json")
     profile_io.write_profile_json(prof, out, config=_embed_cfg(cfg))
     lines = [
@@ -428,21 +418,17 @@ def cmd_target(args) -> int:
 # bubble
 # --------------------------------------------------------------------------
 
-_BUBBLE_DEFAULTS = {
-    "base": None,
-    "ladder": None,
-    "delta": 0.1,
-    "spectrum_variant": "su3",
-    "spectrum_bound": 400,
-    "out": None,
-    "series_prefix": None,
-}
+_BUBBLE = (
+    _opt("base", help="stored profile JSON"),
+    _opt("ladder", help="strictly decreasing eps values"),
+    _opt("delta", 0.1, type=float),
+    _opt("spectrum_variant", "su3", choices=sorted(_ENUMERATE)),
+    _opt("spectrum_bound", 400, type=int),
+    _opt("series_prefix"),
+)
 
 
-def cmd_bubble(args) -> int:
-    cfg = _resolve_config(args, _BUBBLE_DEFAULTS)
-    if _maybe_print_config(args, cfg):
-        return 0
+def cmd_bubble(args, cfg: dict) -> int:
     if cfg["base"] is None or cfg["ladder"] is None:
         raise UsageError("bubble needs --base profile.json and --ladder e1,e2,...")
     try:
@@ -451,12 +437,7 @@ def cmd_bubble(args) -> int:
         raise DomainError(f"cannot read base profile {cfg['base']}: {exc}") from exc
     ladder = _as_floats(cfg["ladder"])
     cfg["ladder"] = list(ladder)
-    enumerate_fn = (
-        spec_mod.enumerate_su3
-        if cfg["spectrum_variant"] == "su3"
-        else spec_mod.enumerate_su4
-    )
-    sset = enumerate_fn(int(cfg["spectrum_bound"]))
+    sset = _ENUMERATE[cfg["spectrum_variant"]](int(cfg["spectrum_bound"]))
     try:
         report = analysis.bubble_masses(base, ladder, float(cfg["delta"]), sset)
     except ValueError as exc:
@@ -509,6 +490,22 @@ def cmd_bubble(args) -> int:
 # parser
 # --------------------------------------------------------------------------
 
+# every subcommand's output path; its key comes last in the resolved config,
+# whose key order shows where it is dumped unsorted (target's error payload)
+_OUT = _opt("out", help="output path")
+
+
+def _add_options(p, func, options: tuple[_Option, ...], flagless=()) -> None:
+    p.add_argument("--config", help="JSON config file (flags override)")
+    p.add_argument("--json", action="store_true", help="JSON on stdout")
+    p.add_argument(
+        "--print-config", action="store_true", help="print resolved config and exit"
+    )
+    for o in (_OUT, *options):
+        if o.key not in flagless:
+            p.add_argument(*o.flags, dest=o.key, **o.kwargs)
+    p.set_defaults(func=func, options=(*options, _OUT))
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -517,73 +514,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file (flags override)")
-        p.add_argument("--json", action="store_true", help="JSON on stdout")
-        p.add_argument(
-            "--print-config", action="store_true", help="print resolved config and exit"
-        )
-        p.add_argument("--out", help="output path")
-
     sp = sub.add_parser("spectrum", help="enumerate or check mass triples")
     spsub = sp.add_subparsers(dest="spectrum_cmd", required=True)
     for name in ("enumerate", "check", "equiv"):
-        q = spsub.add_parser(name)
-        common(q)
-        q.add_argument("--variant", choices=["su3", "su4"])
-        q.add_argument("--bound", type=int)
-        if name == "check":
-            q.add_argument("--triple", help="s1,s2,s3")
-        q.set_defaults(func=cmd_spectrum)
-
-    sh = sub.add_parser("shoot", help="integrate one radial shot")
-    common(sh)
-    sh.add_argument("--system", choices=sorted(_VARIANTS))
-    sh.add_argument("--height", dest="heights", help="height for scalar systems")
-    sh.add_argument("--heights", dest="heights", help="h1,h2,... initial heights")
-    sh.add_argument("--weights", help="b1,b2,... singular weights at the origin")
-    sh.add_argument("--r-start", dest="r_start", type=float)
-    sh.add_argument("--r-max", dest="r_max", type=float)
-    sh.add_argument("--rel-tol", dest="rel_tol", type=float)
-    sh.add_argument("--abs-tol", dest="abs_tol", type=float)
-    sh.add_argument("--samples-per-decade", dest="samples_per_decade", type=int)
-    sh.add_argument("--mass-guard", dest="mass_guard", type=float)
-    sh.add_argument("--format", choices=["csv", "json"])
-    sh.add_argument("--sweep", help="comma list of first-component heights")
-    sh.add_argument("--workers", type=int)
-    sh.set_defaults(func=cmd_shoot)
-
-    tg = sub.add_parser("target", help="bisect initial data to a decaying solution")
-    common(tg)
-    tg.add_argument("--system", choices=sorted(_VARIANTS))
-    tg.add_argument("--anchor", type=float, help="anchored initial height")
-    tg.add_argument("--anchor-component", dest="anchor_component", type=int)
-    tg.add_argument("--bracket", help="lo,hi for the free height")
-    tg.add_argument("--tol", type=float)
-    tg.add_argument("--r-max", dest="r_max", type=float)
-    tg.add_argument("--rel-tol", dest="rel_tol", type=float)
-    tg.add_argument("--abs-tol", dest="abs_tol", type=float)
-    tg.add_argument("--samples-per-decade", dest="samples_per_decade", type=int)
-    tg.set_defaults(func=cmd_target)
-
-    bb = sub.add_parser("bubble", help="double-limit bubble mass report")
-    common(bb)
-    bb.add_argument("--base", help="stored profile JSON")
-    bb.add_argument("--ladder", help="strictly decreasing eps values")
-    bb.add_argument("--delta", type=float)
-    bb.add_argument("--spectrum-variant", dest="spectrum_variant", choices=["su3", "su4"])
-    bb.add_argument("--spectrum-bound", dest="spectrum_bound", type=int)
-    bb.add_argument("--series-prefix", dest="series_prefix")
-    bb.set_defaults(func=cmd_bubble)
-
+        _add_options(spsub.add_parser(name), cmd_spectrum, _SPECTRUM,
+                     flagless=() if name == "check" else ("triple",))
+    _add_options(sub.add_parser("shoot", help="integrate one radial shot"),
+                 cmd_shoot, _SHOOT)
+    _add_options(
+        sub.add_parser("target", help="bisect initial data to a decaying solution"),
+        cmd_target, _TARGET)
+    _add_options(sub.add_parser("bubble", help="double-limit bubble mass report"),
+                 cmd_bubble, _BUBBLE)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _resolve_config(args, args.options)
+        if args.print_config:
+            print(json.dumps(cfg, sort_keys=True, indent=2))
+            return 0
+        return args.func(args, cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

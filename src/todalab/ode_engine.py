@@ -152,7 +152,11 @@ class ShootSpec:
         )
 
 
-@dataclass
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@dataclass(eq=False)
 class RadialProfile:
     """The integrator's state (u, w = r du/dr, sigma) at every grid node.
 
@@ -172,6 +176,18 @@ class RadialProfile:
     spec: Optional[ShootSpec] = None
     provenance: str = "shoot"
     stats: Optional[SolverStats] = field(default=None, repr=False, compare=False)
+
+    def __eq__(self, other) -> bool:
+        """Value equality: the same system, reason, spec and provenance, and
+        bit-equal ``grid`` and ``state``."""
+        if not isinstance(other, RadialProfile):
+            return NotImplemented
+        return (
+            (self.system, self.reason, self.spec, self.provenance)
+            == (other.system, other.reason, other.spec, other.provenance)
+            and _same_bits(self.grid, other.grid)
+            and _same_bits(self.state, other.state)
+        )
 
     @property
     def n_components(self) -> int:
@@ -366,11 +382,6 @@ def _assemble(
         spec=spec,
         stats=stats,
     )
-
-
-def cumulative_mass(p: RadialProfile, r: float) -> np.ndarray:
-    """Per-component sigma_i(r); r must lie inside the sampled grid."""
-    return p.mass_at(r)
 
 
 def rescale(p: RadialProfile, eps: float) -> RadialProfile:

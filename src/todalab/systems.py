@@ -131,13 +131,6 @@ class SystemKind:
     def constraint_weights(self) -> tuple[float, ...] | None:
         return _CONSTRAINT.get(self.variant)
 
-    def constraint_value(self, u: np.ndarray) -> float | None:
-        """Value of the conserved linear combination, or None."""
-        w = self.constraint_weights()
-        if w is None:
-            return None
-        return float(np.dot(w, u))
-
     def series_terms(
         self, heights: np.ndarray
     ) -> list[tuple[np.ndarray, float]]:

@@ -25,7 +25,6 @@ from todalab.analysis import (
 from todalab.closed_forms import BubbleSpec, bubble_value, from_w_eta, VarsWEta
 from todalab.ode_engine import (
     ShootSpec,
-    cumulative_mass,
     find_decaying,
     mean_value_residuals,
     rescale,
@@ -340,7 +339,7 @@ def test_criterion_10_symmetric_slice(su3_ladder_profile, spectrum_400):
     triples = []
     for a, b in runs:
         k = a + int(np.argmin(wit[a:b]))
-        triples.append(cumulative_mass(prof, float(prof.grid[k])))
+        triples.append(prof.mass_at(float(prof.grid[k])))
 
     slice_ok = len(triples) >= 2
     details = []

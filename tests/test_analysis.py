@@ -17,7 +17,6 @@ from todalab.analysis import (
     final_fast_decay_onset,
     nearest_member,
     pohozaev_check,
-    pohozaev_profile_residual,
     su4_radial_balance,
 )
 from todalab.closed_forms import BubbleSpec, bubble_mass, liouville_bubble
@@ -121,7 +120,7 @@ class TestPohozaevChecks:
 
     def test_residual_decreases_along_tail(self, limitpair_target):
         _, prof = limitpair_target
-        vals = [abs(pohozaev_profile_residual(prof, r)) for r in (1e2, 1e3, 1e4)]
+        vals = [abs(pohozaev_check(prof, r).residual) for r in (1e2, 1e3, 1e4)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_balance_residual_tiny_everywhere(self, limitpair_target):
@@ -143,12 +142,12 @@ class TestPohozaevChecks:
         # single component in slot 1: residual reduces to sigma^2 - 4 sigma
         for r in (0.5, 2.0, 100.0):
             sigma = bubble_mass(BubbleSpec(1.0), r)
-            got = pohozaev_profile_residual(liouville_profile, r)
+            got = pohozaev_check(liouville_profile, r).residual
             assert got == pytest.approx(sigma**2 - 4 * sigma, abs=1e-4)
 
     def test_empty_ball_residual_negligible(self, liouville_profile):
         r0 = float(liouville_profile.grid[0])
-        assert abs(pohozaev_profile_residual(liouville_profile, r0)) < 1e-6
+        assert abs(pohozaev_check(liouville_profile, r0).residual) < 1e-6
 
     def test_mean_value_gap_small(self, limitpair_target):
         _, prof = limitpair_target
@@ -163,11 +162,11 @@ class TestPohozaevChecks:
     def test_rejects_unmapped_variant(self):
         p = shoot(ShootSpec(SystemKind(Variant.SINH_GORDON), (0.0,), r_max=10.0))
         with pytest.raises(ValueError):
-            pohozaev_profile_residual(p, 1.0)
+            pohozaev_check(p, 1.0).residual
 
     def test_radius_range_checked(self, liouville_profile):
         with pytest.raises(ValueError):
-            pohozaev_profile_residual(liouville_profile, 1e9)
+            pohozaev_check(liouville_profile, 1e9).residual
 
 
 class TestSu4Balance:

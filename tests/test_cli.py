@@ -1,11 +1,12 @@
 """Command-line interface: exit codes, file formats, reproducibility."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from todalab.cli import main
+from todalab.cli import build_parser, main
 from todalab.profile_io import read_profile_json
 
 
@@ -213,18 +214,19 @@ class TestTargetCommand:
         assert code == 2
 
 
-class TestBubbleCommand:
-    @pytest.fixture()
-    def base_profile(self, capsys, outdir):
-        path = outdir / "base.json"
-        code, _, _ = run(
-            capsys,
-            "target", "--system", "limitpair", "--anchor", "2.0794415417",
-            "--bracket=-5,5", "--out", str(path),
-        )
-        assert code == 0
-        return path
+@pytest.fixture()
+def base_profile(capsys, outdir):
+    path = outdir / "base.json"
+    code, _, _ = run(
+        capsys,
+        "target", "--system", "limitpair", "--anchor", "2.0794415417",
+        "--bracket=-5,5", "--out", str(path),
+    )
+    assert code == 0
+    return path
 
+
+class TestBubbleCommand:
     def test_report_and_series(self, capsys, outdir, base_profile):
         code, out, _ = run(
             capsys,
@@ -385,3 +387,142 @@ class TestTargetFailsFast:
         assert code == 1 and shots == []
         doc = json.loads(out)
         assert "constraint" in doc["error"] and doc["trace"] == []
+
+
+class TestConfigValueChoices:
+    """A config-file value must satisfy the same choices as its flag."""
+
+    @pytest.mark.parametrize(
+        "argv,cfg,key",
+        [
+            (["shoot"], {"format": "xml", "heights": [1.0], "r_max": 10.0}, "format"),
+            (["shoot"], {"system": "su5", "heights": [1.0], "r_max": 10.0}, "system"),
+            (["target"], {"system": "su5", "anchor": 2.08, "bracket": [-5, 5]},
+             "system"),
+            (["spectrum", "enumerate"], {"variant": "su5", "bound": 12}, "variant"),
+        ],
+    )
+    def test_value_outside_choices_exits_one(self, capsys, outdir, argv, cfg, key):
+        cfg_path = outdir / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, *argv, "--config", str(cfg_path), "--json")
+        assert code == 1 and out == ""
+        assert f"config key '{key}'" in err
+        assert [p.name for p in outdir.iterdir()] == ["run.json"]
+
+    def test_bubble_spectrum_variant(self, capsys, outdir, base_profile):
+        cfg_path = outdir / "run.json"
+        cfg_path.write_text(json.dumps({
+            "spectrum_variant": "su5", "base": str(base_profile),
+            "ladder": [0.1, 0.01], "delta": 0.1,
+        }))
+        before = sorted(p.name for p in outdir.iterdir())
+        code, out, err = run(capsys, "bubble", "--config", str(cfg_path), "--json")
+        assert code == 1 and out == ""
+        assert "config key 'spectrum_variant'" in err
+        assert sorted(p.name for p in outdir.iterdir()) == before
+
+
+_SPECTRUM_DEFAULTS = {"bound": 400, "out": None, "schema_version": 1, "triple": None,
+                      "variant": "su3"}
+_TOLERANCES = {"abs_tol": 1e-12, "r_max": 1000000.0, "rel_tol": 1e-10,
+               "samples_per_decade": 40}
+_SHOOT_DEFAULTS = {**_TOLERANCES, "format": "csv", "heights": None,
+                   "mass_guard": 1000000.0, "out": None, "r_start": None,
+                   "schema_version": 1, "sweep": None, "system": "liouville",
+                   "weights": None, "workers": 1}
+_TARGET_DEFAULTS = {**_TOLERANCES, "anchor": None, "anchor_component": 0,
+                    "bracket": None, "out": None, "schema_version": 1,
+                    "system": "limitpair", "tol": 0.001}
+_BUBBLE_DEFAULTS = {"base": None, "delta": 0.1, "ladder": None, "out": None,
+                    "schema_version": 1, "series_prefix": None,
+                    "spectrum_bound": 400, "spectrum_variant": "su3"}
+_COMMON_OPTIONS = {"-h": "help", "--help": "help", "--config": "config",
+                   "--json": "json", "--print-config": "print_config", "--out": "out"}
+_SPECTRUM_OPTIONS = {**_COMMON_OPTIONS, "--variant": "variant", "--bound": "bound"}
+_RUN_OPTIONS = {"--r-max": "r_max", "--rel-tol": "rel_tol", "--abs-tol": "abs_tol",
+                "--samples-per-decade": "samples_per_decade"}
+
+
+class TestPrintConfig:
+    """Resolved configs and option strings, as the parser built them before
+    each option was declared once."""
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["spectrum", "enumerate"], _SPECTRUM_DEFAULTS),
+            (["spectrum", "check"], _SPECTRUM_DEFAULTS),
+            (["spectrum", "equiv"], _SPECTRUM_DEFAULTS),
+            (["shoot"], _SHOOT_DEFAULTS),
+            (["target"], _TARGET_DEFAULTS),
+            (["bubble"], _BUBBLE_DEFAULTS),
+        ],
+    )
+    def test_defaults(self, capsys, outdir, argv, expected):
+        code, out, _ = run(capsys, *argv, "--print-config")
+        assert code == 0
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv,cfg,expected",
+        [
+            (["spectrum", "enumerate", "--bound", "60"],
+             {"schema_version": 1, "bound": 40, "variant": "su4"},
+             {**_SPECTRUM_DEFAULTS, "bound": 60, "variant": "su4"}),
+            (["spectrum", "check", "--triple", "4,4,12"],
+             {"bound": 40, "variant": "su4"},
+             {**_SPECTRUM_DEFAULTS, "bound": 40, "triple": "4,4,12",
+              "variant": "su4"}),
+            (["spectrum", "equiv", "--variant", "su3"],
+             {"bound": 40, "variant": "su4"},
+             {**_SPECTRUM_DEFAULTS, "bound": 40}),
+            (["shoot", "--r-max", "100"],
+             {"schema_version": 1, "system": "su3", "heights": [1, 1, -1],
+              "r_max": 10.0},
+             {**_SHOOT_DEFAULTS, "heights": [1, 1, -1], "r_max": 100.0,
+              "system": "su3"}),
+            (["target", "--anchor", "2.08"],
+             {"system": "limitpair", "tol": 0.01, "bracket": [-5, 5]},
+             {**_TARGET_DEFAULTS, "anchor": 2.08, "bracket": [-5, 5], "tol": 0.01}),
+            (["bubble", "--delta", "0.1"],
+             {"delta": 0.2, "spectrum_bound": 100, "ladder": [0.1, 0.01]},
+             {**_BUBBLE_DEFAULTS, "ladder": [0.1, 0.01], "spectrum_bound": 100}),
+        ],
+    )
+    def test_config_file_with_overriding_flag(self, capsys, outdir, argv, cfg,
+                                              expected):
+        cfg_path = outdir / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, _ = run(capsys, *argv, "--config", str(cfg_path), "--print-config")
+        assert code == 0
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "path,expected",
+        [
+            (["spectrum", "enumerate"], _SPECTRUM_OPTIONS),
+            (["spectrum", "check"], {**_SPECTRUM_OPTIONS, "--triple": "triple"}),
+            (["spectrum", "equiv"], _SPECTRUM_OPTIONS),
+            (["shoot"], {**_COMMON_OPTIONS, **_RUN_OPTIONS, "--system": "system",
+                         "--height": "heights", "--heights": "heights",
+                         "--weights": "weights", "--r-start": "r_start",
+                         "--mass-guard": "mass_guard", "--format": "format",
+                         "--sweep": "sweep", "--workers": "workers"}),
+            (["target"], {**_COMMON_OPTIONS, **_RUN_OPTIONS, "--system": "system",
+                          "--anchor": "anchor", "--anchor-component": "anchor_component",
+                          "--bracket": "bracket", "--tol": "tol"}),
+            (["bubble"], {**_COMMON_OPTIONS, "--base": "base", "--ladder": "ladder",
+                          "--delta": "delta", "--spectrum-variant": "spectrum_variant",
+                          "--spectrum-bound": "spectrum_bound",
+                          "--series-prefix": "series_prefix"}),
+        ],
+    )
+    def test_option_strings(self, path, expected):
+        parser = build_parser()
+        for name in path:
+            (subs,) = [a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+            parser = subs.choices[name]
+        got = {s: a.dest for a in parser._actions for s in a.option_strings}
+        assert got == expected

@@ -1,5 +1,6 @@
 """Radial integration engine tests against the closed-form oracles."""
 
+import dataclasses
 import json
 import math
 
@@ -20,7 +21,6 @@ from todalab.ode_engine import (
     TargetSearchError,
     TerminationReason,
     classify_shot,
-    cumulative_mass,
     find_decaying,
     mean_value_residuals,
     rescale,
@@ -88,12 +88,12 @@ class TestRegularShot:
     def test_cumulative_mass_against_closed_form(self, liouville_profile):
         for r in (0.01, 0.5, 1.0, 30.0, 900.0):
             expected = bubble_mass(BubbleSpec(1.0), r)
-            got = cumulative_mass(liouville_profile, r)[0]
+            got = liouville_profile.mass_at(r)[0]
             assert got == pytest.approx(expected, rel=1e-6, abs=1e-10)
 
     def test_mass_at_one_hundred(self, liouville_profile):
         # sigma(100) = 4 * 1e4 / (1 + 1e4)
-        assert cumulative_mass(liouville_profile, 100.0)[0] == pytest.approx(
+        assert liouville_profile.mass_at(100.0)[0] == pytest.approx(
             3.99960004, abs=1e-6
         )
 
@@ -120,9 +120,9 @@ class TestRegularShot:
 
     def test_mass_query_outside_grid(self, liouville_profile):
         with pytest.raises(ValueError):
-            cumulative_mass(liouville_profile, 1e-6)
+            liouville_profile.mass_at(1e-6)
         with pytest.raises(ValueError):
-            cumulative_mass(liouville_profile, 1e9)
+            liouville_profile.mass_at(1e9)
 
 
 class TestSingularShot:
@@ -304,6 +304,28 @@ class TestRescale:
         assert back.spec is None
         for name in ("grid", "values", "masses"):
             assert np.array_equal(getattr(back, name), getattr(q, name))
+
+
+class TestProfileEquality:
+    def test_two_shots_of_one_spec_are_equal(self):
+        spec = ShootSpec(SystemKind(Variant.LIOUVILLE), (LOG8,), r_max=100.0)
+        p, q = shoot(spec), shoot(spec)
+        assert p == q and not p != q
+
+    def test_rescaled_profile_differs(self, liouville_profile):
+        assert rescale(liouville_profile, 2.0) != liouville_profile
+
+    def test_stats_are_not_compared(self, liouville_profile):
+        assert dataclasses.replace(liouville_profile, stats=None) == liouville_profile
+
+    def test_one_flipped_bit_differs(self, liouville_profile):
+        state = liouville_profile.state.copy()
+        state[-1, 0] = np.nextafter(state[-1, 0], np.inf)
+        assert dataclasses.replace(liouville_profile, state=state) != liouville_profile
+
+    @pytest.mark.parametrize("other", [None, 0, "profile", (1.0,)])
+    def test_non_profile_compares_unequal(self, liouville_profile, other):
+        assert liouville_profile != other and not liouville_profile == other
 
 
 class TestFindDecaying:
