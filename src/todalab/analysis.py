@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ode_engine import RadialProfile, rescale
+from .ode_engine import RadialProfile
 from .spectrum import (
     MassTriple,
     ParamIndex,
@@ -315,8 +315,7 @@ def nearest_member(
     """Euclidean-nearest spectrum member; lexicographic order breaks ties."""
     if len(spectrum) == 0:
         raise ValueError("spectrum set is empty")
-    pts = np.array([t.as_tuple() for t in spectrum.members], dtype=float)
-    d = np.linalg.norm(pts - np.asarray(triple, dtype=float), axis=1)
+    d = np.linalg.norm(spectrum.points - np.asarray(triple, dtype=float), axis=1)
     # argmin keeps the first minimum, the lexicographically smallest member
     k = int(np.argmin(d))
     return spectrum.members[k], spectrum.indices[k], float(d[k])
@@ -340,12 +339,12 @@ def bubble_masses(
 ) -> BubbleReport:
     """Estimate the double-limit local masses of a rescaled bubble family.
 
-    The blow-up family u_k concentrates the base at scale eps_k (through
-    :func:`rescale`, whose mass law gives sigma(delta; u_k) =
-    sigma(delta/eps_k; base)).  The table over the ladder shows the inner
-    limit stabilizing; the headline value takes the deepest rescale and
-    then walks delta down while the evaluation radius stays beyond the
-    base's fast-decay radius.
+    The blow-up family u_k = rescale(base, 1/eps_k) concentrates the base
+    at scale eps_k.  Rescaling only reindexes the grid, so sigma(delta; u_k)
+    = sigma(delta/eps_k; base), and every mass is read off the base.  The
+    table over the ladder shows the inner limit stabilizing; the headline
+    value takes the deepest rescale and then walks delta down while the
+    evaluation radius stays beyond the base's fast-decay radius.
     """
     eps = [float(e) for e in eps_ladder]
     if not eps or any(e <= 0 for e in eps):
@@ -357,8 +356,7 @@ def bubble_masses(
 
     eps_table = []
     for e in eps:
-        zoomed = rescale(base, 1.0 / e)
-        tri = _to_slots(zoomed, zoomed.mass_at(delta))
+        tri = _to_slots(base, base.mass_at(delta / e))
         eps_table.append((e, tuple(float(x) for x in tri)))
 
     r_fast = final_fast_decay_onset(base, decay_threshold)
@@ -367,7 +365,6 @@ def bubble_masses(
     # evaluation radius stays beyond the base's terminal fast-decay onset;
     # without such an onset the given delta is the only trusted radius
     e_min = eps[-1]
-    zoomed = rescale(base, 1.0 / e_min)
     delta_ladder = [(float(delta), eps_table[-1][1])]
     d = 0.5 * float(delta)
     for _ in range(max_refinements if r_fast is not None else 0):
@@ -375,7 +372,7 @@ def bubble_masses(
             break
         if d / e_min < r_fast:
             break
-        tri = _to_slots(zoomed, zoomed.mass_at(d))
+        tri = _to_slots(base, base.mass_at(d / e_min))
         delta_ladder.append((d, tuple(float(x) for x in tri)))
         d *= 0.5
 

@@ -6,10 +6,11 @@ config key, default, flag spellings and argparse keywords.  The parser
 and the defaults are both built from these declarations.  ``main``
 resolves one configuration per run from defaults, an optional
 ``--config`` JSON file, and explicit flags (in that order of
-precedence); a config-file value must satisfy the same ``choices`` as
-its flag.  Runs embed the resolved configuration in their output files
-and follow the exit contract 0 = success, 1 = domain failure, 2 = usage
-error.  ``--json`` switches stdout to a single JSON document.
+precedence); a config-file value must satisfy the same ``choices`` and
+``type`` as its flag, and is stored as given.  Runs embed the resolved
+configuration in their output files and follow the exit contract
+0 = success, 1 = domain failure, 2 = usage error.  ``--json`` switches
+stdout to a single JSON document.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _as_floats(value) -> tuple[float, ...]:
     parts = value if isinstance(value, (list, tuple)) else str(value).split(",")
     try:
         return tuple(float(x) for x in parts)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed number list {value!r}") from exc
 
 
@@ -91,6 +92,25 @@ def _opt(key: str, default=None, *flags: str, **kwargs) -> _Option:
     return _Option(key, default, flags or ("--" + key.replace("_", "-"),), kwargs)
 
 
+def _check_config_value(o: _Option, value) -> None:
+    """A config-file value must pass its flag's ``choices`` and ``type``;
+    null stands for an option whose default is null."""
+    choices = o.kwargs.get("choices")
+    if choices and value not in choices:
+        raise DomainError(
+            f"config key {o.key!r} must be one of {choices}, got {value!r}"
+        )
+    kind = o.kwargs.get("type")
+    if kind is None or (value is None and o.default is None):
+        return
+    try:
+        kind(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(
+            f"config key {o.key!r} must be {kind.__name__}, got {value!r}"
+        ) from exc
+
+
 def _resolve_config(args: argparse.Namespace, options: tuple[_Option, ...]) -> dict:
     """defaults < config file < explicit flags; returns the resolved dict."""
     cfg = {o.key: o.default for o in options}
@@ -107,12 +127,9 @@ def _resolve_config(args: argparse.Namespace, options: tuple[_Option, ...]) -> d
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
         for o in options:
-            choices = o.kwargs.get("choices")
-            if choices and o.key in loaded and loaded[o.key] not in choices:
-                raise DomainError(
-                    f"config key {o.key!r} must be one of {choices}, "
-                    f"got {loaded[o.key]!r}"
-                )
+            if o.key in loaded:
+                _check_config_value(o, loaded[o.key])
+        # values are stored as given; the commands coerce them
         cfg.update(loaded)
     for o in options:
         val = getattr(args, o.key, None)
@@ -203,8 +220,9 @@ def cmd_spectrum(args, cfg: dict) -> int:
     bound = int(cfg["bound"])
     if variant != "su3":
         raise DomainError("equiv applies to the su3 spectrum")
-    # enumerate_su3 raises internally on any brute-force/parametrized
-    # mismatch, so reaching the report line is the equivalence proof
+    # enumerate_su3 raises internally on any mismatch between the quadric
+    # solve and the parametrization, so reaching the report line is the
+    # equivalence proof
     sset = spec_mod.enumerate_su3(bound)
     _emit(
         args,

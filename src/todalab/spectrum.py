@@ -6,12 +6,15 @@ non-negative multiples of 4 on the quadric
     (s1 - s3)^2 + (s2 - s3)^2 = 4 (s1 + s2 + 2 s3),
 
 minus the origin.  The same set is swept by an integer parametrization
-(m1, m2), and this module enumerates it both ways and checks that the two
+(m1, m2).  This module enumerates it both ways, by solving the quadric
+for s3 exactly and by sweeping (m1, m2), and checks that the two
 productions coincide.  A three-fold symmetric analogue (the SU(4) affine
-candidate set) is enumerated as well.
+candidate set) is enumerated by the same quadric solve.
 
-Everything here is exact: inputs may be ints or ``fractions.Fraction``.
-Floats never appear in any code path of this module.
+The arithmetic is exact: inputs may be ints or ``fractions.Fraction``, and
+no enumeration, residual or membership test uses floats.  The one float
+array is ``SpectrumSet.points``, a copy of the members kept for
+nearest-member searches.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -93,6 +97,14 @@ class SpectrumSet:
 
     def __contains__(self, t: MassTriple) -> bool:
         return t in self.members
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The members as a read-only (len, 3) float array, built once."""
+        pts = np.array([t.as_tuple() for t in self.members], dtype=float)
+        pts = pts.reshape(-1, 3)
+        pts.setflags(write=False)
+        return pts
 
     def to_lines(self) -> list[str]:
         """Line-oriented text form: ``sigma1 sigma2 sigma3 [m1 m2]``."""
@@ -195,15 +207,27 @@ def _index_window(bound: int) -> int:
     return math.isqrt(bound) + 3
 
 
-def _brute_force_su3(bound: int) -> set[MassTriple]:
-    n = np.arange(0, bound // 4 + 1, dtype=np.int64)
-    s1, s2, s3 = np.meshgrid(4 * n, 4 * n, 4 * n, indexing="ij")
-    res = (s1 - s3) ** 2 + (s2 - s3) ** 2 - 4 * (s1 + s2 + 2 * s3)
-    mask = res == 0
-    found = {
-        MassTriple(int(a), int(b), int(c))
-        for a, b, c in zip(s1[mask], s2[mask], s3[mask])
-    }
+def _on_quadric(residual, bound: int) -> set[MassTriple]:
+    """Multiples of 4 in [0, bound]^3, minus the origin, where ``residual``
+    (a s3^2 + b s3 + c for fixed s1, s2, with a, b, c integers) vanishes.
+    ``math.isqrt`` gives the roots: O(bound^2) time, O(members) memory."""
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    found = set()
+    for s1 in range(0, bound + 1, 4):
+        def at(s2, s3):
+            return residual(MassTriple(s1, s2, s3))
+        a = (at(0, 1) + at(0, -1)) // 2 - at(0, 0)  # the same for every s2
+        for s2 in range(0, bound + 1, 4):
+            c = at(s2, 0)
+            b = at(s2, 1) - a - c
+            disc = b * b - 4 * a * c
+            root = math.isqrt(max(disc, 0))
+            if root * root != disc:
+                continue
+            for num in (-b - root, -b + root):
+                if num % (8 * a) == 0 and 0 <= num // (2 * a) <= bound:
+                    found.add(MassTriple(s1, s2, num // (2 * a)))
     found.discard(MassTriple(0, 0, 0))
     return found
 
@@ -231,22 +255,20 @@ def _parametrized_su3(bound: int) -> dict[MassTriple, ParamIndex]:
 def enumerate_su3(bound: int) -> SpectrumSet:
     """All quantization-set members with max component <= bound.
 
-    The set is produced twice, by brute force over multiples of 4 against
-    the quadric and by sweeping the (m1, m2) parametrization, and the two
-    productions must coincide; a mismatch raises.  Members come out sorted
-    lexicographically with their indices attached.
+    The set is produced twice, by solving the quadric for s3 over
+    multiples of 4 and by sweeping the (m1, m2) parametrization, and the
+    two productions must coincide; a mismatch raises.  Members come out
+    sorted lexicographically with their indices attached.
     """
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    brute = _brute_force_su3(bound)
+    solved = _on_quadric(pohozaev_residual_su3, bound)
     param = _parametrized_su3(bound)
-    if brute != set(param):
+    if solved != set(param):
         raise RuntimeError(
-            "enumeration mismatch: brute force and parametrization disagree "
-            f"(bound={bound}, only-brute={sorted(brute - set(param))}, "
-            f"only-param={sorted(set(param) - brute)})"
+            "enumeration mismatch: quadric solve and parametrization disagree "
+            f"(bound={bound}, only-quadric={sorted(solved - set(param))}, "
+            f"only-param={sorted(set(param) - solved)})"
         )
-    members = tuple(sorted(brute))
+    members = tuple(sorted(solved))
     indices = tuple(param[t] for t in members)
     return SpectrumSet(SpectrumVariant.SU3_AFFINE, bound, members, indices)
 
@@ -271,18 +293,7 @@ def enumerate_su4(bound: int) -> SpectrumSet:
     :func:`pohozaev_residual_su4` vanishes.  Whether every candidate is an
     attainable local mass is an open matter, hence "candidate".
     """
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    n = np.arange(0, bound // 4 + 1, dtype=np.int64)
-    s1, s2, s3 = np.meshgrid(4 * n, 4 * n, 4 * n, indexing="ij")
-    q = (s1 - s2) ** 2 + (s2 - s3) ** 2 + (s3 - s1) ** 2
-    mask = q == 12 * (s1 + s2 + s3)
-    found = {
-        MassTriple(int(a), int(b), int(c))
-        for a, b, c in zip(s1[mask], s2[mask], s3[mask])
-    }
-    found.discard(MassTriple(0, 0, 0))
-    members = tuple(sorted(found))
+    members = tuple(sorted(_on_quadric(pohozaev_residual_su4, bound)))
     return SpectrumSet(
         SpectrumVariant.SU4_AFFINE, bound, members, (None,) * len(members)
     )

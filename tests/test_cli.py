@@ -423,6 +423,43 @@ class TestConfigValueChoices:
         assert sorted(p.name for p in outdir.iterdir()) == before
 
 
+class TestConfigValueTypes:
+    """A config-file value must pass its flag's type, and is stored as given."""
+
+    def write_cfg(self, outdir, cfg):
+        cfg_path = outdir / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        return str(cfg_path)
+
+    @pytest.mark.parametrize(
+        "argv,cfg,key",
+        [
+            (["spectrum", "enumerate"], {"bound": "x"}, "bound"),
+            (["shoot"], {"workers": "x", "heights": [1.0], "sweep": [0.5, 1.0],
+                         "r_max": 10.0}, "workers"),
+        ],
+    )
+    def test_value_failing_type_exits_one(self, capsys, outdir, argv, cfg, key):
+        code, out, err = run(capsys, *argv, "--config", self.write_cfg(outdir, cfg),
+                             "--json")
+        assert code == 1 and out == ""
+        assert f"config key '{key}'" in err
+        assert [p.name for p in outdir.iterdir()] == ["run.json"]
+
+    def test_null_in_number_list_is_usage_error(self, capsys, outdir):
+        code, out, err = run(capsys, "shoot", "--config",
+                             self.write_cfg(outdir, {"heights": [None]}))
+        assert code == 2 and out == ""
+        assert "malformed number list" in err
+        assert [p.name for p in outdir.iterdir()] == ["run.json"]
+
+    def test_numeric_string_printed_as_given(self, capsys, outdir):
+        code, out, _ = run(capsys, "spectrum", "enumerate", "--config",
+                           self.write_cfg(outdir, {"bound": "40"}), "--print-config")
+        assert code == 0
+        assert json.loads(out)["bound"] == "40"
+
+
 _SPECTRUM_DEFAULTS = {"bound": 400, "out": None, "schema_version": 1, "triple": None,
                       "variant": "su3"}
 _TOLERANCES = {"abs_tol": 1e-12, "r_max": 1000000.0, "rel_tol": 1e-10,

@@ -1,9 +1,11 @@
 """Exact-arithmetic tests for the mass-triple spectrum module."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from todalab import spectrum
 from todalab.spectrum import (
     MassTriple,
     ParamIndex,
@@ -148,7 +150,7 @@ class TestEnumerationSu3:
         with pytest.raises(ValueError):
             enumerate_su3(-1)
 
-    @pytest.mark.parametrize("bound", [8, 20, 60])
+    @pytest.mark.parametrize("bound", range(65))
     def test_against_pure_python_oracle(self, bound):
         got = {t.as_tuple() for t in enumerate_su3(bound).members}
         assert got == brute_su3(bound)
@@ -181,6 +183,21 @@ class TestEnumerationSu3:
         assert lines[0].split() == ["0", "0", "4", "-1", "-1"]
         assert all(len(line.split()) == 5 for line in lines)
 
+    @pytest.mark.parametrize(
+        "production,patched",
+        [
+            ("_on_quadric", lambda found: found - {MassTriple(16, 0, 12)}),
+            ("_parametrized_su3", lambda found: {**found, MassTriple(4, 4, 4): None}),
+        ],
+    )
+    def test_disagreeing_productions_raise(self, monkeypatch, production, patched):
+        original = getattr(spectrum, production)
+        monkeypatch.setattr(
+            spectrum, production, lambda *args: patched(original(*args))
+        )
+        with pytest.raises(RuntimeError, match="enumeration mismatch"):
+            enumerate_su3(40)
+
 
 class TestEnumerationSu4:
     def test_bound_8_empty(self):
@@ -197,7 +214,7 @@ class TestEnumerationSu4:
         with pytest.raises(ValueError):
             enumerate_su4(-3)
 
-    @pytest.mark.parametrize("bound", [12, 40])
+    @pytest.mark.parametrize("bound", range(65))
     def test_against_pure_python_oracle(self, bound):
         got = {t.as_tuple() for t in enumerate_su4(bound).members}
         assert got == brute_su4(bound)
@@ -213,6 +230,35 @@ class TestEnumerationSu4:
         assert not is_candidate_su4(MassTriple(6, 6, 0))
         for t in enumerate_su4(60).members:
             assert is_candidate_su4(t)
+
+
+class TestEnumerationCost:
+    @pytest.mark.parametrize("enumerate_fn", [enumerate_su3, enumerate_su4])
+    def test_peak_memory_tracks_the_answer(self, enumerate_fn):
+        # a (bound/4 + 1)^3 grid at bound 600 would peak above 100 MB
+        tracemalloc.start()
+        try:
+            enumerate_fn(600)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+
+class TestPoints:
+    def test_float_copy_built_once(self):
+        s = enumerate_su3(40)
+        pts = s.points
+        assert pts is s.points and not pts.flags.writeable
+        assert pts.tolist() == [list(map(float, t.as_tuple())) for t in s.members]
+
+    def test_empty_set(self):
+        assert enumerate_su3(0).points.shape == (0, 3)
+
+    def test_not_a_field(self):
+        s = enumerate_su3(40)
+        s.points
+        assert s == enumerate_su3(40)
 
 
 class TestSinhGordonSlice:
