@@ -5,6 +5,8 @@ adaptive radial shooting with cumulative mass quadrature, mass targeting,
 and Pohozaev/decay verifiers, with a CLI front end (``todalab``).
 """
 
+import types
+
 from .closed_forms import (
     BubbleSpec,
     VarsThetaPhi,
@@ -34,12 +36,14 @@ from .analysis import (
     BubbleReport,
     DecayKind,
     DecayVerdict,
+    IdentityBalance,
     PohozaevCheck,
     Su4Balance,
     annulus_mass,
     bubble_masses,
     decay_classify,
     fast_decay_radius_scan,
+    identity_balance,
     nearest_member,
     pohozaev_check,
     su4_radial_balance,
@@ -62,52 +66,5 @@ from .systems import SystemKind, Variant
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BracketError",
-    "BubbleReport",
-    "BubbleSpec",
-    "DecayKind",
-    "DecayVerdict",
-    "MassTriple",
-    "ParamIndex",
-    "PohozaevCheck",
-    "RadialProfile",
-    "ShootSpec",
-    "SpectrumSet",
-    "SpectrumVariant",
-    "Su4Balance",
-    "SystemKind",
-    "TargetSearchError",
-    "TerminationReason",
-    "VarsThetaPhi",
-    "VarsWEta",
-    "Variant",
-    "annulus_mass",
-    "bubble_mass",
-    "bubble_masses",
-    "bubble_total_mass",
-    "decay_classify",
-    "enumerate_su3",
-    "enumerate_su4",
-    "fast_decay_radius_scan",
-    "find_decaying",
-    "is_candidate_su4",
-    "from_theta_phi",
-    "from_w_eta",
-    "liouville_bubble",
-    "mean_value_residuals",
-    "membership_su3",
-    "nearest_member",
-    "pohozaev_check",
-    "pohozaev_residual_su3",
-    "pohozaev_residual_su4",
-    "rescale",
-    "shoot",
-    "singular_bubble",
-    "sinh_gordon_slice",
-    "su4_radial_balance",
-    "to_theta_phi",
-    "to_w_eta",
-    "total_masses",
-    "triple_from_params",
-]
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, types.ModuleType))

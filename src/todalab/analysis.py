@@ -1,8 +1,12 @@
 """Verifiers connecting numerical profiles to the quantized mass triples.
 
-The mass-form Pohozaev residual, its exact finite-radius correction (the
-boundary defect), fast/slow decay classification, annulus scans, and the
-double-limit bubble-mass extraction with nearest-member matching.
+``identity_balance`` evaluates the Pohozaev identity that every
+exponential-linear variant derives from its term table (``systems.Identity``):
+the mass-form residual, its exact finite-radius correction (the boundary
+defect) and the flux recomputation; ``pohozaev_check`` and
+``su4_radial_balance`` are views of it.  Also fast/slow decay classification,
+annulus scans, and the double-limit bubble-mass extraction with
+nearest-member matching.
 
 Profiles map onto mass triples by variant: the three-component system
 fills all slots, the two-component limit system fills slots (1, 3) with
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -129,145 +134,141 @@ _SLOTS = {
 }
 
 
-def _to_slots(p: RadialProfile, x: np.ndarray) -> np.ndarray:
-    """A per-component vector of the profile mapped into the (s1, s2, s3) slots."""
-    slots = _SLOTS.get(p.system.variant)
+def _to_slots(variant: Variant, x: Sequence[float]) -> tuple[float, float, float]:
+    """A per-component vector of a variant mapped into the (s1, s2, s3) slots."""
+    slots = _SLOTS.get(variant)
     if slots is None:
         raise ValueError(
-            f"no mass-triple mapping for variant {p.system.variant.value}; "
+            f"no mass-triple mapping for variant {variant.value}; "
             "expected one of " + ", ".join(v.value for v in _SLOTS)
         )
-    return np.array([0.0 if i is None else x[i] for i in slots])
+    return tuple(0.0 if i is None else float(x[i]) for i in slots)
 
 
 @dataclass(frozen=True)
-class PohozaevCheck:
-    """Mass-form residual at a radius together with its exact correction.
+class IdentityBalance:
+    """The derived Pohozaev identity of a profile at one radius.
 
-    For exact radial solutions the balance
+    With A, d and D = diag(d) of ``SystemKind.identity``: quadratic =
+    sigma^T (D A) sigma, linear = 4 d . sigma, and boundary_defect =
+    2 r^2 sum_j d_j e^{u_j}, which measures how far the circle is from
+    fast decay.  Exact radial solutions have w = r u' = -A sigma and, at
+    every radius,
 
-        residual + boundary_defect = 0
+        balance_residual = quadratic - linear + boundary_defect = 0
+        mean_value_gap = flux_quadratic - quadratic = 0
 
-    holds at every radius, with boundary_defect =
-    2 r^2 (e^{u1} + e^{u2} + 2 e^{u3}); the defect measures how far the
-    circle is from fast decay.  ``flux_quadratic`` is the same quadratic
-    recomputed from the stored derivatives, r^2 ((u1')^2 + (u2')^2), an
-    independent route through the divergence-theorem identities.
+    where flux_quadratic recomputes the quadratic from the stored
+    derivatives by the flux form sum_i flux_w_i w_i^2 +
+    sum_j flux_sigma_j sigma_j^2.  ``residual`` = quadratic - linear
+    vanishes once the circle is in fast decay.
     """
 
+    variant: Variant
     radius: float
-    triple: tuple[float, float, float]
-    residual: float
+    masses: tuple[float, ...]
+    quadratic: float
+    linear: float
     boundary_defect: float
     flux_quadratic: float
 
-    @property
-    def mean_value_gap(self) -> float:
-        """flux_quadratic minus the mass-side quadratic; ~0 for consistent runs."""
-        s1, s2, s3 = self.triple
-        return self.flux_quadratic - ((s1 - s3) ** 2 + (s2 - s3) ** 2)
+    residual = property(lambda self: self.quadratic - self.linear)
+    balance_residual = property(lambda self: self.residual + self.boundary_defect)
+    mean_value_gap = property(lambda self: self.flux_quadratic - self.quadratic)
 
-    @property
-    def balance_residual(self) -> float:
-        """residual + boundary_defect; ~0 at every radius for exact solutions."""
-        return self.residual + self.boundary_defect
+
+def identity_balance(p: RadialProfile, r: float) -> IdentityBalance:
+    """The derived Pohozaev identity of p at radius r."""
+    identity = p.system.identity_floats
+    if identity is None:
+        raise ValueError(f"no Pohozaev identity for {p.system.variant.value}: "
+                         "its right-hand side is not exponential-linear")
+    # float lists: for n <= 3 plain Python beats numpy's per-call overhead
+    _, d, DA, flux_w, flux_sigma = identity
+    s = p.mass_at(r).tolist()
+    e = np.exp(p.value_at(r)).tolist()
+    w = p.log_deriv_at(r).tolist()
+    return IdentityBalance(
+        variant=p.system.variant,
+        radius=float(r),
+        masses=tuple(s),
+        quadratic=sum(map(mul, s, [sum(map(mul, row, s)) for row in DA])),
+        linear=4.0 * sum(map(mul, d, s)),
+        boundary_defect=2.0 * r * r * sum(map(mul, d, e)),
+        flux_quadratic=sum(map(mul, flux_w, map(mul, w, w)))
+        + sum(map(mul, flux_sigma, map(mul, s, s))),
+    )
+
+
+@dataclass(frozen=True)
+class PohozaevCheck(IdentityBalance):
+    """The identity balance of an su3 (d = (1, 1, 2)), limit-pair (d = (1, 2))
+    or Liouville (d = (1)) profile, masses in (s1, s2, s3) slots.  In slots
+
+        residual = (s1-s3)^2 + (s2-s3)^2 - 4 (s1 + s2 + 2 s3)
+        boundary_defect = 2 r^2 (e^{u1} + e^{u2} + 2 e^{u3})
+
+    and flux_quadratic is (r u1')^2 + (r u2')^2 (su3), (r u1')^2 + s3^2
+    (limit pair: empty slot 2 carries the flux s3) or (r u1')^2."""
+
+    triple: tuple[float, float, float]
 
 
 def pohozaev_check(p: RadialProfile, r: float) -> PohozaevCheck:
     """Full Pohozaev bookkeeping at radius r (three-component mapping)."""
-    s = _to_slots(p, p.mass_at(r))
-    ex = _to_slots(p, np.exp(p.value_at(r)))
-    residual = float(
-        (s[0] - s[2]) ** 2 + (s[1] - s[2]) ** 2 - 4 * (s[0] + s[1] + 2 * s[2])
-    )
-    defect = float(2.0 * r * r * (ex[0] + ex[1] + 2.0 * ex[2]))
-
-    w = p.log_deriv_at(r)
-    v = p.system.variant
-    if v is Variant.AFFINE_SU3:
-        flux = float(w[0] ** 2 + w[1] ** 2)
-    elif v is Variant.LIMIT_PAIR:
-        # ghost slot 2 carries flux sigma_3(r)
-        flux = float(w[0] ** 2 + s[2] ** 2)
-    else:
-        flux = float(w[0] ** 2)
-    return PohozaevCheck(
-        radius=float(r),
-        triple=(float(s[0]), float(s[1]), float(s[2])),
-        residual=residual,
-        boundary_defect=defect,
-        flux_quadratic=flux,
-    )
+    b = identity_balance(p, r)
+    return PohozaevCheck(**vars(b), triple=_to_slots(b.variant, b.masses))
 
 
 @dataclass(frozen=True)
 class Su4Balance:
-    """Measured pieces of the radial Pohozaev balance for the SU(4) system.
+    """The identity balance of an SU(4) profile (d = (1, 1, 1), D A = A,
+    flux form (2/3) sum_i w_i^2) in the symmetric normalisation
 
-    Derived from the divergence theorem plus the constraint u1+u2+u3 = 0,
-    exact radial solutions satisfy
+        quad_mass = 2 quadratic = (s1-s2)^2 + (s2-s3)^2 + (s3-s1)^2
+        mass_sum = linear / 4 = s1 + s2 + s3
+        flux_quadratic = sum_i (r u_i')^2
+        boundary_defect = r^2 (e^{u1} + e^{u2} + e^{u3}),
+
+    in which exact radial solutions satisfy
 
         sum_i (r u_i')^2 = (3/4) quad_mass                  (mean value)
         (1/2) sum_i (r u_i')^2 = 3 mass_sum - (3/2) defect  (Pohozaev)
 
-    with quad_mass = (s1-s2)^2 + (s2-s3)^2 + (s3-s1)^2,
-    mass_sum = s1+s2+s3 and defect = r^2 (e^{u1}+e^{u2}+e^{u3}).  Together
-    these force quad_mass = 8 mass_sum - 4 defect, which pins the
-    coefficient of the symmetric identity at fast-decay radii.
+    which force quad_mass = 8 mass_sum - 4 defect, the coefficient 8 of the
+    symmetric identity at fast-decay radii.
     """
 
-    radius: float
-    triple: tuple[float, float, float]
-    quad_mass: float
-    mass_sum: float
-    flux_quadratic: float
-    boundary_defect: float
+    balance: IdentityBalance
 
-    @property
-    def mean_value_gap(self) -> float:
-        return self.flux_quadratic - 0.75 * self.quad_mass
+    def __post_init__(self):
+        if self.balance.variant is not Variant.AFFINE_SU4:
+            raise ValueError("su4 balance needs an su4 profile")
 
-    @property
-    def flux_balance_residual(self) -> float:
-        return (
-            0.5 * self.flux_quadratic
-            - 3.0 * self.mass_sum
-            + 1.5 * self.boundary_defect
-        )
-
-    @property
-    def defect_corrected_residual(self) -> float:
-        """quad_mass - (8 mass_sum - 4 defect); ~0 at every radius."""
-        return self.quad_mass - 8.0 * self.mass_sum + 4.0 * self.boundary_defect
+    radius = property(lambda self: self.balance.radius)
+    triple = property(lambda self: self.balance.masses)
+    quad_mass = property(lambda self: 2.0 * self.balance.quadratic)
+    mass_sum = property(lambda self: self.balance.linear / 4.0)
+    flux_quadratic = property(lambda self: 1.5 * self.balance.flux_quadratic)
+    boundary_defect = property(lambda self: self.balance.boundary_defect / 2.0)
+    mean_value_gap = property(lambda self: self.flux_quadratic - 0.75 * self.quad_mass)
+    flux_balance_residual = property(
+        lambda self: 0.5 * self.flux_quadratic - 3.0 * self.mass_sum
+        + 1.5 * self.boundary_defect)
+    # quad_mass - (8 mass_sum - 4 defect); ~0 at every radius
+    defect_corrected_residual = property(
+        lambda self: self.quad_mass - 8.0 * self.mass_sum + 4.0 * self.boundary_defect)
+    # the empirical symmetric-form coefficient
+    coefficient_estimate = property(lambda self: self.quad_mass / self.mass_sum)
 
     def symmetric_form_residual(self, coefficient: float) -> float:
         """quad_mass - coefficient * mass_sum for a candidate coefficient."""
         return self.quad_mass - coefficient * self.mass_sum
 
-    @property
-    def coefficient_estimate(self) -> float:
-        """quad_mass / mass_sum; the empirical symmetric-form coefficient."""
-        return self.quad_mass / self.mass_sum
-
 
 def su4_radial_balance(p: RadialProfile, r: float) -> Su4Balance:
     """Measure the SU(4) radial Pohozaev balance pieces at radius r."""
-    if p.system.variant is not Variant.AFFINE_SU4:
-        raise ValueError("su4 balance needs an su4 profile")
-    m = p.mass_at(r)
-    u = p.value_at(r)
-    w = p.log_deriv_at(r)
-    quad = float(
-        (m[0] - m[1]) ** 2 + (m[1] - m[2]) ** 2 + (m[2] - m[0]) ** 2
-    )
-    return Su4Balance(
-        radius=float(r),
-        triple=(float(m[0]), float(m[1]), float(m[2])),
-        quad_mass=quad,
-        mass_sum=float(np.sum(m)),
-        flux_quadratic=float(np.sum(w**2)),
-        boundary_defect=float(r * r * np.sum(np.exp(u))),
-    )
+    return Su4Balance(identity_balance(p, r))
 
 
 # --------------------------------------------------------------------------
@@ -354,10 +355,10 @@ def bubble_masses(
     if delta <= 0:
         raise ValueError("delta must be positive")
 
-    eps_table = []
-    for e in eps:
-        tri = _to_slots(base, base.mass_at(delta / e))
-        eps_table.append((e, tuple(float(x) for x in tri)))
+    def slot_masses(r: float) -> tuple[float, float, float]:
+        return _to_slots(base.system.variant, base.mass_at(r))
+
+    eps_table = [(e, slot_masses(delta / e)) for e in eps]
 
     r_fast = final_fast_decay_onset(base, decay_threshold)
 
@@ -372,8 +373,7 @@ def bubble_masses(
             break
         if d / e_min < r_fast:
             break
-        tri = _to_slots(base, base.mass_at(d / e_min))
-        delta_ladder.append((d, tuple(float(x) for x in tri)))
+        delta_ladder.append((d, slot_masses(d / e_min)))
         d *= 0.5
 
     measured_vals = delta_ladder[-1][1]

@@ -93,8 +93,8 @@ def _opt(key: str, default=None, *flags: str, **kwargs) -> _Option:
 
 
 def _check_config_value(o: _Option, value) -> None:
-    """A config-file value must pass its flag's ``choices`` and ``type``;
-    null stands for an option whose default is null."""
+    """A config-file value must pass its flag's ``choices``, and its text its
+    ``type`` as on the command line; null stands for a null default."""
     choices = o.kwargs.get("choices")
     if choices and value not in choices:
         raise DomainError(
@@ -104,8 +104,8 @@ def _check_config_value(o: _Option, value) -> None:
     if kind is None or (value is None and o.default is None):
         return
     try:
-        kind(value)
-    except (TypeError, ValueError) as exc:
+        kind(str(value))
+    except ValueError as exc:
         raise DomainError(
             f"config key {o.key!r} must be {kind.__name__}, got {value!r}"
         ) from exc

@@ -35,6 +35,8 @@ from .dop853 import SolverStats
 from .systems import SystemKind, Variant
 
 BLOWUP_GUARD = 50.0
+# exp() cap of the mass slopes r^2 e^u: shoot's rhs and mass_at must agree
+_MASS_EXP_CAP = 600.0
 DEFAULT_REGULAR_R_START = 1e-4
 DEFAULT_SINGULAR_R_START = 1e-6
 
@@ -245,9 +247,8 @@ class RadialProfile:
         running integral is preserved exactly.
         """
         n = self.n_components
-        out, node = self._hermite(
-            r, 2, lambda node, t: np.exp(np.minimum(node[:, :n] + 2.0 * t, 600.0))
-        )
+        out, node = self._hermite(r, 2, lambda node, t: np.exp(
+            np.minimum(node[:, :n] + 2.0 * t, _MASS_EXP_CAP)))
         return out.clip(node[0, 2 * n :], node[-1, 2 * n :])
 
     def witness_at(self, r: float) -> np.ndarray:
@@ -267,8 +268,6 @@ def _series_head_size(system: SystemKind, heights, r0: float) -> float:
     c = np.asarray(heights, dtype=float)
     size = 0.0
     for rho, p in system.series_terms(c):
-        if p <= -2.0:
-            return math.inf
         size = max(size, float(np.max(np.abs(rho))) * r0 ** (p + 2.0) / (p + 2.0) ** 2)
     return size
 
@@ -283,12 +282,8 @@ def _series_state(spec: ShootSpec) -> np.ndarray:
 
     u = c + 2.0 * b * math.log(r0)
     w = 2.0 * b.copy()
+    # ShootSpec has rejected exponents p <= -2
     for rho, p in sk.series_terms(c):
-        if p <= -2.0:
-            raise ValueError(
-                "singular weights give a non-integrable or resonant "
-                f"correction term (exponent {p:g}) for {sk.variant.value}"
-            )
         # particular solution of h'' + h'/r = -rho r^p
         u -= rho * r0 ** (p + 2.0) / (p + 2.0) ** 2
         w -= rho * r0 ** (p + 2.0) / (p + 2.0)
@@ -320,7 +315,7 @@ def shoot(spec: ShootSpec) -> RadialProfile:
         r2 = math.exp(2.0 * t)
         du = y[n : 2 * n]
         dw = -r2 * sk.rhs(u)
-        dm = r2 * np.exp(np.minimum(u, 600.0))
+        dm = r2 * np.exp(np.minimum(u, _MASS_EXP_CAP))
         return np.concatenate([du, dw, dm])
 
     def blow_up(t, y):
@@ -405,19 +400,6 @@ def rescale(p: RadialProfile, eps: float) -> RadialProfile:
     )
 
 
-def _exp_linear_matrix(sk: SystemKind) -> Optional[np.ndarray]:
-    """Coefficient matrix A with F_i = sum_j A_ij e^{u_j}, if the variant
-    is a pure exponential-linear system (no mixed exponents)."""
-    C = sk.coeff_matrix()
-    E = sk.exponent_matrix()
-    n = sk.n_components
-    if C.shape[0] != n:
-        return None
-    if not np.array_equal(E, np.eye(n)):
-        return None
-    return C.T  # A_ij = C[j, i]
-
-
 def mean_value_residuals(p: RadialProfile) -> np.ndarray:
     """Residual of r u_i'(r) + sum_j A_ij (sigma_j(r) - sigma_j(r0)) - r0 u_i'(r0).
 
@@ -427,15 +409,15 @@ def mean_value_residuals(p: RadialProfile) -> np.ndarray:
     components) checks the stored-state bookkeeping, not the integration
     accuracy; the Pohozaev balances of ``analysis`` measure that.
     """
-    A = _exp_linear_matrix(p.system)
-    if A is None:
+    identity = p.system.identity_floats
+    if identity is None:
         raise ValueError(
             f"mean-value identity needs an exponential-linear variant, "
             f"got {p.system.variant.value}"
         )
     w = p.log_derivs
     dm = p.masses - p.masses[0]
-    return w - w[0] + dm @ A.T
+    return w - w[0] + dm @ np.array(identity.A).T
 
 
 def tail_fit(p: RadialProfile, component: int, decades: float = 1.0):

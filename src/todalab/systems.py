@@ -1,16 +1,24 @@
-"""The radial PDE system variants and their right-hand sides.
+"""The radial PDE system variants, their right-hand sides and their identities.
 
 Every variant is a system -Lap(u_i) = F_i(u) whose F is a signed sum of
 exponentials.  Each right-hand side is stored as a list of terms
 (c, e) meaning the vector contribution c * exp(e . u), which gives one
 uniform code path for evaluation and for the small-radius series heads,
 including the scalar equations whose terms mix exponentials of +-u.
+All else is derived from that table once, in exact fractions: the
+component count and, for exponential-linear variants (F = A e^u, A = C^T),
+the ``Identity`` and the weights d of the constraint sum_i d_i u_i = 0
+when every row of D A sums to zero (su3, su4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
+from functools import cache
+from itertools import product
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -55,31 +63,81 @@ _TERMS: dict[Variant, tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]] =
     ),
 }
 
-_N_COMPONENTS = {
-    Variant.LIOUVILLE: 1,
-    Variant.SINH_GORDON: 1,
-    Variant.AFFINE_SU3: 3,
-    Variant.LIMIT_PAIR: 2,
-    Variant.TZITZEICA: 1,
-    Variant.AFFINE_SU4: 3,
-}
-
-# weights of the linear constraint sum(w_i u_i) = 0, when the variant has one
-_CONSTRAINT = {
-    Variant.AFFINE_SU3: (1.0, 1.0, 2.0),
-    Variant.AFFINE_SU4: (1.0, 1.0, 1.0),
-}
-
-_MATRIX_CACHE: dict[Variant, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def _matrices(variant: Variant) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(C, E, C.T) term matrices, built once per variant."""
-    if variant not in _MATRIX_CACHE:
-        C = np.array([c for c, _ in _TERMS[variant]], dtype=float)
-        E = np.array([e for _, e in _TERMS[variant]], dtype=float)
-        _MATRIX_CACHE[variant] = (C, E, np.ascontiguousarray(C.T))
-    return _MATRIX_CACHE[variant]
+class Identity(NamedTuple):
+    """The quadratic identity of an exponential-linear variant F = A e^u: the
+    symmetrizer d (d_1 = 1, D A symmetric) and the flux form, whose
+    sum_i flux_w_i (A sigma)_i^2 + sum_j flux_sigma_j sigma_j^2 equals
+    sigma^T (D A) sigma for every sigma (see ``analysis.IdentityBalance``)."""
+
+    A: Matrix
+    d: tuple[Fraction, ...]
+    DA: Matrix
+    flux_w: tuple[Fraction, ...]
+    flux_sigma: tuple[Fraction, ...]
+
+
+def _symmetrizer(A: Matrix) -> tuple[Fraction, ...]:
+    """Positive d, d_1 = 1, with d_i A_ij = d_j A_ji, spread along the couplings."""
+    n = len(A)
+    d = [Fraction(1)] + [None] * (n - 1)
+    for _ in range(n):
+        for i, j in product(range(n), repeat=2):
+            if d[i] is not None and d[j] is None and A[i][j] != 0 != A[j][i]:
+                d[j] = d[i] * A[i][j] / A[j][i]
+    if None in d or min(d) <= 0 or any(d[i] * A[i][j] != d[j] * A[j][i]
+                                       for i, j in product(range(n), repeat=2)):
+        raise ValueError("term table has no positive symmetrizer")
+    return tuple(d)
+
+
+def _flux_form(A: Matrix, DA: Matrix) -> tuple[tuple[Fraction, ...], ...]:
+    """(flux_w, flux_sigma) of ``Identity`` for n <= 3, by Gauss-Jordan on the
+    n(n+1)/2 coefficient equations plus flux_sigma_j = 0 for the first
+    2n - n(n+1)/2 components, so the derivatives carry all they can."""
+    n = len(A)
+    rows = [[A[i][j] * A[i][k] for i in range(n)]
+            + [Fraction(i == j == k) for i in range(n)] + [DA[j][k]]
+            for j in range(n) for k in range(j, n)]
+    rows += [[Fraction(i == n + j) for i in range(2 * n + 1)]
+             for j in range(2 * n - len(rows))]
+    for c in range(2 * n):
+        p = next(i for i in range(c, 2 * n) if rows[i][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        rows = [r if i == c else [x - r[c] * y for x, y in zip(r, rows[c])]
+                for i, r in enumerate(rows)]
+    return tuple(r[-1] for r in rows[:n]), tuple(r[-1] for r in rows[n:])
+
+
+class _Table(NamedTuple):
+    n: int
+    exponents: np.ndarray  # E, one row per term
+    coeffs_t: np.ndarray  # C^T, one column per term
+    identity: Optional[Identity]
+    floats: Optional[Identity]  # the same, as (nested) lists of floats
+    constraint: Optional[tuple[float, ...]]
+
+
+@cache
+def _table(variant: Variant) -> _Table:
+    """Everything derived from a variant's term rows, built once."""
+    terms = _TERMS[variant]
+    n = len(terms[0][0])
+    C = np.array([c for c, _ in terms], dtype=float)
+    E = np.array([e for _, e in terms], dtype=float)
+    identity = floats = constraint = None
+    if np.array_equal(E, np.eye(n)):
+        A = tuple(tuple(Fraction(c[i]) for c, _ in terms) for i in range(n))
+        d = _symmetrizer(A)
+        DA = tuple(tuple(d[i] * a for a in row) for i, row in enumerate(A))
+        identity = Identity(A, d, DA, *_flux_form(A, DA))
+        floats = Identity(*(np.array(x, dtype=float).tolist() for x in identity))
+        if all(sum(row) == 0 for row in DA):
+            constraint = tuple(float(x) for x in d)
+    return _Table(n, E, np.ascontiguousarray(C.T), identity, floats, constraint)
 
 
 @dataclass(frozen=True)
@@ -95,7 +153,7 @@ class SystemKind:
     singular_weights: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
-        n = _N_COMPONENTS[self.variant]
+        n = self.n_components
         w = self.singular_weights
         if w == ():
             object.__setattr__(self, "singular_weights", (0.0,) * n)
@@ -109,27 +167,29 @@ class SystemKind:
 
     @property
     def n_components(self) -> int:
-        return _N_COMPONENTS[self.variant]
+        return _table(self.variant).n
 
     @property
     def is_singular(self) -> bool:
         return any(b != 0 for b in self.singular_weights)
 
-    def coeff_matrix(self) -> np.ndarray:
-        """Term coefficient rows stacked, shape (n_terms, n)."""
-        return _matrices(self.variant)[0].copy()
+    @property
+    def identity(self) -> Optional[Identity]:
+        """The derived quadratic identity; None unless exponential-linear."""
+        return _table(self.variant).identity
 
-    def exponent_matrix(self) -> np.ndarray:
-        """Term exponent rows stacked, shape (n_terms, n)."""
-        return _matrices(self.variant)[1].copy()
+    @property
+    def identity_floats(self) -> Optional[Identity]:
+        """``identity`` as (nested) lists of floats, built once."""
+        return _table(self.variant).floats
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
         """F(u), the vector right-hand side of -Lap(u) = F(u)."""
-        _, e, ct = _matrices(self.variant)
-        return ct @ np.exp(np.minimum(e @ u, _EXP_CAP))
+        t = _table(self.variant)
+        return t.coeffs_t @ np.exp(np.minimum(t.exponents @ u, _EXP_CAP))
 
     def constraint_weights(self) -> tuple[float, ...] | None:
-        return _CONSTRAINT.get(self.variant)
+        return _table(self.variant).constraint
 
     def series_terms(
         self, heights: np.ndarray

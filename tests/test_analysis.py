@@ -323,3 +323,91 @@ class TestBubbleMasses:
             want, want_idx, want_dist = loop(spectrum_400, q)
             assert got == want and idx == want_idx
             assert dist == pytest.approx(want_dist, rel=1e-12)
+
+
+# The balance formulas as written per variant before the identities were
+# derived from the term table; oracles for the views.
+_OLD_SLOTS = {
+    Variant.AFFINE_SU3: (0, 1, 2),
+    Variant.LIMIT_PAIR: (0, None, 1),
+    Variant.LIOUVILLE: (0, None, None),
+}
+
+
+def _old_pohozaev(p, r):
+    slots = _OLD_SLOTS[p.system.variant]
+    m, eu, w = p.mass_at(r), np.exp(p.value_at(r)), p.log_deriv_at(r)
+    s = np.array([0.0 if i is None else m[i] for i in slots])
+    ex = np.array([0.0 if i is None else eu[i] for i in slots])
+    residual = (s[0] - s[2]) ** 2 + (s[1] - s[2]) ** 2 - 4 * (s[0] + s[1] + 2 * s[2])
+    defect = 2.0 * r * r * (ex[0] + ex[1] + 2.0 * ex[2])
+    v = p.system.variant
+    if v is Variant.AFFINE_SU3:
+        flux = w[0] ** 2 + w[1] ** 2
+    elif v is Variant.LIMIT_PAIR:
+        flux = w[0] ** 2 + s[2] ** 2
+    else:
+        flux = w[0] ** 2
+    quad = (s[0] - s[2]) ** 2 + (s[1] - s[2]) ** 2
+    fields = {
+        "radius": r, "triple": tuple(s), "residual": residual,
+        "boundary_defect": defect, "flux_quadratic": flux,
+        "mean_value_gap": flux - quad, "balance_residual": residual + defect,
+    }
+    scale = quad + 4 * (s[0] + s[1] + 2 * s[2]) + defect + flux
+    return fields, scale
+
+
+def _old_su4(p, r):
+    m, u, w = p.mass_at(r), p.value_at(r), p.log_deriv_at(r)
+    quad = (m[0] - m[1]) ** 2 + (m[1] - m[2]) ** 2 + (m[2] - m[0]) ** 2
+    S, F, D = float(np.sum(m)), float(np.sum(w**2)), r * r * float(np.sum(np.exp(u)))
+    fields = {
+        "radius": r, "triple": tuple(m), "quad_mass": quad, "mass_sum": S,
+        "flux_quadratic": F, "boundary_defect": D,
+        "mean_value_gap": F - 0.75 * quad,
+        "flux_balance_residual": 0.5 * F - 3.0 * S + 1.5 * D,
+        "defect_corrected_residual": quad - 8.0 * S + 4.0 * D,
+    }
+    return fields, quad + 8 * S + 4 * D + F
+
+
+class TestViewsMatchOldFormulas:
+    """Every field and property of the views equals the per-variant formulas
+    they replaced, to 1e-12 of the structure's scale, at grid nodes and
+    between them."""
+
+    @staticmethod
+    def radii(p):
+        rng = np.random.default_rng(41)
+        lo, hi = math.log(p.grid[0]), math.log(p.grid[-1])
+        return [float(r) for r in p.grid] + [
+            math.exp(x) for x in rng.uniform(lo, hi, 60)
+        ]
+
+    @pytest.mark.parametrize(
+        "fixture", ["su3_ladder_profile", "limitpair_target", "liouville_profile"]
+    )
+    def test_pohozaev_check(self, request, fixture):
+        p = request.getfixturevalue(fixture)
+        p = p[1] if isinstance(p, tuple) else p
+        for r in self.radii(p):
+            chk = pohozaev_check(p, r)
+            want, scale = _old_pohozaev(p, r)
+            for name, value in want.items():
+                got = getattr(chk, name)
+                assert np.allclose(got, value, rtol=0, atol=1e-12 * scale), (name, r)
+
+    def test_su4_balance(self, su4_bubble_profile):
+        p = su4_bubble_profile
+        for r in self.radii(p):
+            bal = su4_radial_balance(p, r)
+            want, scale = _old_su4(p, r)
+            for name, value in want.items():
+                got = getattr(bal, name)
+                assert np.allclose(got, value, rtol=0, atol=1e-12 * scale), (name, r)
+            S = want["mass_sum"]
+            assert abs(bal.symmetric_form_residual(12.0)
+                       - (want["quad_mass"] - 12.0 * S)) <= 1e-12 * scale
+            assert abs(bal.coefficient_estimate - want["quad_mass"] / S) \
+                <= 1e-12 * scale / S

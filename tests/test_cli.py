@@ -459,6 +459,39 @@ class TestConfigValueTypes:
         assert code == 0
         assert json.loads(out)["bound"] == "40"
 
+    @pytest.mark.parametrize(
+        "argv,cfg,key,kind",
+        [
+            (["spectrum", "enumerate"], {"bound": 12.9}, "bound", "int"),
+            (["spectrum", "enumerate"], {"bound": True}, "bound", "int"),
+            (["spectrum", "enumerate"], {"bound": 40.0}, "bound", "int"),
+            (["shoot"], {"heights": [1.0], "r_max": True}, "r_max", "float"),
+        ],
+    )
+    def test_value_its_flag_would_refuse_exits_one(self, capsys, outdir, argv,
+                                                    cfg, key, kind):
+        # `--bound 12.9` and `--r-max True` are usage errors on the command line
+        code, out, err = run(capsys, *argv, "--config", self.write_cfg(outdir, cfg),
+                             "--json")
+        assert code == 1 and out == ""
+        assert f"error: config key '{key}' must be {kind}" in err
+        assert [p.name for p in outdir.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize(
+        "argv,cfg",
+        [
+            (["spectrum", "enumerate"], {"bound": 40}),
+            (["spectrum", "enumerate"], {"bound": "40"}),
+            (["shoot"], {"r_max": 100}),
+        ],
+    )
+    def test_value_its_flag_would_accept_is_kept(self, capsys, outdir, argv, cfg):
+        code, out, _ = run(capsys, *argv, "--config", self.write_cfg(outdir, cfg),
+                           "--print-config")
+        assert code == 0
+        (key, value), = cfg.items()
+        assert json.loads(out)[key] == value
+
 
 _SPECTRUM_DEFAULTS = {"bound": 400, "out": None, "schema_version": 1, "triple": None,
                       "variant": "su3"}
