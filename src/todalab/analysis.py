@@ -8,8 +8,9 @@ defect) and the flux recomputation; ``pohozaev_check`` and
 annulus scans, and the double-limit bubble-mass extraction with
 nearest-member matching.
 
-Profiles map onto mass triples by variant: the three-component system
-fills all slots, the two-component limit system fills slots (1, 3) with
+Profiles map onto mass triples by variant: the three-component systems
+(su3, and su4, whose candidate triple is its component masses) fill all
+slots, the two-component limit system fills slots (1, 3) with
 slot 2 empty, and scalar profiles fill slot 1 only.
 """
 
@@ -93,8 +94,7 @@ def fast_decay_radius_scan(
         )
     mask = (p.grid >= a) & (p.grid <= b)
     radii = p.grid[mask]
-    wit = p.values[mask, component] + 2.0 * np.log(radii)
-    hits = np.nonzero(wit <= -threshold)[0]
+    hits = np.nonzero(p.witnesses[mask, component] <= -threshold)[0]
     if hits.size == 0:
         return None
     return float(radii[hits[0]])
@@ -112,8 +112,7 @@ def final_fast_decay_onset(p: RadialProfile, threshold: float) -> Optional[float
     that max_i(u_i + 2 log r) <= -threshold from there outward.  None when
     the profile does not end in fast decay.
     """
-    wit = np.max(p.values + 2.0 * np.log(p.grid)[:, None], axis=1)
-    fast = wit <= -threshold
+    fast = np.max(p.witnesses, axis=1) <= -threshold
     if not fast[-1]:
         return None
     k = len(fast) - 1
@@ -129,6 +128,7 @@ def final_fast_decay_onset(p: RadialProfile, threshold: float) -> Optional[float
 # component feeding each (s1, s2, s3) slot, None for an empty slot
 _SLOTS = {
     Variant.AFFINE_SU3: (0, 1, 2),
+    Variant.AFFINE_SU4: (0, 1, 2),
     Variant.LIMIT_PAIR: (0, None, 1),
     Variant.LIOUVILLE: (0, None, None),
 }
@@ -162,6 +162,12 @@ class IdentityBalance:
     derivatives by the flux form sum_i flux_w_i w_i^2 +
     sum_j flux_sigma_j sigma_j^2.  ``residual`` = quadratic - linear
     vanishes once the circle is in fast decay.
+
+    At grid nodes ``mean_value_gap`` is a quadratic function of the linear
+    invariant w + A sigma, which every Runge-Kutta step keeps exactly, so
+    it reads only the series-head offset of that invariant: like
+    ``ode_engine.mean_value_residuals`` it cannot fail from integration
+    error.  ``balance_residual`` is the accuracy check.
     """
 
     variant: Variant

@@ -7,10 +7,12 @@ and the defaults are both built from these declarations.  ``main``
 resolves one configuration per run from defaults, an optional
 ``--config`` JSON file, and explicit flags (in that order of
 precedence); a config-file value must satisfy the same ``choices`` and
-``type`` as its flag, and is stored as given.  Runs embed the resolved
-configuration in their output files and follow the exit contract
-0 = success, 1 = domain failure, 2 = usage error.  ``--json`` switches
-stdout to a single JSON document.
+``type`` as its flag.  The resolved configuration has two views: values
+as given, which ``--print-config`` prints and runs embed in their output
+files and ``"config"`` payloads, and values converted once by their
+flag's ``type``, from which the commands compute.  Runs follow the exit
+contract 0 = success, 1 = domain failure, 2 = usage error.  ``--json``
+switches stdout to a single JSON document.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -92,9 +95,10 @@ def _opt(key: str, default=None, *flags: str, **kwargs) -> _Option:
     return _Option(key, default, flags or ("--" + key.replace("_", "-"),), kwargs)
 
 
-def _check_config_value(o: _Option, value) -> None:
-    """A config-file value must pass its flag's ``choices``, and its text its
-    ``type`` as on the command line; null stands for a null default."""
+def _typed_config_value(o: _Option, value):
+    """A config-file value converted by its flag's ``type``: it must pass the
+    flag's ``choices``, and its text the ``type`` as on the command line;
+    null stands for a null default and stays null."""
     choices = o.kwargs.get("choices")
     if choices and value not in choices:
         raise DomainError(
@@ -102,18 +106,22 @@ def _check_config_value(o: _Option, value) -> None:
         )
     kind = o.kwargs.get("type")
     if kind is None or (value is None and o.default is None):
-        return
+        return value
     try:
-        kind(str(value))
+        return kind(str(value))
     except ValueError as exc:
         raise DomainError(
             f"config key {o.key!r} must be {kind.__name__}, got {value!r}"
         ) from exc
 
 
-def _resolve_config(args: argparse.Namespace, options: tuple[_Option, ...]) -> dict:
-    """defaults < config file < explicit flags; returns the resolved dict."""
-    cfg = {o.key: o.default for o in options}
+def _resolve_config(args: argparse.Namespace,
+                    options: tuple[_Option, ...]) -> tuple[dict, dict]:
+    """defaults < config file < explicit flags.  Returns the resolved config
+    twice: as given, to print and embed, and typed, to compute from (flags
+    and defaults are typed already; config-file values are converted)."""
+    given = {o.key: o.default for o in options}
+    typed = dict(given)
     path = args.config
     if path:
         try:
@@ -123,20 +131,19 @@ def _resolve_config(args: argparse.Namespace, options: tuple[_Option, ...]) -> d
         version = loaded.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise DomainError(f"unsupported config schema_version {version}")
-        unknown = set(loaded) - set(cfg)
+        unknown = set(loaded) - set(given)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
         for o in options:
             if o.key in loaded:
-                _check_config_value(o, loaded[o.key])
-        # values are stored as given; the commands coerce them
-        cfg.update(loaded)
+                typed[o.key] = _typed_config_value(o, loaded[o.key])
+        given.update(loaded)
     for o in options:
         val = getattr(args, o.key, None)
         if val is not None:
-            cfg[o.key] = val
-    cfg["schema_version"] = SCHEMA_VERSION
-    return cfg
+            given[o.key] = typed[o.key] = val
+    given["schema_version"] = typed["schema_version"] = SCHEMA_VERSION
+    return given, typed
 
 
 def _embed_cfg(cfg: dict) -> dict:
@@ -165,23 +172,23 @@ _SPECTRUM = (
 )
 
 
-def cmd_spectrum(args, cfg: dict) -> int:
+def cmd_spectrum(args, cfg: dict, given: dict) -> int:
     variant = cfg["variant"]
 
     if args.spectrum_cmd == "enumerate":
-        bound = int(cfg["bound"])
+        bound = cfg["bound"]
         if bound < 0:
             raise DomainError("bound must be non-negative")
         sset = _ENUMERATE[variant](bound)
         out = cfg["out"] or str(_outdir() / f"spectrum_{variant}_{bound}.txt")
         Path(out).write_text(
-            "\n".join([f"# config {json.dumps(_embed_cfg(cfg), sort_keys=True)}"] + sset.to_lines())
+            "\n".join([f"# config {json.dumps(_embed_cfg(given), sort_keys=True)}"] + sset.to_lines())
             + "\n"
         )
         _emit(
             args,
             [f"{len(sset)} members with max component <= {bound}", f"wrote {out}"],
-            {"config": cfg, "count": len(sset), "out": out, "set": sset.to_json_dict()},
+            {"config": given, "count": len(sset), "out": out, "set": sset.to_json_dict()},
         )
         return 0
 
@@ -208,7 +215,7 @@ def cmd_spectrum(args, cfg: dict) -> int:
             args,
             lines,
             {
-                "config": cfg,
+                "config": given,
                 "member": member,
                 "residual": str(residual),
                 "index": None if index is None else [index.m1, index.m2],
@@ -217,7 +224,7 @@ def cmd_spectrum(args, cfg: dict) -> int:
         return 0 if member else 1
 
     # equiv
-    bound = int(cfg["bound"])
+    bound = cfg["bound"]
     if variant != "su3":
         raise DomainError("equiv applies to the su3 spectrum")
     # enumerate_su3 raises internally on any mismatch between the quadric
@@ -227,7 +234,7 @@ def cmd_spectrum(args, cfg: dict) -> int:
     _emit(
         args,
         [f"equivalence holds up to bound {bound} ({len(sset)} members)"],
-        {"config": cfg, "equal": True, "count": len(sset)},
+        {"config": given, "equal": True, "count": len(sset)},
     )
     return 0
 
@@ -239,10 +246,10 @@ def cmd_spectrum(args, cfg: dict) -> int:
 _SYSTEM = _opt("system", "liouville", choices=sorted(v.value for v in Variant))
 # the integrator settings that ``shoot`` and ``target`` share
 _TOLERANCES = (
-    _opt("r_max", 1e6, type=float),
-    _opt("rel_tol", 1e-10, type=float),
-    _opt("abs_tol", 1e-12, type=float),
-    _opt("samples_per_decade", 40, type=int),
+    _opt("r_max", ShootSpec.r_max, type=float),
+    _opt("rel_tol", ShootSpec.rel_tol, type=float),
+    _opt("abs_tol", ShootSpec.abs_tol, type=float),
+    _opt("samples_per_decade", ShootSpec.samples_per_decade, type=int),
 )
 
 _SHOOT = (
@@ -250,9 +257,9 @@ _SHOOT = (
     _opt("heights", None, "--height", "--heights",
          help="h1,h2,... initial heights (one height for scalar systems)"),
     _opt("weights", help="b1,b2,... singular weights at the origin"),
-    _opt("r_start", type=float),
+    _opt("r_start", ShootSpec.r_start, type=float),
     *_TOLERANCES,
-    _opt("mass_guard", 1e6, type=float),
+    _opt("mass_guard", ShootSpec.mass_guard, type=float),
     _opt("format", "csv", choices=["csv", "json"]),
     _opt("sweep", help="comma list of first-component heights"),
     _opt("workers", 1, type=int),
@@ -263,21 +270,14 @@ def _build_spec(cfg: dict, heights: tuple[float, ...]) -> ShootSpec:
     weights = _as_floats(cfg["weights"]) if cfg["weights"] else ()
     try:
         system = SystemKind(Variant(cfg["system"]), weights)
-        return ShootSpec(
-            system=system,
-            init_heights=heights,
-            r_start=cfg["r_start"],
-            r_max=float(cfg["r_max"]),
-            rel_tol=float(cfg["rel_tol"]),
-            abs_tol=float(cfg["abs_tol"]),
-            samples_per_decade=int(cfg["samples_per_decade"]),
-            mass_guard=float(cfg["mass_guard"]),
-        )
+        # every ShootSpec field after system and init_heights is a shoot option
+        return ShootSpec(system, heights,
+                         **{f.name: cfg[f.name] for f in fields(ShootSpec)[2:]})
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
 
 
-def _shoot_payload(cfg: dict, heights: tuple[float, ...], out_path: str):
+def _shoot_payload(cfg: dict, given: dict, heights: tuple[float, ...], out_path: str):
     prof = shoot(_build_spec(cfg, heights))
     totals, converged = total_masses(prof)
     try:
@@ -294,24 +294,24 @@ def _shoot_payload(cfg: dict, heights: tuple[float, ...], out_path: str):
     }
     write = (profile_io.write_profile_json if cfg["format"] == "json"
              else profile_io.write_profile_csv)
-    write(prof, out_path, config=_embed_cfg(cfg))
+    write(prof, out_path, config=_embed_cfg(given))
     info["out"] = out_path
     return prof, info
 
 
-def cmd_shoot(args, cfg: dict) -> int:
+def cmd_shoot(args, cfg: dict, given: dict) -> int:
     if cfg["heights"] is None:
         raise UsageError("shoot needs --height/--heights")
     heights = _as_floats(cfg["heights"])
-    cfg["heights"] = list(heights)
+    given["heights"] = list(heights)
 
     if cfg["sweep"]:
         sweep_vals = _as_floats(cfg["sweep"])
-        cfg["sweep"] = list(sweep_vals)
+        given["sweep"] = list(sweep_vals)
         stem = cfg["out"] or str(_outdir() / "profile")
-        jobs = [(cfg, (h,) + heights[1:], f"{stem}_{i:03d}.{cfg['format']}")
+        jobs = [(cfg, given, (h,) + heights[1:], f"{stem}_{i:03d}.{cfg['format']}")
                 for i, h in enumerate(sweep_vals)]
-        workers = int(cfg["workers"])
+        workers = cfg["workers"]
         if workers < 1:
             raise UsageError(f"--workers must be at least 1, got {workers}")
         # the pool forks all its workers at once: never more than there are
@@ -333,12 +333,12 @@ def cmd_shoot(args, cfg: dict) -> int:
         _emit(
             args,
             lines,
-            {"config": cfg, "sweep": results, "stats": [st for _, st in done]},
+            {"config": given, "sweep": results, "stats": [st for _, st in done]},
         )
         return 0
 
     out = cfg["out"] or str(_outdir() / f"profile_{cfg['system']}.{cfg['format']}")
-    prof, info = _shoot_payload(cfg, heights, out)
+    prof, info = _shoot_payload(cfg, given, heights, out)
     decaying = all(info["mass_converged"])
     lines = [
         f"terminated: {info['reason']} at r = {info['r_end']:g}",
@@ -355,7 +355,7 @@ def cmd_shoot(args, cfg: dict) -> int:
         lines.append(f"solver: {prof.stats.message}")
     lines.append(f"wrote {out}")
     # solver counts sit apart from the byte-reproducible numeric payload
-    _emit(args, lines, {"config": cfg, **info, "stats": prof.stats.to_json_dict()})
+    _emit(args, lines, {"config": given, **info, "stats": prof.stats.to_json_dict()})
     return 0
 
 
@@ -378,30 +378,23 @@ _TARGET = (
 )
 
 
-def cmd_target(args, cfg: dict) -> int:
+def cmd_target(args, cfg: dict, given: dict) -> int:
     if cfg["anchor"] is None or cfg["bracket"] is None:
         raise UsageError("target needs --anchor and --bracket lo,hi")
     bracket = _as_floats(cfg["bracket"])
     if len(bracket) != 2:
         raise DomainError("bracket must be lo,hi")
-    cfg["bracket"] = list(bracket)
+    given["bracket"] = list(bracket)
     system = SystemKind(Variant(cfg["system"]))
     try:
         heights, prof = find_decaying(
-            system,
-            int(cfg["anchor_component"]),
-            float(cfg["anchor"]),
-            (bracket[0], bracket[1]),
-            tol=float(cfg["tol"]),
-            r_max=float(cfg["r_max"]),
-            rel_tol=float(cfg["rel_tol"]),
-            abs_tol=float(cfg["abs_tol"]),
-            samples_per_decade=int(cfg["samples_per_decade"]),
+            system, cfg["anchor_component"], cfg["anchor"], bracket, tol=cfg["tol"],
+            **{o.key: cfg[o.key] for o in _TOLERANCES},
         )
     except (BracketError, TargetSearchError) as exc:
         trace = [c.summary() for c in exc.trace]
         if args.json:
-            print(json.dumps({"config": cfg, "error": str(exc), "trace": trace}))
+            print(json.dumps({"config": given, "error": str(exc), "trace": trace}))
         else:
             print(f"error: {exc}", file=sys.stderr)
             for line in trace:
@@ -411,7 +404,7 @@ def cmd_target(args, cfg: dict) -> int:
     totals, _ = total_masses(prof)
     residual = analysis.pohozaev_check(prof, prof.r_end).residual
     out = cfg["out"] or str(_outdir() / f"target_{cfg['system']}.json")
-    profile_io.write_profile_json(prof, out, config=_embed_cfg(cfg))
+    profile_io.write_profile_json(prof, out, config=_embed_cfg(given))
     lines = [
         "initial heights: " + ", ".join(f"{h:.12g}" for h in heights),
         "masses: " + ", ".join(f"{x:.8g}" for x in totals),
@@ -422,7 +415,7 @@ def cmd_target(args, cfg: dict) -> int:
         args,
         lines,
         {
-            "config": cfg,
+            "config": given,
             "init_heights": list(heights),
             "masses": totals.tolist(),
             "pohozaev_residual": residual,
@@ -446,7 +439,7 @@ _BUBBLE = (
 )
 
 
-def cmd_bubble(args, cfg: dict) -> int:
+def cmd_bubble(args, cfg: dict, given: dict) -> int:
     if cfg["base"] is None or cfg["ladder"] is None:
         raise UsageError("bubble needs --base profile.json and --ladder e1,e2,...")
     try:
@@ -454,15 +447,15 @@ def cmd_bubble(args, cfg: dict) -> int:
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise DomainError(f"cannot read base profile {cfg['base']}: {exc}") from exc
     ladder = _as_floats(cfg["ladder"])
-    cfg["ladder"] = list(ladder)
-    sset = _ENUMERATE[cfg["spectrum_variant"]](int(cfg["spectrum_bound"]))
+    given["ladder"] = list(ladder)
+    sset = _ENUMERATE[cfg["spectrum_variant"]](cfg["spectrum_bound"])
     try:
-        report = analysis.bubble_masses(base, ladder, float(cfg["delta"]), sset)
+        report = analysis.bubble_masses(base, ladder, cfg["delta"], sset)
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
 
     out = cfg["out"] or str(_outdir() / "bubble_report.json")
-    doc = {"config": _embed_cfg(cfg), **report.to_json_dict()}
+    doc = {"config": _embed_cfg(given), **report.to_json_dict()}
     Path(out).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
     prefix = cfg["series_prefix"] or str(_outdir() / "bubble")
@@ -475,11 +468,10 @@ def cmd_bubble(args, cfg: dict) -> int:
         "delta",
         [f"sigma{i + 1}" for i in range(3)],
     )
-    witness = base.values + 2.0 * np.log(base.grid)[:, None]
     profile_io.write_series(
         f"{prefix}_witness.dat",
         base.grid,
-        witness,
+        base.witnesses,
         "r",
         [f"w{i + 1}" for i in range(base.n_components)],
     )
@@ -550,11 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args, args.options)
+        given, cfg = _resolve_config(args, args.options)
         if args.print_config:
-            print(json.dumps(cfg, sort_keys=True, indent=2))
+            print(json.dumps(given, sort_keys=True, indent=2))
             return 0
-        return args.func(args, cfg)
+        return args.func(args, cfg, given)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

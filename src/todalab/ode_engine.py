@@ -24,7 +24,7 @@ accuracy checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import dop853
 from .dop853 import SolverStats
-from .systems import SystemKind, Variant
+from .systems import SystemKind
 
 BLOWUP_GUARD = 50.0
 # exp() cap of the mass slopes r^2 e^u: shoot's rhs and mass_at must agree
@@ -74,7 +74,9 @@ class ShootSpec:
 
     ``init_heights`` are the u_i(0) for regular starts, or the additive
     constants c_i of u_i ~ 2 b_i log r + c_i for singular starts.
-    ``r_start`` defaults to 1e-4 (regular) or 1e-6 (singular).
+    ``r_start`` defaults to 1e-4 (regular) or 1e-6 (singular).  The field
+    defaults are the only copy of the shot defaults: ``find_decaying``,
+    ``from_json_dict`` and the CLI options read them from here.
     """
 
     system: SystemKind
@@ -125,32 +127,19 @@ class ShootSpec:
             raise ValueError("samples_per_decade must be positive")
 
     def to_json_dict(self) -> dict:
-        return {
-            "variant": self.system.variant.value,
-            "singular_weights": list(self.system.singular_weights),
-            "init_heights": list(self.init_heights),
-            "r_start": self.r_start,
-            "r_max": self.r_max,
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "samples_per_decade": self.samples_per_decade,
-            "mass_guard": self.mass_guard,
-        }
+        d = self.system.to_json_dict()
+        for f in fields(self)[1:]:
+            d[f.name] = getattr(self, f.name)
+        d["init_heights"] = list(self.init_heights)
+        return d
 
     @staticmethod
     def from_json_dict(d: dict) -> "ShootSpec":
-        system = SystemKind(
-            Variant(d["variant"]), tuple(d.get("singular_weights") or ())
-        )
+        """The spec of ``to_json_dict``'s keys; an absent key takes its default."""
         return ShootSpec(
-            system=system,
-            init_heights=tuple(d["init_heights"]),
-            r_start=d.get("r_start"),
-            r_max=d.get("r_max", 1e6),
-            rel_tol=d.get("rel_tol", 1e-10),
-            abs_tol=d.get("abs_tol", 1e-12),
-            samples_per_decade=d.get("samples_per_decade", 40),
-            mass_guard=d.get("mass_guard", 1e6),
+            SystemKind.from_json_dict(d),
+            tuple(d["init_heights"]),
+            **{f.name: d[f.name] for f in fields(ShootSpec)[2:] if f.name in d},
         )
 
 
@@ -164,6 +153,7 @@ class RadialProfile:
 
     ``values``, ``log_derivs`` and ``masses`` are views of the column blocks
     of ``state``; sigma_i is int_0^r e^{u_i} s ds (analytic head included).
+    ``witnesses`` holds the decay witnesses u_i + 2 log r at the nodes.
     Between nodes every query is the cubic Hermite in t = log r with the
     ODE's own slopes, which does not resolve the far field past the last
     bubble: it oscillates in t faster than the grid samples it.  ``stats``
@@ -199,6 +189,7 @@ class RadialProfile:
     log_derivs = property(
         lambda self: self.state[:, self.n_components : 2 * self.n_components])
     masses = property(lambda self: self.state[:, 2 * self.n_components :])
+    witnesses = property(lambda self: self.values + 2.0 * np.log(self.grid)[:, None])
     derivs = property(lambda self: self.log_derivs / self.grid[:, None])  # du/dr
 
     @property
@@ -494,7 +485,7 @@ def classify_shot(
         if hits.size and (first_idx is None or hits[0] < first_idx):
             first_idx, first_comp = int(hits[0]), i
 
-    witness = p.values[-1] + 2.0 * math.log(p.r_end)
+    witness = p.witnesses[-1]
     witness_max = float(np.max(witness))
 
     if first_comp is not None:
@@ -548,10 +539,10 @@ def find_decaying(
     tol: float = 1e-3,
     *,
     free_component: Optional[int] = None,
-    r_max: float = 1e6,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
-    samples_per_decade: int = 40,
+    r_max: float = ShootSpec.r_max,
+    rel_tol: float = ShootSpec.rel_tol,
+    abs_tol: float = ShootSpec.abs_tol,
+    samples_per_decade: int = ShootSpec.samples_per_decade,
     n_detect: float = 10.0,
     max_iter: int = 200,
 ) -> tuple[tuple[float, ...], RadialProfile]:

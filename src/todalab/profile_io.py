@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .ode_engine import RadialProfile, ShootSpec, TerminationReason
-from .systems import SystemKind, Variant
+from .systems import SystemKind
 
 FORMAT_VERSION = 1
 
@@ -45,8 +45,7 @@ def write_profile_csv(p: RadialProfile, path, config: dict | None = None) -> Non
 def profile_to_json_dict(p: RadialProfile, config: dict | None = None) -> dict:
     d = {
         "format_version": FORMAT_VERSION,
-        "variant": p.system.variant.value,
-        "singular_weights": list(p.system.singular_weights),
+        **p.system.to_json_dict(),
         "reason": p.reason.value,
         "provenance": p.provenance,
         "shoot_spec": None if p.spec is None else p.spec.to_json_dict(),
@@ -65,9 +64,6 @@ def write_profile_json(p: RadialProfile, path, config: dict | None = None) -> No
 
 
 def profile_from_json_dict(d: dict) -> RadialProfile:
-    system = SystemKind(
-        Variant(d["variant"]), tuple(d.get("singular_weights") or ())
-    )
     spec = d.get("shoot_spec")
     grid = np.asarray(d["grid"], dtype=float)
     # the file keeps du/dr; the profile stores w = r du/dr
@@ -75,7 +71,7 @@ def profile_from_json_dict(d: dict) -> RadialProfile:
     state = np.column_stack([np.asarray(d["values"], dtype=float), w,
                              np.asarray(d["masses"], dtype=float)])
     return RadialProfile(
-        system=system,
+        system=SystemKind.from_json_dict(d),
         grid=grid,
         state=state,
         reason=TerminationReason(d["reason"]),

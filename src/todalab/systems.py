@@ -191,6 +191,16 @@ class SystemKind:
     def constraint_weights(self) -> tuple[float, ...] | None:
         return _table(self.variant).constraint
 
+    def to_json_dict(self) -> dict:
+        """The ``variant`` and ``singular_weights`` keys of profile files."""
+        return {"variant": self.variant.value,
+                "singular_weights": list(self.singular_weights)}
+
+    @staticmethod
+    def from_json_dict(d: dict) -> "SystemKind":
+        """The system of ``to_json_dict``'s keys in d (absent weights: regular)."""
+        return SystemKind(Variant(d["variant"]), tuple(d.get("singular_weights") or ()))
+
     def series_terms(
         self, heights: np.ndarray
     ) -> list[tuple[np.ndarray, float]]:

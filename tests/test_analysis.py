@@ -21,7 +21,7 @@ from todalab.analysis import (
 )
 from todalab.closed_forms import BubbleSpec, bubble_mass, liouville_bubble
 from todalab.ode_engine import ShootSpec, shoot
-from todalab.spectrum import MassTriple, ParamIndex, enumerate_su3
+from todalab.spectrum import MassTriple, ParamIndex, enumerate_su3, enumerate_su4
 from todalab.systems import SystemKind, Variant
 
 LOG8 = math.log(8.0)
@@ -194,6 +194,21 @@ class TestSu4Balance:
     def test_rejects_other_variants(self, liouville_profile):
         with pytest.raises(ValueError):
             su4_radial_balance(liouville_profile, 1.0)
+
+    def test_slots_are_the_component_masses(self, su4_bubble_profile):
+        p = su4_bubble_profile
+        for r in (1e-3, 0.1, 1.0):
+            assert pohozaev_check(p, r).triple == tuple(p.mass_at(r))
+
+    def test_bubble_masses_read_the_base(self, su4_bubble_profile):
+        p = su4_bubble_profile
+        ladder, delta = [1e-1, 1e-2], 1e-4
+        rep = bubble_masses(p, ladder, delta, enumerate_su4(400))
+        for e, triple in rep.eps_table:
+            assert triple == tuple(p.mass_at(delta / e))
+        d, triple = rep.delta_ladder[-1]
+        assert triple == tuple(p.mass_at(d / ladder[-1]))
+        assert rep.measured.as_tuple() == triple
 
 
 def _poho_rel(p, r):

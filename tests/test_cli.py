@@ -267,6 +267,18 @@ class TestBubbleCommand:
         assert code == 1
         assert "cannot read base profile" in err
 
+    def test_su4_base_against_su4_spectrum(self, capsys, outdir):
+        path = outdir / "su4.json"
+        code, _, _ = run(capsys, "shoot", "--system", "su4", "--heights=-12,-12,24",
+                         "--r-max", "6", "--format", "json", "--out", str(path))
+        assert code == 0
+        code, out, err = run(capsys, "bubble", "--base", str(path), "--ladder",
+                             "1,0.1", "--delta", "0.001", "--spectrum-variant", "su4",
+                             "--json")
+        assert code == 0, err
+        base = read_profile_json(path)
+        assert json.loads(out)["measured"] == base.mass_at(0.01).tolist()
+
     def test_bad_ladder_domain_error(self, capsys, outdir, base_profile):
         code, _, _ = run(
             capsys,
@@ -491,6 +503,19 @@ class TestConfigValueTypes:
         assert code == 0
         (key, value), = cfg.items()
         assert json.loads(out)[key] == value
+
+    def test_numeric_string_runs_at_its_flag_type(self, capsys, outdir):
+        cfg_path = self.write_cfg(outdir, {"r_start": "1e-5"})
+        path = outdir / "p.json"
+        code, _, err = run(capsys, "shoot", "--config", cfg_path, "--height", "0",
+                           "--r-max", "10", "--format", "json", "--out", str(path))
+        assert code == 0, err
+        doc = json.loads(path.read_text())
+        assert doc["shoot_spec"]["r_start"] == 1e-05
+        assert doc["config"]["r_start"] == "1e-5"
+        code, out, _ = run(capsys, "shoot", "--config", cfg_path, "--print-config")
+        assert code == 0
+        assert json.loads(out)["r_start"] == "1e-5"
 
 
 _SPECTRUM_DEFAULTS = {"bound": 400, "out": None, "schema_version": 1, "triple": None,

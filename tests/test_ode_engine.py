@@ -73,6 +73,33 @@ class TestShootSpecValidation:
             SystemKind(Variant.LIMIT_PAIR, (1.0,))
 
 
+class TestShootSpecJson:
+    KEYS = ["variant", "singular_weights", "init_heights", "r_start", "r_max",
+            "rel_tol", "abs_tol", "samples_per_decade", "mass_guard"]
+
+    def test_round_trip_off_every_default(self):
+        spec = ShootSpec(SystemKind(Variant.LIOUVILLE, (1.0,)), (0.5,),
+                         r_start=1e-7, r_max=1e3, rel_tol=1e-8, abs_tol=1e-10,
+                         samples_per_decade=17, mass_guard=5e5)
+        default = ShootSpec(SystemKind(Variant.LIOUVILLE), (0.0,))
+        for f in dataclasses.fields(ShootSpec):
+            assert getattr(spec, f.name) != getattr(default, f.name), f.name
+        assert ShootSpec.from_json_dict(spec.to_json_dict()) == spec
+        d = json.loads(json.dumps(spec.to_json_dict()))
+        assert ShootSpec.from_json_dict(d) == spec
+
+    def test_absent_keys_take_the_defaults(self):
+        system = SystemKind(Variant.AFFINE_SU3)
+        d = {"variant": "su3", "init_heights": [1.0, 1.0, -1.0]}
+        assert ShootSpec.from_json_dict(d) == ShootSpec(system, (1.0, 1.0, -1.0))
+
+    def test_key_order(self):
+        spec = ShootSpec(SystemKind(Variant.LIOUVILLE), (LOG8,))
+        assert list(spec.to_json_dict()) == self.KEYS
+        assert list(profile_to_json_dict(shoot(dataclasses.replace(
+            spec, r_max=10.0)))["shoot_spec"]) == self.KEYS
+
+
 class TestRegularShot:
     def test_matches_closed_form(self, liouville_profile):
         p = liouville_profile
@@ -326,6 +353,17 @@ class TestProfileEquality:
     @pytest.mark.parametrize("other", [None, 0, "profile", (1.0,)])
     def test_non_profile_compares_unequal(self, liouville_profile, other):
         assert liouville_profile != other and not liouville_profile == other
+
+
+class TestWitnesses:
+    def test_nodes_match_witness_at(self, liouville_profile):
+        p = liouville_profile
+        assert p.witnesses.shape == p.values.shape
+        for k in (0, len(p.grid) // 2, len(p.grid) - 1):
+            np.testing.assert_allclose(p.witnesses[k], p.witness_at(p.grid[k]),
+                                       rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(
+            p.witnesses[:, 0], p.values[:, 0] + 2.0 * np.log(p.grid))
 
 
 class TestFindDecaying:
