@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ode_engine import RadialProfile
+from .ode_engine import DECAY_LEVEL, RadialProfile
 from .spectrum import (
     MassTriple,
     ParamIndex,
@@ -57,7 +57,7 @@ class DecayVerdict:
 def decay_classify(
     p: RadialProfile,
     r: float,
-    threshold: float = 10.0,
+    threshold: float = DECAY_LEVEL,
     components: Optional[Sequence[int]] = None,
 ) -> DecayVerdict:
     """Classify the circle of radius r: fast iff max_i(u_i + 2 log r) <= -threshold."""
@@ -341,7 +341,7 @@ def bubble_masses(
     delta: float,
     spectrum: SpectrumSet,
     *,
-    decay_threshold: float = 10.0,
+    decay_threshold: float = DECAY_LEVEL,
     max_refinements: int = 12,
 ) -> BubbleReport:
     """Estimate the double-limit local masses of a rescaled bubble family.

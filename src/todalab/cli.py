@@ -11,8 +11,13 @@ precedence); a config-file value must satisfy the same ``choices`` and
 as given, which ``--print-config`` prints and runs embed in their output
 files and ``"config"`` payloads, and values converted once by their
 flag's ``type``, from which the commands compute.  Runs follow the exit
-contract 0 = success, 1 = domain failure, 2 = usage error.  ``--json``
-switches stdout to a single JSON document.
+contract 0 = success, 1 = domain failure, 2 = usage error, which ``main``
+enforces in one place: a ``ValueError`` (the library's one type for a
+domain failure) or an ``OSError`` prints ``error: <text>`` and exits 1, a
+``UsageError`` prints ``usage error: <text>`` and exits 2, and argparse
+exits 2 on a malformed command line.  Any other error is a programming
+error and keeps its traceback.  ``--json`` switches stdout to a single
+JSON document.
 """
 
 from __future__ import annotations
@@ -44,10 +49,6 @@ from .systems import SystemKind, Variant
 SCHEMA_VERSION = 1
 
 _ENUMERATE = {"su3": spec_mod.enumerate_su3, "su4": spec_mod.enumerate_su4}
-
-
-class DomainError(RuntimeError):
-    """Failure of the requested computation (exit status 1)."""
 
 
 class UsageError(RuntimeError):
@@ -101,7 +102,7 @@ def _typed_config_value(o: _Option, value):
     null stands for a null default and stays null."""
     choices = o.kwargs.get("choices")
     if choices and value not in choices:
-        raise DomainError(
+        raise ValueError(
             f"config key {o.key!r} must be one of {choices}, got {value!r}"
         )
     kind = o.kwargs.get("type")
@@ -110,7 +111,7 @@ def _typed_config_value(o: _Option, value):
     try:
         return kind(str(value))
     except ValueError as exc:
-        raise DomainError(
+        raise ValueError(
             f"config key {o.key!r} must be {kind.__name__}, got {value!r}"
         ) from exc
 
@@ -126,14 +127,14 @@ def _resolve_config(args: argparse.Namespace,
     if path:
         try:
             loaded = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DomainError(f"cannot read config {path}: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read config {path}: {exc}") from exc
         version = loaded.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
-            raise DomainError(f"unsupported config schema_version {version}")
+            raise ValueError(f"unsupported config schema_version {version}")
         unknown = set(loaded) - set(given)
         if unknown:
-            raise DomainError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for o in options:
             if o.key in loaded:
                 typed[o.key] = _typed_config_value(o, loaded[o.key])
@@ -168,7 +169,7 @@ _SPECTRUM = (
     _opt("variant", "su3", choices=sorted(_ENUMERATE)),
     _opt("bound", 400, type=int),
     # a config key of every spectrum subcommand, a flag of ``check`` only
-    _opt("triple", help="s1,s2,s3"),
+    _opt("triple", type=str, help="s1,s2,s3"),
 )
 
 
@@ -177,8 +178,6 @@ def cmd_spectrum(args, cfg: dict, given: dict) -> int:
 
     if args.spectrum_cmd == "enumerate":
         bound = cfg["bound"]
-        if bound < 0:
-            raise DomainError("bound must be non-negative")
         sset = _ENUMERATE[variant](bound)
         out = cfg["out"] or str(_outdir() / f"spectrum_{variant}_{bound}.txt")
         Path(out).write_text(
@@ -226,7 +225,7 @@ def cmd_spectrum(args, cfg: dict, given: dict) -> int:
     # equiv
     bound = cfg["bound"]
     if variant != "su3":
-        raise DomainError("equiv applies to the su3 spectrum")
+        raise ValueError("equiv applies to the su3 spectrum")
     # enumerate_su3 raises internally on any mismatch between the quadric
     # solve and the parametrization, so reaching the report line is the
     # equivalence proof
@@ -268,13 +267,10 @@ _SHOOT = (
 
 def _build_spec(cfg: dict, heights: tuple[float, ...]) -> ShootSpec:
     weights = _as_floats(cfg["weights"]) if cfg["weights"] else ()
-    try:
-        system = SystemKind(Variant(cfg["system"]), weights)
-        # every ShootSpec field after system and init_heights is a shoot option
-        return ShootSpec(system, heights,
-                         **{f.name: cfg[f.name] for f in fields(ShootSpec)[2:]})
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    system = SystemKind(Variant(cfg["system"]), weights)
+    # every ShootSpec field after system and init_heights is a shoot option
+    return ShootSpec(system, heights,
+                     **{f.name: cfg[f.name] for f in fields(ShootSpec)[2:]})
 
 
 def _shoot_payload(cfg: dict, given: dict, heights: tuple[float, ...], out_path: str):
@@ -383,7 +379,7 @@ def cmd_target(args, cfg: dict, given: dict) -> int:
         raise UsageError("target needs --anchor and --bracket lo,hi")
     bracket = _as_floats(cfg["bracket"])
     if len(bracket) != 2:
-        raise DomainError("bracket must be lo,hi")
+        raise ValueError("bracket must be lo,hi")
     given["bracket"] = list(bracket)
     system = SystemKind(Variant(cfg["system"]))
     try:
@@ -430,12 +426,12 @@ def cmd_target(args, cfg: dict, given: dict) -> int:
 # --------------------------------------------------------------------------
 
 _BUBBLE = (
-    _opt("base", help="stored profile JSON"),
+    _opt("base", type=str, help="stored profile JSON"),
     _opt("ladder", help="strictly decreasing eps values"),
     _opt("delta", 0.1, type=float),
     _opt("spectrum_variant", "su3", choices=sorted(_ENUMERATE)),
     _opt("spectrum_bound", 400, type=int),
-    _opt("series_prefix"),
+    _opt("series_prefix", type=str),
 )
 
 
@@ -444,15 +440,12 @@ def cmd_bubble(args, cfg: dict, given: dict) -> int:
         raise UsageError("bubble needs --base profile.json and --ladder e1,e2,...")
     try:
         base = profile_io.read_profile_json(cfg["base"])
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise DomainError(f"cannot read base profile {cfg['base']}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read base profile {cfg['base']}: {exc}") from exc
     ladder = _as_floats(cfg["ladder"])
     given["ladder"] = list(ladder)
     sset = _ENUMERATE[cfg["spectrum_variant"]](cfg["spectrum_bound"])
-    try:
-        report = analysis.bubble_masses(base, ladder, cfg["delta"], sset)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    report = analysis.bubble_masses(base, ladder, cfg["delta"], sset)
 
     out = cfg["out"] or str(_outdir() / "bubble_report.json")
     doc = {"config": _embed_cfg(given), **report.to_json_dict()}
@@ -502,7 +495,7 @@ def cmd_bubble(args, cfg: dict, given: dict) -> int:
 
 # every subcommand's output path; its key comes last in the resolved config,
 # whose key order shows where it is dumped unsorted (target's error payload)
-_OUT = _opt("out", help="output path")
+_OUT = _opt("out", type=str, help="output path")
 
 
 def _add_options(p, func, options: tuple[_Option, ...], flagless=()) -> None:
@@ -550,10 +543,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,6 +44,9 @@ DEFAULT_SINGULAR_R_START = 1e-6
 # non-convergent (the tail integral needs alpha > 2)
 TAIL_ALPHA_MIN = 2.1
 
+# a circle decays fast when max_i(u_i + 2 log r) <= -DECAY_LEVEL
+DECAY_LEVEL = 10.0
+
 
 class TerminationReason(Enum):
     REACHED_R_MAX = "reached_r_max"
@@ -469,7 +472,7 @@ class ShotClassification:
 
 def classify_shot(
     p: RadialProfile,
-    n_detect: float = 10.0,
+    n_detect: float = DECAY_LEVEL,
     mass_tol: float = 1e-3,
     up_jump: float = 0.5,
 ) -> ShotClassification:
@@ -543,7 +546,7 @@ def find_decaying(
     rel_tol: float = ShootSpec.rel_tol,
     abs_tol: float = ShootSpec.abs_tol,
     samples_per_decade: int = ShootSpec.samples_per_decade,
-    n_detect: float = 10.0,
+    n_detect: float = DECAY_LEVEL,
     max_iter: int = 200,
 ) -> tuple[tuple[float, ...], RadialProfile]:
     """Bisect the free initial height until the shot decays everywhere.

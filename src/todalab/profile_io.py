@@ -4,7 +4,10 @@ CSV rows carry the full grid at 17 significant digits under the header
 ``r,u1[,u2,...],du1[,...],sigma1[,...]``; the JSON form additionally
 carries the originating shot parameters so a profile can be reloaded or
 re-run exactly.  Leading ``#`` comment lines in the CSV hold the resolved
-run configuration for reproducibility.
+run configuration for reproducibility.  Reading a JSON profile is the
+boundary for outside files: malformed content (a missing key, a null or
+mistyped value, a document that is not an object) raises ``ValueError``,
+and a missing key reads as its quoted name, e.g. ``'grid'``.
 """
 
 from __future__ import annotations
@@ -64,20 +67,23 @@ def write_profile_json(p: RadialProfile, path, config: dict | None = None) -> No
 
 
 def profile_from_json_dict(d: dict) -> RadialProfile:
-    spec = d.get("shoot_spec")
-    grid = np.asarray(d["grid"], dtype=float)
-    # the file keeps du/dr; the profile stores w = r du/dr
-    w = np.asarray(d["derivs"], dtype=float) * grid[:, None]
-    state = np.column_stack([np.asarray(d["values"], dtype=float), w,
-                             np.asarray(d["masses"], dtype=float)])
-    return RadialProfile(
-        system=SystemKind.from_json_dict(d),
-        grid=grid,
-        state=state,
-        reason=TerminationReason(d["reason"]),
-        spec=None if spec is None else ShootSpec.from_json_dict(spec),
-        provenance=d.get("provenance", "loaded"),
-    )
+    try:
+        spec = d.get("shoot_spec")
+        grid = np.asarray(d["grid"], dtype=float)
+        # the file keeps du/dr; the profile stores w = r du/dr
+        w = np.asarray(d["derivs"], dtype=float) * grid[:, None]
+        state = np.column_stack([np.asarray(d["values"], dtype=float), w,
+                                 np.asarray(d["masses"], dtype=float)])
+        return RadialProfile(
+            system=SystemKind.from_json_dict(d),
+            grid=grid,
+            state=state,
+            reason=TerminationReason(d["reason"]),
+            spec=None if spec is None else ShootSpec.from_json_dict(spec),
+            provenance=d.get("provenance", "loaded"),
+        )
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def read_profile_json(path) -> RadialProfile:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from todalab.cli import build_parser, main
-from todalab.profile_io import read_profile_json
+from todalab.profile_io import profile_to_json_dict, read_profile_json
 
 
 def run(capsys, *argv):
@@ -621,3 +621,82 @@ class TestPrintConfig:
             parser = subs.choices[name]
         got = {s: a.dest for a in parser._actions for s in a.option_strings}
         assert got == expected
+
+
+_ANCHOR = "2.0794415417"
+_TARGET_RUN = ["target", "--anchor", _ANCHOR, "--bracket=-5,5"]
+_BUBBLE_BAD = ["bubble", "--base", "bad.json", "--ladder", "0.1"]
+
+
+def _null_spec_key(key):
+    def edit(doc):
+        doc["shoot_spec"][key] = None
+        return doc
+    return edit
+
+
+class TestExitContract:
+    """Each run ends with its exit code and at most one message line, never a
+    traceback: a ValueError or OSError exits 1, a UsageError exits 2."""
+
+    @pytest.mark.parametrize(
+        "argv,cfg,edit,code,message",
+        [
+            ([*_TARGET_RUN, "--anchor-component", "5"], None, None, 1,
+             "anchor component out of range"),
+            ([*_TARGET_RUN, "--anchor-component", "-1"], None, None, 1,
+             "anchor component out of range"),
+            ([*_TARGET_RUN, "--rel-tol", "1"], None, None, 1,
+             "tolerances must lie in (0, 1e-2]"),
+            ([*_TARGET_RUN, "--r-max", "1e-9"], None, None, 1,
+             "need 0 < r_start < r_max"),
+            (["spectrum", "equiv", "--bound", "-4"], None, None, 1,
+             "bound must be non-negative"),
+            (["bubble", "--base", "pair.json", "--ladder", "0.1",
+              "--spectrum-bound", "-4"], None, None, 1, "bound must be non-negative"),
+            (_BUBBLE_BAD, None, _null_spec_key("r_max"), 1,
+             "cannot read base profile bad.json: "),
+            (_BUBBLE_BAD, None, _null_spec_key("samples_per_decade"), 1,
+             "cannot read base profile bad.json: "),
+            (_BUBBLE_BAD, None, _null_spec_key("init_heights"), 1,
+             "cannot read base profile bad.json: "),
+            (_BUBBLE_BAD, None, lambda doc: {**doc, "grid": None}, 1,
+             "cannot read base profile bad.json: "),
+            (_BUBBLE_BAD, None, lambda doc: [doc], 1,
+             "cannot read base profile bad.json: "),
+            (["spectrum", "check"], {"triple": 5}, None, 2,
+             "triple must have three components, got '5'"),
+            (["bubble"], {"base": 5, "ladder": [0.1]}, None, 1,
+             "cannot read base profile 5: "),
+            (["shoot", "--height", "0", "--r-max", "10"], {"out": 5}, None, 0, None),
+            (_TARGET_RUN, {"out": 7}, None, 0, None),
+        ],
+        ids=["anchor_component_5", "anchor_component_-1", "rel_tol_1",
+             "r_max_below_r_start", "equiv_negative_bound",
+             "bubble_negative_spectrum_bound", "base_null_r_max",
+             "base_null_samples_per_decade", "base_null_init_heights",
+             "base_null_grid", "base_json_list", "config_int_triple",
+             "config_int_base", "shoot_config_int_out", "target_config_int_out"],
+    )
+    def test_invocation(self, capsys, outdir, monkeypatch, limitpair_target,
+                        argv, cfg, edit, code, message):
+        monkeypatch.chdir(outdir)
+        doc = profile_to_json_dict(limitpair_target[1])
+        (outdir / "pair.json").write_text(json.dumps(doc))
+        if edit is not None:
+            (outdir / "bad.json").write_text(json.dumps(edit(doc)))
+        if cfg is not None:
+            (outdir / "run.json").write_text(json.dumps(cfg))
+            argv = [*argv, "--config", "run.json"]
+        got, _, err = run(capsys, *argv)
+        assert got == code
+        if message is None:
+            # a number for "out" names the file, as the same text as a flag does
+            assert err == ""
+            written = (outdir / str(cfg["out"])).read_bytes()
+            assert run(capsys, *argv, "--out", "flag_out")[0] == 0
+            assert (outdir / "flag_out").read_bytes() == written
+        else:
+            (line,) = err.splitlines()
+            prefix = "usage error: " if code == 2 else "error: "
+            assert line.startswith(prefix + message)

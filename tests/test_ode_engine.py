@@ -449,6 +449,30 @@ class TestProfileQueries:
         for name in ("grid", "values", "derivs", "masses"):
             assert np.array_equal(getattr(back, name), getattr(p, name))
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: {**d, "shoot_spec": {**d["shoot_spec"], "r_max": None}},
+            lambda d: {**d, "shoot_spec": {**d["shoot_spec"],
+                                           "samples_per_decade": None}},
+            lambda d: {**d, "shoot_spec": {**d["shoot_spec"], "init_heights": None}},
+            lambda d: {**d, "grid": None},
+            lambda d: [d],
+        ],
+        ids=["null_r_max", "null_samples_per_decade", "null_init_heights",
+             "null_grid", "json_list"],
+    )
+    def test_malformed_json_dict_raises_value_error(self, liouville_profile, edit):
+        with pytest.raises(ValueError):
+            profile_from_json_dict(edit(profile_to_json_dict(liouville_profile)))
+
+    def test_missing_key_reads_as_its_name(self, liouville_profile):
+        d = profile_to_json_dict(liouville_profile)
+        del d["grid"]
+        with pytest.raises(ValueError) as err:
+            profile_from_json_dict(d)
+        assert str(err.value) == "'grid'"
+
 
 class TestConstrainedTargetingFailsFast:
     @pytest.mark.parametrize("variant", [Variant.AFFINE_SU3, Variant.AFFINE_SU4])
