@@ -129,6 +129,9 @@ def _resolve_config(args: argparse.Namespace,
             loaded = json.loads(Path(path).read_text())
         except (OSError, ValueError) as exc:
             raise ValueError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ValueError(
+                f"cannot read config {path}: top level must be a JSON object")
         version = loaded.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported config schema_version {version}")

@@ -6,8 +6,9 @@ carries the originating shot parameters so a profile can be reloaded or
 re-run exactly.  Leading ``#`` comment lines in the CSV hold the resolved
 run configuration for reproducibility.  Reading a JSON profile is the
 boundary for outside files: malformed content (a missing key, a null or
-mistyped value, a document that is not an object) raises ``ValueError``,
-and a missing key reads as its quoted name, e.g. ``'grid'``.
+mistyped value, a grid with no nodes, a document that is not an object)
+raises ``ValueError``, and a missing key reads as its quoted name, e.g.
+``'grid'``.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ def profile_from_json_dict(d: dict) -> RadialProfile:
     try:
         spec = d.get("shoot_spec")
         grid = np.asarray(d["grid"], dtype=float)
+        if grid.size == 0:
+            raise ValueError("profile grid has no nodes")
         # the file keeps du/dr; the profile stores w = r du/dr
         w = np.asarray(d["derivs"], dtype=float) * grid[:, None]
         state = np.column_stack([np.asarray(d["values"], dtype=float), w,

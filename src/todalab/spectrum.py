@@ -11,6 +11,12 @@ for s3 exactly and by sweeping (m1, m2), and checks that the two
 productions coincide.  A three-fold symmetric analogue (the SU(4) affine
 candidate set) is enumerated by the same quadric solve.
 
+The solve reads a residual's integer coefficients once per s1 row, so it
+calls the residual O(bound) times, does O(bound^2) integer operations
+(one ``math.isqrt`` per (s1, s2)) and keeps O(members) memory.  It
+accepts only residuals that are quadratic in (s2, s3) with integer
+coefficients and raises ``ValueError`` on any other.
+
 The arithmetic is exact: inputs may be ints or ``fractions.Fraction``, and
 no enumeration, residual or membership test uses floats.  The one float
 array is ``SpectrumSet.points``, a copy of the members kept for
@@ -207,28 +213,65 @@ def _index_window(bound: int) -> int:
     return math.isqrt(bound) + 3
 
 
+_NOT_QUADRATIC = (
+    "residual is not a quadratic polynomial in (s2, s3) with integer "
+    "coefficients"
+)
+
+
+def _row_coefficients(residual, s1: int, a: int) -> tuple[int, ...]:
+    """(b0, b1, c0, c1, c2) of the row ``residual(s1, s2, s3) = a s3^2 +
+    (b0 + b1 s2) s3 + c0 + c1 s2 + c2 s2^2``, read from five values and
+    checked at a sixth; anything else raises ``ValueError``."""
+    def at(s2, s3):
+        return residual(MassTriple(s1, s2, s3))
+    c0, up, down = at(0, 0), at(1, 0), at(-1, 0)
+    c1, odd = divmod(up - down, 2)
+    c2 = up - c0 - c1
+    b0 = at(0, 1) - a - c0
+    b1 = at(1, 1) - a - b0 - up
+    s2, s3 = 2, 3  # off the five-point stencil
+    fit = a * s3 * s3 + (b0 + b1 * s2) * s3 + c0 + (c1 + c2 * s2) * s2
+    if odd or at(s2, s3) != fit:
+        raise ValueError(_NOT_QUADRATIC)
+    return b0, b1, c0, c1, c2
+
+
 def _on_quadric(residual, bound: int) -> set[MassTriple]:
     """Multiples of 4 in [0, bound]^3, minus the origin, where ``residual``
-    (a s3^2 + b s3 + c for fixed s1, s2, with a, b, c integers) vanishes.
-    ``math.isqrt`` gives the roots: O(bound^2) time, O(members) memory."""
+    vanishes.
+
+    ``residual`` must be, for each s1, a quadratic polynomial in (s2, s3)
+    with integer coefficients and a constant, non-zero s3^2 coefficient a
+    (``ValueError`` otherwise).  It is called O(bound) times: three times
+    for a, then six times per s1 row for the row's coefficients and their
+    check.  Each cell (s1, s2) then costs O(1) integer operations and one
+    ``math.isqrt`` of the discriminant: O(bound^2) time, O(members) memory.
+    """
     if bound < 0:
         raise ValueError("bound must be non-negative")
+    zero = MassTriple(0, 0, 0)
+    a, odd = divmod(residual(MassTriple(0, 0, 1)) + residual(MassTriple(0, 0, -1))
+                    - 2 * residual(zero), 2)
+    if odd:
+        raise ValueError(_NOT_QUADRATIC)
+    if a == 0:
+        raise ValueError("residual has no s3^2 term")
     found = set()
     for s1 in range(0, bound + 1, 4):
-        def at(s2, s3):
-            return residual(MassTriple(s1, s2, s3))
-        a = (at(0, 1) + at(0, -1)) // 2 - at(0, 0)  # the same for every s2
+        b0, b1, c0, c1, c2 = _row_coefficients(residual, s1, a)
         for s2 in range(0, bound + 1, 4):
-            c = at(s2, 0)
-            b = at(s2, 1) - a - c
-            disc = b * b - 4 * a * c
-            root = math.isqrt(max(disc, 0))
+            b = b0 + b1 * s2
+            disc = b * b - 4 * a * (c0 + (c1 + c2 * s2) * s2)
+            if disc < 0:
+                continue
+            root = math.isqrt(disc)
             if root * root != disc:
                 continue
             for num in (-b - root, -b + root):
                 if num % (8 * a) == 0 and 0 <= num // (2 * a) <= bound:
                     found.add(MassTriple(s1, s2, num // (2 * a)))
-    found.discard(MassTriple(0, 0, 0))
+    found.discard(zero)
     return found
 
 

@@ -700,3 +700,34 @@ class TestExitContract:
             (line,) = err.splitlines()
             prefix = "usage error: " if code == 2 else "error: "
             assert line.startswith(prefix + message)
+
+
+class TestMalformedInputFiles:
+    """A config or base profile that parses as JSON but has the wrong shape
+    exits 1 with one message line, never a traceback."""
+
+    @pytest.mark.parametrize("text", ["[1]", "5"], ids=["list", "int"])
+    def test_config_not_an_object(self, capsys, outdir, monkeypatch, text):
+        monkeypatch.chdir(outdir)
+        (outdir / "c.json").write_text(text)
+        code, out, err = run(capsys, "shoot", "--config", "c.json")
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert line == ("error: cannot read config c.json: "
+                        "top level must be a JSON object")
+
+    def test_base_profile_without_nodes(self, capsys, outdir, monkeypatch,
+                                        limitpair_target):
+        monkeypatch.chdir(outdir)
+        doc = profile_to_json_dict(limitpair_target[1])
+        (outdir / "pair.json").write_text(json.dumps(doc))
+        assert run(capsys, "bubble", "--base", "pair.json", "--ladder", "0.1")[0] == 0
+        for key in ("grid", "values", "derivs", "masses"):
+            doc[key] = []
+        (outdir / "empty.json").write_text(json.dumps(doc))
+        code, _, err = run(capsys, "bubble", "--base", "empty.json",
+                           "--ladder", "0.1")
+        assert code == 1
+        (line,) = err.splitlines()
+        assert line == ("error: cannot read base profile empty.json: "
+                        "profile grid has no nodes")

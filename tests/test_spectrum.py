@@ -1,5 +1,6 @@
 """Exact-arithmetic tests for the mass-triple spectrum module."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -243,6 +244,80 @@ class TestEnumerationCost:
         finally:
             tracemalloc.stop()
         assert peak < 5e6
+
+
+def per_cell_on_quadric(residual, bound):
+    """The earlier per-cell solver, three residual calls per (s1, s2): the
+    oracle for the row-coefficient solve."""
+    found = set()
+    for s1 in range(0, bound + 1, 4):
+        def at(s2, s3):
+            return residual(MassTriple(s1, s2, s3))
+        a = (at(0, 1) + at(0, -1)) // 2 - at(0, 0)
+        for s2 in range(0, bound + 1, 4):
+            c = at(s2, 0)
+            b = at(s2, 1) - a - c
+            disc = b * b - 4 * a * c
+            root = math.isqrt(max(disc, 0))
+            if root * root != disc:
+                continue
+            for num in (-b - root, -b + root):
+                if num % (8 * a) == 0 and 0 <= num // (2 * a) <= bound:
+                    found.add(MassTriple(s1, s2, num // (2 * a)))
+    found.discard(MassTriple(0, 0, 0))
+    return found
+
+
+class TestQuadricSolver:
+    @pytest.mark.parametrize("bound", [400, 1000, 1003])
+    @pytest.mark.parametrize(
+        "residual", [pohozaev_residual_su3, pohozaev_residual_su4])
+    def test_matches_per_cell_solve(self, residual, bound):
+        got = spectrum._on_quadric(residual, bound)
+        assert got == per_cell_on_quadric(residual, bound)
+
+    def test_member_counts_at_1000(self):
+        assert len(enumerate_su3(1000)) == 1474
+        assert len(enumerate_su4(1000)) == 426
+
+    def test_residual_calls_linear_in_bound(self, monkeypatch):
+        calls = 0
+
+        def counted(t):
+            nonlocal calls
+            calls += 1
+            return pohozaev_residual_su3(t)
+
+        monkeypatch.setattr(spectrum, "pohozaev_residual_su3", counted)
+        bound = 1000
+        assert len(enumerate_su3(bound)) == 1474
+        # the per-cell solve made 126,755 calls at this bound
+        assert 0 < calls <= 7 * (bound // 4 + 1) + 3
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            lambda t: t.s3 ** 3,
+            lambda t: t.s3 ** 3 - t.s3,  # vanishes where a is read
+            lambda t: t.s2 ** 3,
+            lambda t: t.s2 * t.s3 * t.s3,
+            lambda t: t.s1 * t.s3 * t.s3,
+            lambda t: t.s2 * (t.s2 - 1) // 2,  # integer-valued, half coefficients
+            lambda t: Fraction(t.s2, 2),
+        ],
+        ids=["s3^3", "s3^3-s3", "s2^3", "s2*s3^2", "s1*s3^2", "half_binomial",
+             "fraction_valued"],
+    )
+    def test_non_quadratic_residual_rejected(self, extra):
+        def residual(t):
+            return pohozaev_residual_su3(t) + extra(t)
+
+        with pytest.raises(ValueError, match="not a quadratic polynomial"):
+            spectrum._on_quadric(residual, 40)
+
+    def test_residual_without_s3_squared_rejected(self):
+        with pytest.raises(ValueError, match="no s3\\^2 term"):
+            spectrum._on_quadric(lambda t: t.s1 + t.s2 - t.s3, 40)
 
 
 class TestPoints:
