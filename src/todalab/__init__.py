@@ -37,13 +37,11 @@ from .analysis import (
     DecayKind,
     DecayVerdict,
     IdentityBalance,
-    PohozaevCheck,
     Su4Balance,
     annulus_mass,
     bubble_masses,
     decay_classify,
     fast_decay_radius_scan,
-    identity_balance,
     nearest_member,
     pohozaev_check,
     su4_radial_balance,

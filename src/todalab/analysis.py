@@ -1,12 +1,12 @@
 """Verifiers connecting numerical profiles to the quantized mass triples.
 
-``identity_balance`` evaluates the Pohozaev identity that every
+``pohozaev_check`` evaluates the Pohozaev identity that every
 exponential-linear variant derives from its term table (``systems.Identity``):
 the mass-form residual, its exact finite-radius correction (the boundary
-defect) and the flux recomputation; ``pohozaev_check`` and
-``su4_radial_balance`` are views of it.  Also fast/slow decay classification,
-annulus scans, and the double-limit bubble-mass extraction with
-nearest-member matching.
+defect) and the flux recomputation, as an ``IdentityBalance``;
+``su4_radial_balance`` is a view of the same balance.  Also fast/slow decay
+classification, annulus scans, and the double-limit bubble-mass extraction
+with nearest-member matching.
 
 Profiles map onto mass triples by variant: the three-component systems
 (su3, and su4, whose candidate triple is its component masses) fill all
@@ -163,6 +163,16 @@ class IdentityBalance:
     sum_j flux_sigma_j sigma_j^2.  ``residual`` = quadratic - linear
     vanishes once the circle is in fast decay.
 
+    ``triple`` holds the masses in the (s1, s2, s3) slots.  For su3
+    (d = (1, 1, 2)), the limit pair (d = (1, 2)) and Liouville (d = (1))
+
+        residual = (s1-s3)^2 + (s2-s3)^2 - 4 (s1 + s2 + 2 s3)
+        boundary_defect = 2 r^2 (e^{u1} + e^{u2} + 2 e^{u3})
+
+    in slots, and flux_quadratic is (r u1')^2 + (r u2')^2 (su3),
+    (r u1')^2 + s3^2 (limit pair: empty slot 2 carries the flux s3) or
+    (r u1')^2.
+
     At grid nodes ``mean_value_gap`` is a quadratic function of the linear
     invariant w + A sigma, which every Runge-Kutta step keeps exactly, so
     it reads only the series-head offset of that invariant: like
@@ -181,10 +191,13 @@ class IdentityBalance:
     residual = property(lambda self: self.quadratic - self.linear)
     balance_residual = property(lambda self: self.residual + self.boundary_defect)
     mean_value_gap = property(lambda self: self.flux_quadratic - self.quadratic)
+    triple = property(lambda self: _to_slots(self.variant, self.masses))
 
 
-def identity_balance(p: RadialProfile, r: float) -> IdentityBalance:
-    """The derived Pohozaev identity of p at radius r."""
+def _identity_balance(p: RadialProfile, r: float) -> IdentityBalance:
+    """Worker of ``pohozaev_check`` and ``su4_radial_balance``; each calls it
+    directly, so a wrapper of one (such as ``bench/spans.py``'s) does not
+    count the other's queries."""
     identity = p.system.identity_floats
     if identity is None:
         raise ValueError(f"no Pohozaev identity for {p.system.variant.value}: "
@@ -206,24 +219,9 @@ def identity_balance(p: RadialProfile, r: float) -> IdentityBalance:
     )
 
 
-@dataclass(frozen=True)
-class PohozaevCheck(IdentityBalance):
-    """The identity balance of an su3 (d = (1, 1, 2)), limit-pair (d = (1, 2))
-    or Liouville (d = (1)) profile, masses in (s1, s2, s3) slots.  In slots
-
-        residual = (s1-s3)^2 + (s2-s3)^2 - 4 (s1 + s2 + 2 s3)
-        boundary_defect = 2 r^2 (e^{u1} + e^{u2} + 2 e^{u3})
-
-    and flux_quadratic is (r u1')^2 + (r u2')^2 (su3), (r u1')^2 + s3^2
-    (limit pair: empty slot 2 carries the flux s3) or (r u1')^2."""
-
-    triple: tuple[float, float, float]
-
-
-def pohozaev_check(p: RadialProfile, r: float) -> PohozaevCheck:
-    """Full Pohozaev bookkeeping at radius r (three-component mapping)."""
-    b = identity_balance(p, r)
-    return PohozaevCheck(**vars(b), triple=_to_slots(b.variant, b.masses))
+def pohozaev_check(p: RadialProfile, r: float) -> IdentityBalance:
+    """The derived Pohozaev identity of p at radius r."""
+    return _identity_balance(p, r)
 
 
 @dataclass(frozen=True)
@@ -274,7 +272,7 @@ class Su4Balance:
 
 def su4_radial_balance(p: RadialProfile, r: float) -> Su4Balance:
     """Measure the SU(4) radial Pohozaev balance pieces at radius r."""
-    return Su4Balance(identity_balance(p, r))
+    return Su4Balance(_identity_balance(p, r))
 
 
 # --------------------------------------------------------------------------
@@ -335,6 +333,10 @@ def _spectrum_residual(spectrum: SpectrumSet, triple: Sequence[float]) -> float:
     return float(pohozaev_residual_su4(t))
 
 
+# halvings of delta in bubble_masses' headline walk
+_MAX_REFINEMENTS = 12
+
+
 def bubble_masses(
     base: RadialProfile,
     eps_ladder: Sequence[float],
@@ -342,7 +344,6 @@ def bubble_masses(
     spectrum: SpectrumSet,
     *,
     decay_threshold: float = DECAY_LEVEL,
-    max_refinements: int = 12,
 ) -> BubbleReport:
     """Estimate the double-limit local masses of a rescaled bubble family.
 
@@ -374,7 +375,7 @@ def bubble_masses(
     e_min = eps[-1]
     delta_ladder = [(float(delta), eps_table[-1][1])]
     d = 0.5 * float(delta)
-    for _ in range(max_refinements if r_fast is not None else 0):
+    for _ in range(_MAX_REFINEMENTS if r_fast is not None else 0):
         if d / e_min <= float(base.grid[0]) * (1 + 1e-9):
             break
         if d / e_min < r_fast:

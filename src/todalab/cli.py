@@ -35,7 +35,6 @@ import numpy as np
 
 from . import analysis, profile_io, spectrum as spec_mod
 from .ode_engine import (
-    BracketError,
     ShootSpec,
     TargetSearchError,
     find_decaying,
@@ -390,7 +389,7 @@ def cmd_target(args, cfg: dict, given: dict) -> int:
             system, cfg["anchor_component"], cfg["anchor"], bracket, tol=cfg["tol"],
             **{o.key: cfg[o.key] for o in _TOLERANCES},
         )
-    except (BracketError, TargetSearchError) as exc:
+    except TargetSearchError as exc:
         trace = [c.summary() for c in exc.trace]
         if args.json:
             print(json.dumps({"config": given, "error": str(exc), "trace": trace}))

@@ -471,7 +471,8 @@ def integrate(
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            # written to catch a NaN step too, which no rejection can shrink
+            if not h_abs >= min_step:
                 status = STEP_UNDERFLOW
                 break
             t_new = min(t + h_abs, t1)

@@ -43,9 +43,15 @@ DEFAULT_SINGULAR_R_START = 1e-6
 # tail fit u ~ -alpha log r + beta: slopes below this are treated as
 # non-convergent (the tail integral needs alpha > 2)
 TAIL_ALPHA_MIN = 2.1
+_TAIL_DECADES = 1.0  # the tail fit's window: the grid's last decade
 
 # a circle decays fast when max_i(u_i + 2 log r) <= -DECAY_LEVEL
 DECAY_LEVEL = 10.0
+
+# a component re-ignites once w = r u' rises this far above max(w(r_start), 0)
+_UP_JUMP = 0.5
+# bisection steps after which find_decaying gives up
+_MAX_BISECTIONS = 200
 
 
 class TerminationReason(Enum):
@@ -55,20 +61,16 @@ class TerminationReason(Enum):
     MASS_OVERFLOW = "mass_overflow"
 
 
-class BracketError(RuntimeError):
-    """The search interval does not bracket a decaying solution."""
-
-    def __init__(self, message: str, trace: list | None = None):
-        super().__init__(message)
-        self.trace = trace or []
-
-
 class TargetSearchError(RuntimeError):
-    """Mass targeting failed to converge."""
+    """Mass targeting failed to converge; ``trace`` holds the classified shots."""
 
     def __init__(self, message: str, trace: list | None = None):
         super().__init__(message)
         self.trace = trace or []
+
+
+class BracketError(TargetSearchError):
+    """The search interval does not bracket a decaying solution."""
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,12 @@ class ShootSpec:
     """Initial data, tolerances and stopping rules for one radial shot.
 
     ``init_heights`` are the u_i(0) for regular starts, or the additive
-    constants c_i of u_i ~ 2 b_i log r + c_i for singular starts.
-    ``r_start`` defaults to 1e-4 (regular) or 1e-6 (singular).  The field
+    constants c_i of u_i ~ 2 b_i log r + c_i for singular starts; they must
+    be finite.  ``r_start`` defaults to 1e-4 (regular) or 1e-6 (singular),
+    shrunk by decades down to 1e-40 for tall data; heights whose
+    small-radius expansion breaks down even there are refused.  ``r_max``
+    must keep r_max^2 finite (about 1.3e154 at most), because the
+    right-hand side in log-radius carries the factor r^2.  The field
     defaults are the only copy of the shot defaults: ``find_decaying``,
     ``from_json_dict`` and the CLI options read them from here.
     """
@@ -95,6 +101,8 @@ class ShootSpec:
         n = self.system.n_components
         if len(self.init_heights) != n:
             raise ValueError(f"expected {n} initial heights")
+        if not all(map(math.isfinite, self.init_heights)):
+            raise ValueError("initial heights must be finite")
         if not self.mass_guard > 0:
             raise ValueError("mass_guard must be positive")
         for _, p_exp in self.system.series_terms(self.init_heights):
@@ -104,7 +112,8 @@ class ShootSpec:
                     f"correction term (exponent {p_exp:g}) for "
                     f"{self.system.variant.value}"
                 )
-        if self.r_start is None:
+        defaulted = self.r_start is None
+        if defaulted:
             r0 = (
                 DEFAULT_SINGULAR_R_START
                 if self.system.is_singular
@@ -116,13 +125,21 @@ class ShootSpec:
                                                    self.init_heights, r0) > 0.05:
                 r0 /= 10.0
             object.__setattr__(self, "r_start", r0)
-        elif _series_head_size(self.system, self.init_heights, self.r_start) > 0.5:
+        if _series_head_size(self.system, self.init_heights, self.r_start) > 0.5:
             raise ValueError(
+                "initial heights too large: the small-radius expansion breaks "
+                f"down even at the smallest default r_start, {self.r_start:g}"
+                if defaulted else
                 "r_start too large: the small-radius expansion breaks down "
                 "for these initial heights; decrease r_start or omit it"
             )
         if not (0 < self.r_start < self.r_max):
             raise ValueError("need 0 < r_start < r_max")
+        if not self.r_max * self.r_max < math.inf:
+            raise ValueError(
+                f"r_max = {self.r_max:g} too large: the shot's right-hand side "
+                "carries r^2, which overflows above about 1.3e154"
+            )
         for tol in (self.rel_tol, self.abs_tol):
             if not (0 < tol <= 1e-2):
                 raise ValueError("tolerances must lie in (0, 1e-2]")
@@ -414,8 +431,8 @@ def mean_value_residuals(p: RadialProfile) -> np.ndarray:
     return w - w[0] + dm @ np.array(identity.A).T
 
 
-def tail_fit(p: RadialProfile, component: int, decades: float = 1.0):
-    """Fit u ~ -alpha log r + beta over the last ``decades`` of the grid.
+def tail_fit(p: RadialProfile, component: int):
+    """Fit u ~ -alpha log r + beta over the last decade of the grid.
 
     Returns (alpha, beta, tail_mass, converged): tail_mass is the analytic
     remainder int_R^inf e^beta s^(1-alpha) ds when alpha exceeds the
@@ -424,7 +441,7 @@ def tail_fit(p: RadialProfile, component: int, decades: float = 1.0):
     if len(p.grid) < 4:
         return 0.0, float(p.values[-1, component]), 0.0, False
     t = np.log(p.grid)
-    mask = t >= t[-1] - decades * math.log(10.0)
+    mask = t >= t[-1] - _TAIL_DECADES * math.log(10.0)
     if mask.sum() < 4:
         mask = np.zeros_like(mask)
         mask[-4:] = True
@@ -474,13 +491,12 @@ def classify_shot(
     p: RadialProfile,
     n_detect: float = DECAY_LEVEL,
     mass_tol: float = 1e-3,
-    up_jump: float = 0.5,
 ) -> ShotClassification:
     """OVER when some component turns upward (or blows up) before r_max,
     UNDER when every component ends in fast decay with converged mass."""
     n = p.n_components
     w = p.log_derivs
-    thresholds = np.maximum(w[0], 0.0) + up_jump
+    thresholds = np.maximum(w[0], 0.0) + _UP_JUMP
 
     first_idx, first_comp = None, None
     for i in range(n):
@@ -513,13 +529,14 @@ def classify_shot(
 
 
 def _fill_heights(
-    system: SystemKind, anchor: int, anchor_height: float, free: int, x: float
+    system: SystemKind, anchor: int, anchor_height: float, x: float
 ) -> tuple[float, ...]:
     n = system.n_components
     h = [0.0] * n
     h[anchor] = anchor_height
     if n == 1:
         return tuple(h)
+    free = 1 if anchor == 0 else 0  # the first component that is not the anchor
     h[free] = x
     if n == 2:
         return tuple(h)
@@ -541,20 +558,19 @@ def find_decaying(
     search_interval: tuple[float, float],
     tol: float = 1e-3,
     *,
-    free_component: Optional[int] = None,
     r_max: float = ShootSpec.r_max,
     rel_tol: float = ShootSpec.rel_tol,
     abs_tol: float = ShootSpec.abs_tol,
     samples_per_decade: int = ShootSpec.samples_per_decade,
     n_detect: float = DECAY_LEVEL,
-    max_iter: int = 200,
 ) -> tuple[tuple[float, ...], RadialProfile]:
     """Bisect the free initial height until the shot decays everywhere.
 
-    The anchor component's height is held fixed; the free component's
-    height is bisected over ``search_interval``, classifying each shot by
-    which component re-ignites first.  Returns (initial heights, profile)
-    of the first fully decaying shot whose masses converge within ``tol``.
+    The anchor component's height is held fixed; the height of the free
+    component, the first one that is not the anchor, is bisected over
+    ``search_interval``, classifying each shot by which component
+    re-ignites first.  Returns (initial heights, profile) of the first
+    fully decaying shot whose masses converge within ``tol``.
 
     One-component variants are degenerate (every height decays): the
     anchor shot itself is classified and returned.
@@ -578,16 +594,10 @@ def find_decaying(
             f"-n_detect = {-n_detect:g} for r > e^(-n_detect/2) = "
             f"{r_witness:.3g}, and r_max = {r_max:g}"
         )
-    if free_component is None:
-        free_component = next(i for i in range(n) if i != anchor_component) \
-            if n > 1 else anchor_component
-
     trace: list[ShotClassification] = []
 
     def run(x: float) -> tuple[ShotClassification, RadialProfile]:
-        heights = _fill_heights(
-            system, anchor_component, anchor_height, free_component, x
-        )
+        heights = _fill_heights(system, anchor_component, anchor_height, x)
         prof = shoot(
             ShootSpec(
                 system=system,
@@ -631,7 +641,7 @@ def find_decaying(
 
     side_lo = cls_lo.first_up
     side_hi = cls_hi.first_up
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         cls, prof = run(mid)
         if cls.kind == "under":

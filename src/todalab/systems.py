@@ -13,6 +13,7 @@ when every row of D A sums to zero (su3, su4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -146,7 +147,7 @@ class SystemKind:
 
     ``singular_weights[i] = b`` makes component i behave like
     2 b log r + const near r = 0 (a -4 pi b point source); all zeros means
-    regular initial data.
+    regular initial data.  Weights must be finite and non-negative.
     """
 
     variant: Variant
@@ -164,6 +165,8 @@ class SystemKind:
             )
         if any(b < 0 for b in self.singular_weights):
             raise ValueError("singular weights must be non-negative")
+        if not all(map(math.isfinite, self.singular_weights)):
+            raise ValueError("singular weights must be finite")
 
     @property
     def n_components(self) -> int:
@@ -215,7 +218,9 @@ class SystemKind:
         out = []
         for coeffs, expo in _TERMS[self.variant]:
             e = np.asarray(expo)
-            rho = np.asarray(coeffs) * np.exp(float(e @ c))
+            # a term that overflows to inf is refused by ShootSpec's head bound
+            with np.errstate(over="ignore"):
+                rho = np.asarray(coeffs) * np.exp(float(e @ c))
             p = 2.0 * float(e @ b)
             out.append((rho, p))
         return out

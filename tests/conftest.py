@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import todalab
 from todalab import (
     ShootSpec,
     SystemKind,
@@ -61,3 +66,20 @@ def su4_bubble_profile():
 @pytest.fixture(scope="session")
 def spectrum_400():
     return enumerate_su3(400)
+
+
+@pytest.fixture()
+def isolated_python(tmp_path):
+    """Run ``python *args`` in a fresh interpreter that imports this package,
+    in tmp_path (also its TODALAB_OUTDIR), killed after 60 s: a run that
+    never ends fails its test with ``TimeoutExpired`` instead of stalling
+    the suite."""
+    env = dict(os.environ, TODALAB_OUTDIR=str(tmp_path))
+    paths = [str(Path(todalab.__file__).resolve().parents[1]), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    return run

@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from todalab.analysis import (
     DecayKind,
     DecayVerdict,
+    IdentityBalance,
     annulus_mass,
     bubble_masses,
     decay_classify,
@@ -426,3 +427,12 @@ class TestViewsMatchOldFormulas:
                        - (want["quad_mass"] - 12.0 * S)) <= 1e-12 * scale
             assert abs(bal.coefficient_estimate - want["quad_mass"] / S) \
                 <= 1e-12 * scale / S
+
+
+class TestPohozaevCheckIsTheBalance:
+    def test_returns_the_identity_balance_with_slots(self, limitpair_target):
+        _, prof = limitpair_target
+        chk = pohozaev_check(prof, 1.0)
+        assert type(chk) is IdentityBalance
+        s1, s3 = chk.masses
+        assert chk.triple == (s1, 0.0, s3)

@@ -731,3 +731,21 @@ class TestMalformedInputFiles:
         (line,) = err.splitlines()
         assert line == ("error: cannot read base profile empty.json: "
                         "profile grid has no nodes")
+
+
+class TestInputsWithoutACorrectShot:
+    """Shots for which no correct run exists exit 1 with one message line and
+    no traceback.  Each runs in its own interpreter under a timeout, so a run
+    that never ends fails instead of stalling the suite."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--height", "nan"], "initial heights must be finite"),
+        (["--weights", "nan", "--height", "0"], "singular weights must be finite"),
+        (["--height", "0", "--r-max", "1e300"], "r_max = 1e+300 too large"),
+    ], ids=["height_nan", "weights_nan", "r_max_1e300"])
+    def test_exits_one_with_one_line(self, isolated_python, argv, message):
+        res = isolated_python("-m", "todalab", "shoot", "--system", "liouville",
+                              *argv)
+        assert (res.returncode, res.stdout) == (1, "")
+        (line,) = res.stderr.splitlines()
+        assert line.startswith("error: " + message)

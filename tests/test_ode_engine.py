@@ -15,6 +15,7 @@ from todalab.closed_forms import (
     from_w_eta,
     VarsWEta,
 )
+from todalab.dop853 import STEP_UNDERFLOW
 from todalab.ode_engine import (
     BracketError,
     ShootSpec,
@@ -493,3 +494,54 @@ class TestConstrainedTargetingFailsFast:
         # n_detect moves the threshold radius: with n_detect = 20 it is e^-10
         with pytest.raises(TargetSearchError, match="constraint"):
             find_decaying(sk, 0, 0.0, (-1.0, 1.0), r_max=math.exp(-9.0), n_detect=20.0)
+
+
+class TestSpecRefusesInputsWithoutACorrectShot:
+    @pytest.mark.parametrize("height,message", [
+        (math.nan, "initial heights must be finite"),
+        (math.inf, "initial heights must be finite"),
+        (-math.inf, "initial heights must be finite"),
+        (800.0, "initial heights too large"),
+        (200.0, "initial heights too large"),
+    ], ids=["nan", "inf", "-inf", "800", "200"])
+    def test_heights(self, height, message):
+        """Height 200 exhausts the default start radius's shrinking: its
+        series head there is about 1.8e4, far past the 0.5 an explicit
+        r_start may have."""
+        with pytest.raises(ValueError, match=message):
+            ShootSpec(SystemKind(Variant.LIOUVILLE), (height,))
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_weights(self, weight):
+        with pytest.raises(ValueError, match="singular weights must be finite"):
+            SystemKind(Variant.LIOUVILLE, (weight,))
+
+    @pytest.mark.parametrize("r_max", [1e300, math.inf], ids=["1e300", "inf"])
+    def test_r_max_whose_square_overflows(self, r_max):
+        with pytest.raises(ValueError, match="too large"):
+            ShootSpec(SystemKind(Variant.LIOUVILLE), (0.0,), r_max=r_max)
+        spec = ShootSpec(SystemKind(Variant.LIOUVILLE), (0.0,), r_max=1e154)
+        assert spec.r_max == 1e154
+
+
+class TestNanStepEndsTheRun:
+    def test_nan_initial_state_underflows(self, isolated_python):
+        res = isolated_python("-c", (
+            "import numpy as np\n"
+            "from todalab import dop853\n"
+            "sol = dop853.integrate(lambda t, y: -y, 0.0, 1.0, np.array([np.nan]),\n"
+            "                       1e-8, 1e-10, np.linspace(0.0, 1.0, 5))\n"
+            "print(sol.status, sol.stats.n_accepted, sol.stats.message, sep='|')\n"
+        ))
+        assert res.returncode == 0, res.stderr
+        status, accepted, message = res.stdout.rstrip("\n").split("|")
+        assert (status, accepted) == (STEP_UNDERFLOW, "0")
+        assert message == "Required step size is less than spacing between numbers."
+
+
+class TestSearchErrors:
+    def test_bracket_error_is_a_target_search_error(self):
+        with pytest.raises(TargetSearchError) as err:
+            find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, LOG8, (0.0, 0.0))
+        assert isinstance(err.value, BracketError)
+        assert err.value.trace == []
