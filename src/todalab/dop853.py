@@ -18,6 +18,7 @@ by Brent's method to 4 machine epsilons.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -290,9 +291,14 @@ class SolverStats:
     n_accepted: int  # accepted steps
     n_rejected: int  # rejected trial steps
     message: str
+    wall_s: float = 0.0  # wall-clock seconds the integration took
+    # radius where the terminating event fired (``shoot`` fills it in);
+    # None when the run reached its end or the step underflowed
+    r_event: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        """The counts only, so payloads that embed them stay reproducible."""
+        """The counts only, so payloads that embed them stay reproducible
+        (``wall_s`` varies from run to run)."""
         return {
             "nfev": self.nfev,
             "n_accepted": self.n_accepted,
@@ -341,8 +347,10 @@ def _initial_step(fun, t0, y0, f0, t1, rtol, atol) -> float:
 
 def _error_norm(K: np.ndarray, h: float, scale: np.ndarray) -> float:
     """RMS norm of the blended 5th/3rd-order error estimate, Sec. II.10."""
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
+    err5 = K.T.dot(E5)
+    err5 /= scale
+    err3 = K.T.dot(E3)
+    err3 /= scale
     # squared through sqrt, rounding as scipy's np.linalg.norm(...)**2 does
     n5 = math.sqrt(err5.dot(err5))
     n3 = math.sqrt(err3.dot(err3))
@@ -360,7 +368,10 @@ class _DenseStep:
     def __init__(self, fun, K, KT, t_old, t, y_old, y, f):
         h = t - t_old
         for s, a, c in _EXTRA_STAGES:
-            K[s] = fun(t_old + c * h, y_old + np.dot(KT[s], a) * h)
+            z = KT[s].dot(a)
+            z *= h
+            z += y_old
+            K[s] = fun(t_old + c * h, z)
         f_old = K[0]
         delta_y = y - y_old
         F = np.empty((INTERPOLATOR_POWER, y.size))
@@ -447,6 +458,7 @@ def integrate(
     """
     if not t1 > t0:
         raise ValueError("integrate needs t1 > t0")
+    start = time.perf_counter()
     y = np.array(y0, dtype=float)
     n = y.size
     rtol = max(rtol, 100 * EPS)
@@ -480,9 +492,15 @@ def integrate(
             h_abs = abs(h)
 
             K[0] = f
+            # z = y + h (K^T a), formed in place with the same roundings
             for s, a, c in _STAGES:
-                K[s] = fun(t + c * h, y + np.dot(KT[s], a) * h)
-            y_new = y + h * np.dot(KT[N_STAGES], B)
+                z = KT[s].dot(a)
+                z *= h
+                z += y
+                K[s] = fun(t + c * h, z)
+            y_new = KT[N_STAGES].dot(B)
+            y_new *= h
+            y_new += y
             f_new = fun(t_new, y_new)
             K[N_STAGES] = f_new
             nfev += N_STAGES
@@ -538,7 +556,8 @@ def integrate(
             ys.append(dense(t_step))
             i_eval = i_new
 
-    stats = SolverStats(nfev, n_accepted, n_rejected, _MESSAGES[status])
+    stats = SolverStats(nfev, n_accepted, n_rejected, _MESSAGES[status],
+                        time.perf_counter() - start)
     if ts:
         t_out, y_out = np.hstack(ts), np.hstack(ys)
     else:

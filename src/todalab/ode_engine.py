@@ -24,7 +24,7 @@ accuracy checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Optional
 
@@ -111,6 +111,13 @@ class ShootSpec:
                     "singular weights give a non-integrable or resonant "
                     f"correction term (exponent {p_exp:g}) for "
                     f"{self.system.variant.value}"
+                )
+            # the series head divides by (p + 2)^2, which must stay finite
+            if not (p_exp + 2.0) * (p_exp + 2.0) < math.inf:
+                raise ValueError(
+                    "singular weights too large: the small-radius expansion "
+                    f"of {self.system.variant.value} has exponent {p_exp:g}, "
+                    "whose (p + 2)^2 overflows"
                 )
         defaulted = self.r_start is None
         if defaulted:
@@ -317,25 +324,29 @@ def shoot(spec: ShootSpec) -> RadialProfile:
         t_eval = np.append(t_eval, t1)
 
     if np.max(y0[:n]) >= BLOWUP_GUARD:
-        stats = SolverStats(0, 0, 0, "initial state at or above the blow-up guard")
+        stats = SolverStats(0, 0, 0, "initial state at or above the blow-up guard",
+                            r_event=spec.r_start)
         return _assemble(spec, np.array([t0]), y0[:, None],
                          TerminationReason.COMPONENT_BLOW_UP, stats)
+
+    # bound per shot, not per module: a wrapper put on the class attribute
+    # SystemKind.rhs (as bench/spans.py does) sees every call
+    F = sk.rhs
+    n2 = 2 * n
 
     def rhs(t, y):
         u = y[:n]
         r2 = math.exp(2.0 * t)
-        du = y[n : 2 * n]
-        dw = -r2 * sk.rhs(u)
-        dm = r2 * np.exp(np.minimum(u, _MASS_EXP_CAP))
-        return np.concatenate([du, dw, dm])
+        return np.concatenate(
+            [y[n:n2], -r2 * F(u), r2 * np.exp(np.minimum(u, _MASS_EXP_CAP))])
 
     def blow_up(t, y):
-        return BLOWUP_GUARD - np.max(y[:n])
+        return BLOWUP_GUARD - y[:n].max()
 
     def mass_overflow(t, y):
         # caps runaway oscillatory regimes whose cumulative mass grows
         # without bound (desk-scale runs never approach the default)
-        return spec.mass_guard - np.sum(y[2 * n :])
+        return spec.mass_guard - y[n2:].sum()
 
     # overflow in rejected trial steps is handled by the error controller
     with np.errstate(over="ignore", invalid="ignore"):
@@ -346,8 +357,10 @@ def shoot(spec: ShootSpec) -> RadialProfile:
 
     ts = sol.t
     ys = sol.y
+    stats = sol.stats
     if sol.status == dop853.EVENT:
         te = sol.t_event
+        stats = replace(stats, r_event=float(np.exp(te)))  # np.exp, as for the grid
         if ts.size == 0 or te > ts[-1] + 1e-12:
             ts = np.append(ts, te)
             ys = np.hstack([ys, sol.y_event[:, None]])
@@ -365,7 +378,7 @@ def shoot(spec: ShootSpec) -> RadialProfile:
         ts = np.array([t0])
         ys = y0[:, None]
 
-    return _assemble(spec, ts, ys, reason, sol.stats)
+    return _assemble(spec, ts, ys, reason, stats)
 
 
 def _assemble(
@@ -401,13 +414,16 @@ def rescale(p: RadialProfile, eps: float) -> RadialProfile:
         raise ValueError("eps must be positive")
     state = p.state.copy()
     state[:, : p.n_components] += 2.0 * math.log(eps)
+    stats = p.stats
+    if stats is not None and stats.r_event is not None:
+        stats = replace(stats, r_event=stats.r_event / eps)
     return RadialProfile(
         system=p.system,
         grid=p.grid / eps,
         state=state,
         reason=p.reason,
         provenance=f"{p.provenance};rescale(eps={eps!r})",
-        stats=p.stats,
+        stats=stats,
     )
 
 

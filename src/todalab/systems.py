@@ -154,6 +154,9 @@ class SystemKind:
     singular_weights: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
+        # a plain attribute, not a field: eq, hash, repr and JSON ignore it,
+        # and ``rhs`` reads it without a cached lookup per call
+        object.__setattr__(self, "_t", _table(self.variant))
         n = self.n_components
         w = self.singular_weights
         if w == ():
@@ -168,9 +171,14 @@ class SystemKind:
         if not all(map(math.isfinite, self.singular_weights)):
             raise ValueError("singular weights must be finite")
 
+    def __reduce__(self):
+        # rebuilt from its fields, so a pickle (a sweep job, say) carries no
+        # copy of the table
+        return SystemKind, (self.variant, self.singular_weights)
+
     @property
     def n_components(self) -> int:
-        return _table(self.variant).n
+        return self._t.n
 
     @property
     def is_singular(self) -> bool:
@@ -179,20 +187,29 @@ class SystemKind:
     @property
     def identity(self) -> Optional[Identity]:
         """The derived quadratic identity; None unless exponential-linear."""
-        return _table(self.variant).identity
+        return self._t.identity
 
     @property
     def identity_floats(self) -> Optional[Identity]:
         """``identity`` as (nested) lists of floats, built once."""
-        return _table(self.variant).floats
+        return self._t.floats
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
-        """F(u), the vector right-hand side of -Lap(u) = F(u)."""
-        t = _table(self.variant)
-        return t.coeffs_t @ np.exp(np.minimum(t.exponents @ u, _EXP_CAP))
+        """F(u), the vector right-hand side of -Lap(u) = F(u): C^T exp(E u),
+        with E u capped at 700.  u is a state (n,) or a block (n, k) of k
+        states as columns.
+
+        This is the one F evaluator: ``shoot``'s right-hand side,
+        ``RadialProfile.log_deriv_at`` and the scipy copy of the shot in
+        the agreement tests all call it, so they share its bits.
+        ``ndarray.dot`` gives the same bits as ``@`` here at less than half
+        the per-call cost.
+        """
+        t = self._t
+        return t.coeffs_t.dot(np.exp(np.minimum(t.exponents.dot(u), _EXP_CAP)))
 
     def constraint_weights(self) -> tuple[float, ...] | None:
-        return _table(self.variant).constraint
+        return self._t.constraint
 
     def to_json_dict(self) -> dict:
         """The ``variant`` and ``singular_weights`` keys of profile files."""

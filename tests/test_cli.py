@@ -742,7 +742,10 @@ class TestInputsWithoutACorrectShot:
         (["--height", "nan"], "initial heights must be finite"),
         (["--weights", "nan", "--height", "0"], "singular weights must be finite"),
         (["--height", "0", "--r-max", "1e300"], "r_max = 1e+300 too large"),
-    ], ids=["height_nan", "weights_nan", "r_max_1e300"])
+        (["--height", "0", "--weights", "1e200"], "singular weights too large"),
+        (["--height", "0", "--weights", "1e308"], "singular weights too large"),
+    ], ids=["height_nan", "weights_nan", "r_max_1e300", "weights_1e200",
+            "weights_1e308"])
     def test_exits_one_with_one_line(self, isolated_python, argv, message):
         res = isolated_python("-m", "todalab", "shoot", "--system", "liouville",
                               *argv)

@@ -290,6 +290,19 @@ class TestTermination:
         with pytest.raises(ValueError):
             ShootSpec(SystemKind(Variant.LIOUVILLE), (0.0,), mass_guard=0.0)
 
+    def test_stats_record_wall_time_and_event_radius(self, liouville_profile):
+        blown = shoot(ShootSpec(SystemKind(Variant.SINH_GORDON), (-160.0,), r_max=1e3))
+        assert blown.stats.wall_s > 0
+        assert blown.stats.r_event == pytest.approx(blown.r_end, rel=1e-12)
+        assert liouville_profile.stats.wall_s > 0
+        assert liouville_profile.stats.r_event is None
+        start = shoot(ShootSpec(SystemKind(Variant.LIOUVILLE), (60.0,), r_max=10.0))
+        assert start.stats.r_event == start.spec.r_start
+        assert start.r_end == pytest.approx(start.spec.r_start, rel=1e-12)
+        # a rescaled profile reports the event at its own radius
+        assert rescale(blown, 1e-3).stats.r_event == blown.stats.r_event / 1e-3
+        assert sorted(blown.stats.to_json_dict()) == ["n_accepted", "n_rejected", "nfev"]
+
 
 class TestRescale:
     def test_identity(self, liouville_profile):
@@ -515,6 +528,13 @@ class TestSpecRefusesInputsWithoutACorrectShot:
     def test_weights(self, weight):
         with pytest.raises(ValueError, match="singular weights must be finite"):
             SystemKind(Variant.LIOUVILLE, (weight,))
+
+    @pytest.mark.parametrize("weight", [1e200, 1e308], ids=["1e200", "1e308"])
+    def test_weights_whose_series_exponent_overflows(self, weight):
+        """The series head divides by (p + 2)^2, p = 2 e . b; that square
+        overflowed (1e200) or p itself was inf (1e308)."""
+        with pytest.raises(ValueError, match="singular weights too large"):
+            ShootSpec(SystemKind(Variant.LIOUVILLE, (weight,)), (0.0,))
 
     @pytest.mark.parametrize("r_max", [1e300, math.inf], ids=["1e300", "inf"])
     def test_r_max_whose_square_overflows(self, r_max):

@@ -1,13 +1,16 @@
 """The per-variant identities derived from the term table, checked exactly."""
 
+import itertools
+import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from todalab.ode_engine import ShootSpec, mean_value_residuals, shoot
 from todalab.spectrum import MassTriple, pohozaev_residual_su3
-from todalab.systems import SystemKind, Variant
+from todalab.systems import _TERMS, SystemKind, Variant
 
 F = Fraction
 EXP_LINEAR = {
@@ -44,6 +47,13 @@ def test_component_count_and_constraint(variant):
     sk = SystemKind(variant)
     assert sk.n_components == N_COMPONENTS[variant]
     assert sk.constraint_weights() == OLD_CONSTRAINT.get(variant)
+
+
+def test_pickle_rebuilds_from_the_fields():
+    sk = SystemKind(Variant.LIMIT_PAIR, (0.5, 0.0))
+    back = pickle.loads(pickle.dumps(sk))
+    assert back == sk and hash(back) == hash(sk) and repr(back) == repr(sk)
+    assert back._t is sk._t
 
 
 @pytest.mark.parametrize("variant", list(EXP_LINEAR), ids=lambda v: v.value)
@@ -106,3 +116,57 @@ def test_su4_identity_has_coefficient_eight():
         assert 2 * quadratic(ident.DA, s) == quad
         # 2 sigma^T (D A) sigma = 2 * 4 d . sigma at fast decay: coefficient 8
         assert 2 * 4 * sum(d * x for d, x in zip(ident.d, s)) == 8 * sum(s)
+
+
+def reference_rhs(variant, u):
+    """C^T @ exp(min(E @ u, 700)), built here from the term rows with ``@``."""
+    C = np.array([c for c, _ in _TERMS[variant]])
+    E = np.array([e for _, e in _TERMS[variant]])
+    return C.T @ np.exp(np.minimum(E @ u, 700.0))
+
+
+def kernel_inputs(n, seed=41):
+    """States (n,) over magnitudes 1e-3 to 1e300, transposed two-row node
+    blocks (n, 2), the shape ``log_deriv_at`` passes, and states built from
+    +-inf, NaN and -0.0 components."""
+    rng = np.random.default_rng(seed)
+    for _ in range(400):
+        yield rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-3.0, 300.0, n)
+    for scale in (1e-3, 1.0, 30.0, 1e3, 1e300):
+        for _ in range(40):
+            yield (rng.standard_normal((2, n)) * scale).T
+    special = (np.inf, -np.inf, np.nan, -0.0, 0.0, 1.5)
+    for u in itertools.product(special, repeat=n):
+        yield np.array(u)
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_rhs_has_the_bits_of_the_term_table(variant):
+    """``SystemKind.rhs`` is C^T exp(min(E u, 700)) to the last bit, NaN and
+    infinities included, so shots share its bits with any copy of F."""
+    sk = SystemKind(variant)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in kernel_inputs(sk.n_components):
+            got, want = sk.rhs(u), reference_rhs(variant, u)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), u
+
+
+@pytest.mark.parametrize("spec", [
+    ShootSpec(SystemKind(Variant.AFFINE_SU3), (-28.0, -28.0, 28.0), r_max=2.0),
+    ShootSpec(SystemKind(Variant.LIMIT_PAIR), (2.0, -5.0), r_max=10.0),
+], ids=["su3", "limitpair"])
+def test_a_wrapper_on_the_class_rhs_sees_every_call(spec, monkeypatch):
+    """The benchmark's tracer wraps the class attribute ``SystemKind.rhs``
+    and divides shot time by its count; the count must be the shot's nfev."""
+    calls = [0]
+    original = SystemKind.rhs
+
+    def counted(self, u):
+        calls[0] += 1
+        return original(self, u)
+
+    monkeypatch.setattr(SystemKind, "rhs", counted)
+    prof = shoot(spec)
+    assert prof.stats.nfev > 0
+    assert calls[0] == prof.stats.nfev
