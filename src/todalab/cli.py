@@ -18,6 +18,16 @@ domain failure) or an ``OSError`` prints ``error: <text>`` and exits 1, a
 exits 2 on a malformed command line.  Any other error is a programming
 error and keeps its traceback.  ``--json`` switches stdout to a single
 JSON document.
+
+Each command loads only the layers it runs.  Importing this module loads
+``spectrum`` alone, which needs no numpy, so the ``spectrum`` commands
+run on exact integer arithmetic without numpy.  ``main`` builds only
+the named command's options: those of ``shoot`` and ``target`` read
+``Variant`` and ``ShootSpec``, which loads ``systems``, ``ode_engine``,
+``dop853`` and numpy.  ``shoot`` adds ``profile_io``; ``target`` adds
+``analysis`` and ``profile_io``; ``bubble`` loads ``analysis`` and
+``profile_io`` (and through them the same numeric layers) when it runs.
+``build_parser()`` with no argument builds every command's options.
 """
 
 from __future__ import annotations
@@ -31,19 +41,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
-from . import analysis, profile_io, spectrum as spec_mod
-from .ode_engine import (
-    ShootSpec,
-    TargetSearchError,
-    find_decaying,
-    mean_value_residuals,
-    shoot,
-    total_masses,
-)
+from . import spectrum as spec_mod
 from .spectrum import MassTriple
-from .systems import SystemKind, Variant
 
 SCHEMA_VERSION = 1
 
@@ -244,30 +243,49 @@ def cmd_spectrum(args, cfg: dict, given: dict) -> int:
 # shoot
 # --------------------------------------------------------------------------
 
-_SYSTEM = _opt("system", "liouville", choices=sorted(v.value for v in Variant))
-# the integrator settings that ``shoot`` and ``target`` share
-_TOLERANCES = (
-    _opt("r_max", ShootSpec.r_max, type=float),
-    _opt("rel_tol", ShootSpec.rel_tol, type=float),
-    _opt("abs_tol", ShootSpec.abs_tol, type=float),
-    _opt("samples_per_decade", ShootSpec.samples_per_decade, type=int),
-)
-
-_SHOOT = (
-    _SYSTEM,
-    _opt("heights", None, "--height", "--heights",
-         help="h1,h2,... initial heights (one height for scalar systems)"),
-    _opt("weights", help="b1,b2,... singular weights at the origin"),
-    _opt("r_start", ShootSpec.r_start, type=float),
-    *_TOLERANCES,
-    _opt("mass_guard", ShootSpec.mass_guard, type=float),
-    _opt("format", "csv", choices=["csv", "json"]),
-    _opt("sweep", help="comma list of first-component heights"),
-    _opt("workers", 1, type=int),
-)
+# the integrator settings that ``shoot`` and ``target`` share, with their
+# flags' types
+_TOLERANCES = (("r_max", float), ("rel_tol", float), ("abs_tol", float),
+               ("samples_per_decade", int))
 
 
-def _build_spec(cfg: dict, heights: tuple[float, ...]) -> ShootSpec:
+def _run_options(command: str) -> tuple[_Option, ...]:
+    """The options of ``shoot`` or ``target``.  Their choices and defaults
+    come from ``Variant`` and ``ShootSpec``, so this loads the numeric
+    layers and runs only when one of the two commands is parsed."""
+    from .ode_engine import ShootSpec
+    from .systems import Variant
+
+    system = _opt("system", "liouville", choices=sorted(v.value for v in Variant))
+    tolerances = tuple(_opt(k, getattr(ShootSpec, k), type=kind)
+                       for k, kind in _TOLERANCES)
+    if command == "target":
+        return (
+            system._replace(default="limitpair"),
+            _opt("anchor", type=float, help="anchored initial height"),
+            _opt("anchor_component", 0, type=int),
+            _opt("bracket", help="lo,hi for the free height"),
+            _opt("tol", 1e-3, type=float),
+            *tolerances,
+        )
+    return (
+        system,
+        _opt("heights", None, "--height", "--heights",
+             help="h1,h2,... initial heights (one height for scalar systems)"),
+        _opt("weights", help="b1,b2,... singular weights at the origin"),
+        _opt("r_start", ShootSpec.r_start, type=float),
+        *tolerances,
+        _opt("mass_guard", ShootSpec.mass_guard, type=float),
+        _opt("format", "csv", choices=["csv", "json"]),
+        _opt("sweep", help="comma list of first-component heights"),
+        _opt("workers", 1, type=int),
+    )
+
+
+def _build_spec(cfg: dict, heights: tuple[float, ...]):
+    from .ode_engine import ShootSpec
+    from .systems import SystemKind, Variant
+
     weights = _as_floats(cfg["weights"]) if cfg["weights"] else ()
     system = SystemKind(Variant(cfg["system"]), weights)
     # every ShootSpec field after system and init_heights is a shoot option
@@ -276,6 +294,11 @@ def _build_spec(cfg: dict, heights: tuple[float, ...]) -> ShootSpec:
 
 
 def _shoot_payload(cfg: dict, given: dict, heights: tuple[float, ...], out_path: str):
+    import numpy as np
+
+    from . import profile_io
+    from .ode_engine import mean_value_residuals, shoot, total_masses
+
     prof = shoot(_build_spec(cfg, heights))
     totals, converged = total_masses(prof)
     try:
@@ -298,6 +321,8 @@ def _shoot_payload(cfg: dict, given: dict, heights: tuple[float, ...], out_path:
 
 
 def cmd_shoot(args, cfg: dict, given: dict) -> int:
+    import numpy as np
+
     if cfg["heights"] is None:
         raise UsageError("shoot needs --height/--heights")
     heights = _as_floats(cfg["heights"])
@@ -366,17 +391,12 @@ def _run_sweep_job(job):
 # target
 # --------------------------------------------------------------------------
 
-_TARGET = (
-    _SYSTEM._replace(default="limitpair"),
-    _opt("anchor", type=float, help="anchored initial height"),
-    _opt("anchor_component", 0, type=int),
-    _opt("bracket", help="lo,hi for the free height"),
-    _opt("tol", 1e-3, type=float),
-    *_TOLERANCES,
-)
-
 
 def cmd_target(args, cfg: dict, given: dict) -> int:
+    from . import analysis, profile_io
+    from .ode_engine import TargetSearchError, find_decaying, total_masses
+    from .systems import SystemKind, Variant
+
     if cfg["anchor"] is None or cfg["bracket"] is None:
         raise UsageError("target needs --anchor and --bracket lo,hi")
     bracket = _as_floats(cfg["bracket"])
@@ -387,7 +407,7 @@ def cmd_target(args, cfg: dict, given: dict) -> int:
     try:
         heights, prof = find_decaying(
             system, cfg["anchor_component"], cfg["anchor"], bracket, tol=cfg["tol"],
-            **{o.key: cfg[o.key] for o in _TOLERANCES},
+            **{k: cfg[k] for k, _ in _TOLERANCES},
         )
     except TargetSearchError as exc:
         trace = [c.summary() for c in exc.trace]
@@ -438,6 +458,8 @@ _BUBBLE = (
 
 
 def cmd_bubble(args, cfg: dict, given: dict) -> int:
+    from . import analysis, profile_io
+
     if cfg["base"] is None or cfg["ladder"] is None:
         raise UsageError("bubble needs --base profile.json and --ladder e1,e2,...")
     try:
@@ -512,7 +534,10 @@ def _add_options(p, func, options: tuple[_Option, ...], flagless=()) -> None:
     p.set_defaults(func=func, options=(*options, _OUT))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser; with ``command``, only the subcommand of that name
+    gets its options, so only its option table is built and only the
+    layers that table needs are loaded."""
     ap = argparse.ArgumentParser(
         prog="todalab",
         description="radial mass-quantization laboratory",
@@ -520,22 +545,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="enumerate or check mass triples")
-    spsub = sp.add_subparsers(dest="spectrum_cmd", required=True)
-    for name in ("enumerate", "check", "equiv"):
-        _add_options(spsub.add_parser(name), cmd_spectrum, _SPECTRUM,
-                     flagless=() if name == "check" else ("triple",))
-    _add_options(sub.add_parser("shoot", help="integrate one radial shot"),
-                 cmd_shoot, _SHOOT)
-    _add_options(
-        sub.add_parser("target", help="bisect initial data to a decaying solution"),
-        cmd_target, _TARGET)
-    _add_options(sub.add_parser("bubble", help="double-limit bubble mass report"),
-                 cmd_bubble, _BUBBLE)
+    if command in (None, "spectrum"):
+        spsub = sp.add_subparsers(dest="spectrum_cmd", required=True)
+        for name in ("enumerate", "check", "equiv"):
+            _add_options(spsub.add_parser(name), cmd_spectrum, _SPECTRUM,
+                         flagless=() if name == "check" else ("triple",))
+    for name, help_text, func in (
+        ("shoot", "integrate one radial shot", cmd_shoot),
+        ("target", "bisect initial data to a decaying solution", cmd_target),
+        ("bubble", "double-limit bubble mass report", cmd_bubble),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            _add_options(p, func, _BUBBLE if name == "bubble" else _run_options(name))
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the command is the first argument: build and load only what it runs
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         given, cfg = _resolve_config(args, args.options)
         if args.print_config:

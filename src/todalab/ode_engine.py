@@ -361,9 +361,12 @@ def shoot(spec: ShootSpec) -> RadialProfile:
     if sol.status == dop853.EVENT:
         te = sol.t_event
         stats = replace(stats, r_event=float(np.exp(te)))  # np.exp, as for the grid
-        if ts.size == 0 or te > ts[-1] + 1e-12:
-            ts = np.append(ts, te)
-            ys = np.hstack([ys, sol.y_event[:, None]])
+        # the last row is the event state; a sample within 1e-12 of the
+        # root gives way to it
+        if ts.size and te <= ts[-1] + 1e-12:
+            ts, ys = ts[:-1], ys[:, :-1]
+        ts = np.append(ts, te)
+        ys = np.hstack([ys, sol.y_event[:, None]])
         reason = (
             TerminationReason.COMPONENT_BLOW_UP
             if sol.event == 0

@@ -20,19 +20,20 @@ coefficients and raises ``ValueError`` on any other.
 The arithmetic is exact: inputs may be ints or ``fractions.Fraction``, and
 no enumeration, residual or membership test uses floats.  The one float
 array is ``SpectrumSet.points``, a copy of the members kept for
-nearest-member searches.
+nearest-member searches; it is the one use of numpy here, which is
+loaded on the first ``points`` access, so enumerating and checking
+triples never loads it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
-
-import numpy as np
 
 Exact = int | Fraction
 
@@ -71,8 +72,11 @@ class ParamIndex:
         This is exactly the condition that the third component of the
         generated triple is divisible by 4.
         """
-        r1, r2 = self.m1 % 4, self.m2 % 4
-        return (r1 in (0, 1) and r2 in (0, 1)) or (r1 in (2, 3) and r2 in (2, 3))
+        return _residue_ok(self.m1, self.m2)
+
+
+def _residue_ok(m1: int, m2: int) -> bool:
+    return (m1 % 4 < 2) == (m2 % 4 < 2)
 
 
 class SpectrumVariant(Enum):
@@ -105,8 +109,10 @@ class SpectrumSet:
         return t in self.members
 
     @cached_property
-    def points(self) -> np.ndarray:
-        """The members as a read-only (len, 3) float array, built once."""
+    def points(self):
+        """The members as a read-only (len, 3) float numpy array, built once."""
+        import numpy as np
+
         pts = np.array([t.as_tuple() for t in self.members], dtype=float)
         pts = pts.reshape(-1, 3)
         pts.setflags(write=False)
@@ -162,8 +168,11 @@ def triple_from_params(p: ParamIndex) -> MassTriple:
     s1 = m1(m1+3) + m2(m2-1), s2 = m1(m1-1) + m2(m2+3),
     s3 = m1(m1-1) + m2(m2-1).  No residue condition is imposed here.
     """
-    m1, m2 = p.m1, p.m2
-    return MassTriple(
+    return MassTriple(*_sigma(p.m1, p.m2))
+
+
+def _sigma(m1: int, m2: int) -> tuple[int, int, int]:
+    return (
         m1 * (m1 + 3) + m2 * (m2 - 1),
         m1 * (m1 - 1) + m2 * (m2 + 3),
         m1 * (m1 - 1) + m2 * (m2 - 1),
@@ -175,7 +184,7 @@ def _is_nonneg_multiple_of_4(x: Exact) -> bool:
         if x.denominator != 1:
             return False
         x = x.numerator
-    if not isinstance(x, (int, np.integer)):
+    if not isinstance(x, numbers.Integral):
         return False
     return x >= 0 and x % 4 == 0
 
@@ -276,22 +285,20 @@ def _on_quadric(residual, bound: int) -> set[MassTriple]:
 
 
 def _parametrized_su3(bound: int) -> dict[MassTriple, ParamIndex]:
+    # the residue and range tests run on plain ints; objects are built for
+    # members only
     window = _index_window(bound)
     found: dict[MassTriple, ParamIndex] = {}
     for m1 in range(-window, window + 1):
         for m2 in range(-window, window + 1):
-            p = ParamIndex(m1, m2)
-            if not p.residue_ok():
+            if not _residue_ok(m1, m2):
                 continue
-            t = triple_from_params(p)
-            if t == MassTriple(0, 0, 0):
+            t = _sigma(m1, m2)
+            if t == (0, 0, 0) or min(t) < 0 or max(t) > bound:
                 continue
-            if all(0 <= s <= bound for s in t.as_tuple()):
-                if max(abs(m1), abs(m2)) >= window - 1:
-                    raise AssertionError(
-                        "index window too small for bound %d" % bound
-                    )
-                found[t] = p
+            if max(abs(m1), abs(m2)) >= window - 1:
+                raise AssertionError("index window too small for bound %d" % bound)
+            found[MassTriple(*t)] = ParamIndex(m1, m2)
     return found
 
 

@@ -384,6 +384,38 @@ class TestSweepWorkers:
         assert code == 2 and "--workers" in err
         assert pools == []
 
+    def test_two_worker_pool_matches_one_worker(self, capsys, tmp_path,
+                                                isolated_python, monkeypatch):
+        # a real process pool in a fresh ``python -m todalab``, which loads
+        # the numeric layers only once the command is parsed (on a machine
+        # with one CPU the pool is capped to one worker and runs in process)
+        argv = ["shoot", "--system", "liouville", "--height", "0.0",
+                "--sweep", "0.5,1.0", "--r-max", "10", "--out", "prof", "--json"]
+
+        def outputs(stdout, directory, workers):
+            """The payload and the files, with the embedded worker count
+            checked and then set aside: it is the one thing that differs."""
+            doc = json.loads(stdout)
+            assert doc["config"].pop("workers") == workers
+            files = {}
+            for path in sorted(directory.glob("prof_*")):
+                head, body = path.read_text().split("\n", 1)
+                config = json.loads(head.removeprefix("# config "))
+                assert config.pop("workers") == workers
+                files[path.name] = (config, body)
+            return doc, files
+
+        res = isolated_python("-m", "todalab", *argv, "--workers", "2")
+        assert (res.returncode, res.stderr) == (0, "")
+        pooled = outputs(res.stdout, tmp_path, 2)
+        serial_dir = tmp_path / "serial"
+        serial_dir.mkdir()
+        monkeypatch.chdir(serial_dir)
+        code, out, _ = run(capsys, *argv, "--workers", "1")
+        assert code == 0
+        assert sorted(pooled[1]) == ["prof_000.csv", "prof_001.csv"]
+        assert pooled == outputs(out, serial_dir, 1)
+
 
 class TestTargetFailsFast:
     def test_su3_exits_one_before_any_shot(self, capsys, outdir, monkeypatch):

@@ -290,6 +290,17 @@ class TestTermination:
         with pytest.raises(ValueError):
             ShootSpec(SystemKind(Variant.LIOUVILLE), (0.0,), mass_guard=0.0)
 
+    def test_event_next_to_a_sample_is_the_last_row(self):
+        # the mass_guard root lies within 1e-12 in log r of the sample at
+        # r = 1; the event state, not that sample, must end the profile
+        p = shoot(ShootSpec(SystemKind(Variant.LIOUVILLE, (1e15,)), (0.0,)))
+        assert p.reason is TerminationReason.MASS_OVERFLOW
+        assert p.r_end == p.stats.r_event
+        # the mass grows like r^(2b + 2) there, so a root placed to a few
+        # ulp in log r fixes it only to within a factor of order one
+        assert p.masses[-1].sum() == pytest.approx(p.spec.mass_guard, rel=0.25)
+        assert p.masses[-2].sum() < 1e-6 * p.spec.mass_guard
+
     def test_stats_record_wall_time_and_event_radius(self, liouville_profile):
         blown = shoot(ShootSpec(SystemKind(Variant.SINH_GORDON), (-160.0,), r_max=1e3))
         assert blown.stats.wall_s > 0
