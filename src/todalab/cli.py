@@ -404,15 +404,17 @@ def cmd_target(args, cfg: dict, given: dict) -> int:
         raise ValueError("bracket must be lo,hi")
     given["bracket"] = list(bracket)
     system = SystemKind(Variant(cfg["system"]))
+    shots = []
     try:
         heights, prof = find_decaying(
             system, cfg["anchor_component"], cfg["anchor"], bracket, tol=cfg["tol"],
-            **{k: cfg[k] for k, _ in _TOLERANCES},
+            trace=shots, **{k: cfg[k] for k, _ in _TOLERANCES},
         )
     except TargetSearchError as exc:
         trace = [c.summary() for c in exc.trace]
         if args.json:
-            print(json.dumps({"config": given, "error": str(exc), "trace": trace}))
+            print(json.dumps({"config": given, "error": str(exc), "trace": trace,
+                              "search": _search_counts(shots)}))
         else:
             print(f"error: {exc}", file=sys.stderr)
             for line in trace:
@@ -437,10 +439,17 @@ def cmd_target(args, cfg: dict, given: dict) -> int:
             "init_heights": list(heights),
             "masses": totals.tolist(),
             "pohozaev_residual": residual,
+            "search": _search_counts(shots),
             "out": out,
         },
     )
     return 0
+
+
+def _search_counts(shots) -> dict:
+    """The search's shots and their summed rhs calls: counts only, so the
+    payload stays reproducible."""
+    return {"shots": len(shots), "nfev": sum(c.stats.nfev for c in shots)}
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,9 @@ the same right-hand-side calls with or without scipy installed.
 The stepper integrates forward only (t1 > t0) and supports terminal events
 with direction -1: an event g(t, y) fires on the first step over which g
 goes from >= 0 to <= 0, and its root is located on the step's dense output
-by Brent's method to 4 machine epsilons.
+by Brent's method to 4 machine epsilons.  An optional ``stop`` callable
+sees the samples of each accepted step and may end the run there; it
+changes neither the steps taken nor the samples already made.
 """
 
 from __future__ import annotations
@@ -267,11 +269,13 @@ ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order 7 + 1)
 FINISHED = "finished"
 EVENT = "event"
 STEP_UNDERFLOW = "step_underflow"
+STOPPED = "stopped"
 
 _MESSAGES = {
     FINISHED: "The solver successfully reached the end of the integration interval.",
     EVENT: "A termination event occurred.",
     STEP_UNDERFLOW: "Required step size is less than spacing between numbers.",
+    STOPPED: "The stop callable ended the integration at a sampled state.",
 }
 
 _N_EXTRA = N_STAGES_EXTENDED - N_STAGES - 1  # rhs calls a dense output adds
@@ -317,7 +321,7 @@ class Solution:
 
     t: np.ndarray
     y: np.ndarray
-    status: str  # FINISHED | EVENT | STEP_UNDERFLOW
+    status: str  # FINISHED | EVENT | STEP_UNDERFLOW | STOPPED
     event: Optional[int]
     t_event: Optional[float]
     y_event: Optional[np.ndarray]
@@ -449,12 +453,19 @@ def integrate(
     atol: float,
     t_eval: np.ndarray,
     events: Sequence[Callable[[float, np.ndarray], float]] = (),
+    stop: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None,
 ) -> Solution:
     """Integrate y' = fun(t, y) from t0 to t1 > t0, sampling at ``t_eval``.
 
     ``t_eval`` is increasing and inside [t0, t1].  Every event is terminal
     with direction -1.  The interpolant's three extra stages are computed
     only for steps that hold ``t_eval`` points or an event.
+
+    ``stop(t, y)`` is called with the times (m,) and states (n, m) sampled
+    on each accepted step that samples any, but not on a step where an
+    event fired or t1 was reached.  When it returns true the run ends
+    with status ``STOPPED`` after that step's samples, which are bit-equal
+    to those of the same run without ``stop``.
     """
     if not t1 > t0:
         raise ValueError("integrate needs t1 > t0")
@@ -555,6 +566,8 @@ def integrate(
             ts.append(t_step)
             ys.append(dense(t_step))
             i_eval = i_new
+            if stop is not None and status is None and stop(t_step, ys[-1]):
+                status = STOPPED
 
     stats = SolverStats(nfev, n_accepted, n_rejected, _MESSAGES[status],
                         time.perf_counter() - start)

@@ -58,7 +58,12 @@ class TerminationReason(Enum):
     REACHED_R_MAX = "reached_r_max"
     COMPONENT_BLOW_UP = "component_blow_up"
     STEP_UNDERFLOW = "step_underflow"
+    # the summed mass crossed ``mass_guard``; the crossing is located in
+    # log r to 4 machine epsilons, so where the mass grows steeply the last
+    # row can sit below the guard
     MASS_OVERFLOW = "mass_overflow"
+    # the caller's ``stop`` rule ended the shot at a sampled row
+    STOPPED = "stopped"
 
 
 class TargetSearchError(RuntimeError):
@@ -83,9 +88,14 @@ class ShootSpec:
     shrunk by decades down to 1e-40 for tall data; heights whose
     small-radius expansion breaks down even there are refused.  ``r_max``
     must keep r_max^2 finite (about 1.3e154 at most), because the
-    right-hand side in log-radius carries the factor r^2.  The field
-    defaults are the only copy of the shot defaults: ``find_decaying``,
-    ``from_json_dict`` and the CLI options read them from here.
+    right-hand side in log-radius carries the factor r^2.  ``mass_guard``
+    ends the shot where the summed masses cross it (``MASS_OVERFLOW``).
+    That crossing is located in log r to 4 machine epsilons, as scipy's
+    event location does, so where the mass grows steeply (like r^(2b + 2)
+    near r = 1 for a singular weight b = 1e15) the last row can sit well
+    below the guard.  The field defaults are the only copy of the shot
+    defaults: ``find_decaying``, ``from_json_dict`` and the CLI options
+    read them from here.
     """
 
     system: SystemKind
@@ -309,8 +319,14 @@ def _series_state(spec: ShootSpec) -> np.ndarray:
     return np.concatenate([u, w, m])
 
 
-def shoot(spec: ShootSpec) -> RadialProfile:
-    """Integrate one radial shot and return the sampled profile."""
+def shoot(spec: ShootSpec, *, stop=None) -> RadialProfile:
+    """Integrate one radial shot and return the sampled profile.
+
+    ``stop(t, y)``, when given, is passed to ``dop853.integrate``: it sees
+    the log radii and states (3n, m) sampled on each accepted step, and a
+    true return ends the shot after those samples with reason ``STOPPED``.
+    The rows kept are bit-equal to the first rows of the shot without it.
+    """
     sk = spec.system
     n = sk.n_components
     t0 = math.log(spec.r_start)
@@ -352,7 +368,7 @@ def shoot(spec: ShootSpec) -> RadialProfile:
     with np.errstate(over="ignore", invalid="ignore"):
         sol = dop853.integrate(
             rhs, t0, t1, y0, spec.rel_tol, spec.abs_tol, t_eval,
-            events=(blow_up, mass_overflow),
+            events=(blow_up, mass_overflow), stop=stop,
         )
 
     ts = sol.t
@@ -374,6 +390,8 @@ def shoot(spec: ShootSpec) -> RadialProfile:
         )
     elif sol.status == dop853.FINISHED:
         reason = TerminationReason.REACHED_R_MAX
+    elif sol.status == dop853.STOPPED:
+        reason = TerminationReason.STOPPED
     else:
         reason = TerminationReason.STEP_UNDERFLOW
 
@@ -487,7 +505,14 @@ def total_masses(p: RadialProfile) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class ShotClassification:
-    """Outcome of one classification shot inside the targeting search."""
+    """Outcome of one classification shot inside the targeting search.
+
+    ``witness_final`` is the largest decay witness at the shot's last row.
+    The search ends a re-igniting shot at the sample that decides it, so
+    for such a shot that row lies at its stop radius, not at r_max.
+    ``reason`` and ``stats`` are the shot's termination reason and solver
+    counts, so a trace shows what each shot cost and where it stopped.
+    """
 
     kind: str  # "over" | "under"
     first_up: Optional[int]
@@ -495,6 +520,8 @@ class ShotClassification:
     totals: Optional[np.ndarray]
     witness_final: float
     free_value: float = math.nan
+    reason: Optional[TerminationReason] = None
+    stats: Optional[SolverStats] = None
 
     def summary(self) -> str:
         if self.kind == "under":
@@ -526,13 +553,14 @@ def classify_shot(
     witness = p.witnesses[-1]
     witness_max = float(np.max(witness))
 
+    def outcome(kind, comp, r_up, totals=None):
+        return ShotClassification(kind, comp, r_up, totals, witness_max,
+                                  reason=p.reason, stats=p.stats)
+
     if first_comp is not None:
-        return ShotClassification(
-            "over", first_comp, float(p.grid[first_idx]), None, witness_max
-        )
+        return outcome("over", first_comp, float(p.grid[first_idx]))
     if p.reason is TerminationReason.COMPONENT_BLOW_UP:
-        comp = int(np.argmax(p.values[-1]))
-        return ShotClassification("over", comp, p.r_end, None, witness_max)
+        return outcome("over", int(np.argmax(p.values[-1])), p.r_end)
 
     totals, conv = total_masses(p)
     tails = totals - p.masses[-1]
@@ -540,11 +568,26 @@ def classify_shot(
         np.all(conv) and np.all(tails <= mass_tol * np.maximum(totals, 1.0))
     )
     if witness_max <= -n_detect and settled:
-        return ShotClassification("under", None, None, totals, witness_max)
+        return outcome("under", None, None, totals)
     # marginal shot: the slowest-decaying component is the one about to
     # re-ignite, so classify on its side
-    comp = int(np.argmax(witness))
-    return ShotClassification("over", comp, p.r_end, None, witness_max)
+    return outcome("over", int(np.argmax(witness)), p.r_end)
+
+
+def _reignites(n: int):
+    """``shoot``'s stop rule for the search: true on the first sampled row
+    where some w_i exceeds max(w_i at the first row, 0) + _UP_JUMP, the
+    test and the bits that give ``classify_shot`` its first_up and r_up."""
+    thresholds = None
+
+    def stop(t, y):
+        nonlocal thresholds
+        w = y[n : 2 * n]
+        if thresholds is None:
+            thresholds = (np.maximum(w[:, 0], 0.0) + _UP_JUMP)[:, None]
+        return bool((w > thresholds).any())
+
+    return stop
 
 
 def _fill_heights(
@@ -582,6 +625,7 @@ def find_decaying(
     abs_tol: float = ShootSpec.abs_tol,
     samples_per_decade: int = ShootSpec.samples_per_decade,
     n_detect: float = DECAY_LEVEL,
+    trace: Optional[list] = None,
 ) -> tuple[tuple[float, ...], RadialProfile]:
     """Bisect the free initial height until the shot decays everywhere.
 
@@ -590,6 +634,14 @@ def find_decaying(
     ``search_interval``, classifying each shot by which component
     re-ignites first.  Returns (initial heights, profile) of the first
     fully decaying shot whose masses converge within ``tol``.
+
+    A shot that re-ignites ends at the sample that shows it (reason
+    ``STOPPED``); the rest of it could not change its class.  Decaying,
+    marginal and blow-up shots run in full, so the heights, the returned
+    profile and every shot's kind, first_up and r_up are those of full
+    shots.  Each
+    shot's ``ShotClassification`` is appended to ``trace`` when it is
+    given, and to the trace of any ``TargetSearchError`` raised.
 
     One-component variants are degenerate (every height decays): the
     anchor shot itself is classified and returned.
@@ -613,7 +665,8 @@ def find_decaying(
             f"-n_detect = {-n_detect:g} for r > e^(-n_detect/2) = "
             f"{r_witness:.3g}, and r_max = {r_max:g}"
         )
-    trace: list[ShotClassification] = []
+    if trace is None:
+        trace = []
 
     def run(x: float) -> tuple[ShotClassification, RadialProfile]:
         heights = _fill_heights(system, anchor_component, anchor_height, x)
@@ -625,7 +678,8 @@ def find_decaying(
                 rel_tol=rel_tol,
                 abs_tol=abs_tol,
                 samples_per_decade=samples_per_decade,
-            )
+            ),
+            stop=_reignites(n),
         )
         cls = classify_shot(prof, n_detect=n_detect, mass_tol=tol)
         cls.free_value = x

@@ -187,6 +187,29 @@ class TestTargetCommand:
         assert doc["masses"][1] == pytest.approx(12.0, rel=0.01)
         assert (outdir / "target_limitpair.json").exists()
 
+    def test_json_counts_the_search(self, capsys, outdir):
+        from todalab import SystemKind, Variant, find_decaying
+
+        trace = []
+        find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, 2.08, (-5.0, 5.0), trace=trace)
+        code, out, _ = run(
+            capsys,
+            "target", "--system", "limitpair", "--anchor", "2.08",
+            "--bracket=-5,5", "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["search"] == {
+            "shots": len(trace), "nfev": sum(c.stats.nfev for c in trace)}
+        code, out, _ = run(
+            capsys,
+            "target", "--system", "limitpair", "--anchor", "2.0",
+            "--bracket=-5,-4", "--json",
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["search"]["shots"] == len(doc["trace"]) == 2
+        assert doc["search"]["nfev"] > 0
+
     def test_bad_bracket_exit_one(self, capsys, outdir):
         code, _, err = run(
             capsys,

@@ -205,3 +205,67 @@ def test_import_loads_no_scipy():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert out.stdout.strip() == "[]"
+
+
+def _oscillator(t, y):
+    return np.array([y[1], -y[0]])
+
+
+def test_stop_ends_the_run_on_a_bit_equal_prefix():
+    """A true ``stop`` ends the run after the samples it saw; those samples
+    are the unstopped run's first ones, bit for bit, at fewer rhs calls."""
+    t_eval = np.linspace(0.0, 10.0, 101)
+    y0 = np.array([0.0, 1.0])
+    full = dop853.integrate(_oscillator, 0.0, 10.0, y0, 1e-10, 1e-12, t_eval)
+    seen = []
+
+    def negative(t, y):
+        seen.append(t)
+        return bool((y[0] < 0).any())
+
+    sol = dop853.integrate(_oscillator, 0.0, 10.0, y0, 1e-10, 1e-12, t_eval,
+                           stop=negative)
+    assert sol.status == dop853.STOPPED and full.status == dop853.FINISHED
+    assert sol.stats.message == "The stop callable ended the integration at a sampled state."
+    assert sol.event is None and sol.t_event is None and sol.y_event is None
+    m = sol.t.size
+    assert 0 < m < full.t.size
+    # the hook saw every sample, and fired on the step holding the first
+    # sample past t = pi, where sin t turns negative
+    assert np.hstack(seen).tobytes() == sol.t.tobytes()
+    assert not (sol.y[0, : m - seen[-1].size] < 0).any() and (seen[-1] > math.pi).any()
+    assert sol.t.tobytes() == full.t[:m].tobytes()
+    assert sol.y.tobytes() == np.ascontiguousarray(full.y[:, :m]).tobytes()
+    assert sol.stats.nfev < full.stats.nfev
+    assert sol.stats.n_accepted < full.stats.n_accepted
+
+
+def test_stop_is_not_consulted_once_t1_is_reached():
+    t_eval = np.linspace(0.0, 10.0, 101)
+    seen = []
+
+    def at_t1(t, y):
+        seen.append(t)
+        return t[-1] == 10.0
+
+    sol = dop853.integrate(_oscillator, 0.0, 10.0, np.array([0.0, 1.0]), 1e-10,
+                           1e-12, t_eval, stop=at_t1)
+    assert sol.status == dop853.FINISHED and sol.t[-1] == 10.0
+    got = np.hstack(seen)
+    assert 0 < got.size < sol.t.size and got.tobytes() == sol.t[: got.size].tobytes()
+
+
+def test_stop_is_not_consulted_on_an_event_step():
+    """g = 0 fires on the first step, which also samples t0: the event
+    ends the run although the hook would stop at any sample."""
+    seen = []
+
+    def always(t, y):
+        seen.append(t)
+        return True
+
+    sol = dop853.integrate(_oscillator, 0.0, 10.0, np.array([0.0, 1.0]), 1e-10,
+                           1e-12, np.linspace(0.0, 10.0, 101),
+                           events=(lambda t, y: 0.0,), stop=always)
+    assert sol.status == dop853.EVENT and sol.event == 0 and sol.t_event == 0.0
+    assert list(sol.t) == [0.0] and seen == []

@@ -301,6 +301,16 @@ class TestTermination:
         assert p.masses[-1].sum() == pytest.approx(p.spec.mass_guard, rel=0.25)
         assert p.masses[-2].sum() < 1e-6 * p.spec.mass_guard
 
+    def test_mass_overflow_row_can_sit_below_the_guard(self):
+        # the crossing is located in log r to 4 machine epsilons; the mass
+        # grows like r^(2e15 + 2) there, so the last row misses the 1e6
+        # guard by 8 % although the root is within a few ulp of r = 1
+        p = shoot(ShootSpec(SystemKind(Variant.LIOUVILLE, (1e15,)), (0.0,)))
+        assert p.reason is TerminationReason.MASS_OVERFLOW
+        assert p.r_end == 1.0000000000000224
+        assert p.masses[-1].sum() == pytest.approx(9.1594e5, rel=1e-4)
+        assert p.masses[-1].sum() < p.spec.mass_guard
+
     def test_stats_record_wall_time_and_event_radius(self, liouville_profile):
         blown = shoot(ShootSpec(SystemKind(Variant.SINH_GORDON), (-160.0,), r_max=1e3))
         assert blown.stats.wall_s > 0
@@ -427,6 +437,81 @@ class TestFindDecaying:
         high = shoot(ShootSpec(sk, (LOG8, 5.0), r_max=1e6))
         assert classify_shot(low).first_up == 1  # free component re-ignites
         assert classify_shot(high).first_up == 0  # anchored component re-ignites
+
+
+class TestSearchStopsAtTheDecidingSample:
+    """``find_decaying`` ends each re-igniting shot at the sample that
+    decides it; every classification, the heights and the returned profile
+    stay those of full shots."""
+
+    PAIR = SystemKind(Variant.LIMIT_PAIR)
+    TZITZEICA = SystemKind(Variant.TZITZEICA)
+    # (system, anchor height, bracket, whether the search finds a solution)
+    SEARCHES = {
+        "pair_log8": (PAIR, LOG8, (-5.0, 5.0), True),
+        "pair_four_shots": (PAIR, 1.83, (-4.5, 3.1), True),
+        "pair_wide_bracket": (PAIR, 2.05, (-5.5, 3.4), True),
+        "pair_bracket_error": (PAIR, 2.0, (-5.0, -4.0), False),
+        # one re-igniting shot, and one flat shot that runs to mass_overflow
+        "tzitzeica": (TZITZEICA, LOG8, (-1.0, 1.0), False),
+        "tzitzeica_flat": (TZITZEICA, 0.0, (-1.0, 1.0), False),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SEARCHES))
+    def test_search_matches_full_shots(self, name, monkeypatch):
+        from todalab import ode_engine
+
+        system, anchor, bracket, solvable = self.SEARCHES[name]
+        made = []
+
+        def recorded(spec, **kwargs):
+            prof = shoot(spec, **kwargs)
+            made.append(prof)
+            return prof
+
+        # the search looks shoot up on the module, as the bench tracer needs
+        monkeypatch.setattr(ode_engine, "shoot", recorded)
+        trace = []
+        try:
+            heights, found = find_decaying(system, 0, anchor, bracket, trace=trace)
+        except TargetSearchError as exc:
+            assert exc.trace == trace and not solvable
+            found = None
+        assert len(trace) == len(made) >= 1 and (found is not None) == solvable
+        stopped = 0
+        for cls, prof in zip(trace, made):
+            full = shoot(prof.spec)
+            want = classify_shot(full)
+            assert (cls.kind, cls.first_up, cls.r_up) == (
+                want.kind, want.first_up, want.r_up)
+            assert cls.reason is prof.reason and cls.stats is prof.stats
+            if prof.reason is TerminationReason.STOPPED:
+                stopped += 1
+                m = len(prof.grid)
+                assert m < len(full.grid) and prof.stats.nfev < full.stats.nfev
+                assert prof.grid.tobytes() == full.grid[:m].tobytes()
+                assert prof.state.tobytes() == full.state[:m].tobytes()
+                # the deciding sample lies on the stopped shot's last step
+                assert cls.r_up <= prof.r_end
+            else:
+                assert prof == full
+        assert (stopped > 0) == (name != "tzitzeica_flat")
+        if found is not None:
+            assert found.reason is not TerminationReason.STOPPED
+            assert heights == found.spec.init_heights
+            assert found == shoot(found.spec)
+
+    def test_failing_search_reports_the_stop_radius(self):
+        """An over shot's witness is read at its stop radius, its last row."""
+        with pytest.raises(BracketError) as err:
+            find_decaying(self.PAIR, 0, 2.0, (-5.0, -4.0))
+        lines = [c.summary() for c in err.value.trace]
+        assert lines == [
+            "height=-5 over component=1 at r=0.631 witness=0.504",
+            "height=-4 over component=1 at r=0.631 witness=0.505",
+        ]
+        for c in err.value.trace:
+            assert c.reason is TerminationReason.STOPPED and c.stats.nfev > 0
 
 
 class TestProfileQueries:
