@@ -27,7 +27,7 @@ _MODULES = {
     ),
     "analysis": (
         "BubbleReport", "DecayKind", "DecayVerdict", "IdentityBalance",
-        "Su4Balance", "annulus_mass", "bubble_masses", "decay_classify",
+        "Su4Balance", "bubble_masses", "decay_classify",
         "fast_decay_radius_scan", "nearest_member", "pohozaev_check",
         "su4_radial_balance",
     ),

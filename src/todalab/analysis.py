@@ -16,6 +16,7 @@ slot 2 empty, and scalar profiles fill slot 1 only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import mul
@@ -80,7 +81,7 @@ def fast_decay_radius_scan(
     """Smallest grid radius in [a, b] where u + 2 log r drops to -threshold.
 
     Returns None when the component never reaches fast decay on the
-    interval; in that case its annulus mass (see :func:`annulus_mass`)
+    interval; in that case its annulus mass, p.mass_at(b) - p.mass_at(a),
     grows like log(b/a) and is the quantity to inspect.
     """
     a, b = float(interval[0]), float(interval[1])
@@ -98,11 +99,6 @@ def fast_decay_radius_scan(
     if hits.size == 0:
         return None
     return float(radii[hits[0]])
-
-
-def annulus_mass(p: RadialProfile, component: int, a: float, b: float) -> float:
-    """Mass of one component over the annulus a < |x| < b."""
-    return float(p.mass_at(b)[component] - p.mass_at(a)[component])
 
 
 def final_fast_decay_onset(p: RadialProfile, threshold: float) -> Optional[float]:
@@ -352,15 +348,19 @@ def bubble_masses(
     = sigma(delta/eps_k; base), and every mass is read off the base.  The
     table over the ladder shows the inner limit stabilizing; the headline
     value takes the deepest rescale and then walks delta down while the
-    evaluation radius stays beyond the base's fast-decay radius.
+    evaluation radius stays beyond the base's fast-decay radius.  On the
+    README session (the limit-pair search from log 8, ladder 0.1 ... 1e-4,
+    delta = 0.1) delta/eps_min = 1000, where the witness is -7.46, lies
+    inside that radius, 3758 at the default level 10, so ``delta_ladder``
+    has one row and the headline is read at delta = 0.1.
     """
     eps = [float(e) for e in eps_ladder]
-    if not eps or any(e <= 0 for e in eps):
-        raise ValueError("eps ladder must be positive")
+    if not eps or not all(0 < e < math.inf for e in eps):
+        raise ValueError(f"eps ladder must be finite and positive, got {eps}")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
 
     def slot_masses(r: float) -> tuple[float, float, float]:
         return _to_slots(base.system.variant, base.mass_at(r))

@@ -387,18 +387,15 @@ class _DenseStep:
         self._F = F[::-1]
 
     def __call__(self, t):
-        """State at scalar t, or states (n, m) at the m points of array t."""
-        x = (t - self.t_old) / self.h
-        if np.ndim(t) == 0:
-            y = np.zeros_like(self.y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)))
+        """State at scalar t, or states (n, m) at the m points of array t;
+        a scalar is evaluated as a one-point array."""
+        x = ((np.atleast_1d(t) - self.t_old) / self.h)[:, None]
+        y = np.zeros((len(x), len(self.y_old)))
         for i, f in enumerate(self._F):
             y += f
             y *= x if i % 2 == 0 else 1 - x
         y += self.y_old
-        return y.T
+        return y[0] if np.ndim(t) == 0 else y.T
 
 
 def _brentq(f, xa: float, xb: float, tol: float = 4 * EPS, maxiter: int = 100):

@@ -35,7 +35,10 @@ from .dop853 import SolverStats
 from .systems import SystemKind
 
 BLOWUP_GUARD = 50.0
-# exp() cap of the mass slopes r^2 e^u: shoot's rhs and mass_at must agree
+# exp() cap of the mass slopes r^2 e^u.  shoot's rhs caps u, as
+# r^2 e^{min(u, cap)}, and mass_at caps u + 2 log r, as e^{min(u + 2t, cap)}.
+# Under the +50 guard the shot's cap never binds and mass_at's binds only
+# past r = e^{(cap - 50)/2} = e^{275}, so the two agree only below that radius
 _MASS_EXP_CAP = 600.0
 DEFAULT_REGULAR_R_START = 1e-4
 DEFAULT_SINGULAR_R_START = 1e-6
@@ -540,16 +543,7 @@ def classify_shot(
 ) -> ShotClassification:
     """OVER when some component turns upward (or blows up) before r_max,
     UNDER when every component ends in fast decay with converged mass."""
-    n = p.n_components
-    w = p.log_derivs
-    thresholds = np.maximum(w[0], 0.0) + _UP_JUMP
-
-    first_idx, first_comp = None, None
-    for i in range(n):
-        hits = np.nonzero(w[:, i] > thresholds[i])[0]
-        if hits.size and (first_idx is None or hits[0] < first_idx):
-            first_idx, first_comp = int(hits[0]), i
-
+    up = _reignites(p.n_components)(None, p.state.T)
     witness = p.witnesses[-1]
     witness_max = float(np.max(witness))
 
@@ -557,8 +551,9 @@ def classify_shot(
         return ShotClassification(kind, comp, r_up, totals, witness_max,
                                   reason=p.reason, stats=p.stats)
 
-    if first_comp is not None:
-        return outcome("over", first_comp, float(p.grid[first_idx]))
+    if up is not None:
+        row, comp = up
+        return outcome("over", comp, float(p.grid[row]))
     if p.reason is TerminationReason.COMPONENT_BLOW_UP:
         return outcome("over", int(np.argmax(p.values[-1])), p.r_end)
 
@@ -575,9 +570,10 @@ def classify_shot(
 
 
 def _reignites(n: int):
-    """``shoot``'s stop rule for the search: true on the first sampled row
-    where some w_i exceeds max(w_i at the first row, 0) + _UP_JUMP, the
-    test and the bits that give ``classify_shot`` its first_up and r_up."""
+    """The re-ignition rule, as ``shoot``'s stop rule for the search: on
+    states y (3n, m) it returns (row, lowest component) for the first row
+    where some w_i exceeds max(w_i at the first state seen, 0) + _UP_JUMP,
+    else None.  ``classify_shot`` runs it over a whole profile."""
     thresholds = None
 
     def stop(t, y):
@@ -585,7 +581,11 @@ def _reignites(n: int):
         w = y[n : 2 * n]
         if thresholds is None:
             thresholds = (np.maximum(w[:, 0], 0.0) + _UP_JUMP)[:, None]
-        return bool((w > thresholds).any())
+        up = w > thresholds
+        if not up.any():
+            return None
+        row = int(up.any(axis=0).argmax())
+        return row, int(up[:, row].argmax())
 
     return stop
 
@@ -633,7 +633,9 @@ def find_decaying(
     component, the first one that is not the anchor, is bisected over
     ``search_interval``, classifying each shot by which component
     re-ignites first.  Returns (initial heights, profile) of the first
-    fully decaying shot whose masses converge within ``tol``.
+    fully decaying shot whose masses converge within ``tol``, which must
+    be finite and positive: a shot settles when each tail mass is at most
+    tol * max(total, 1).
 
     A shot that re-ignites ends at the sample that shows it (reason
     ``STOPPED``); the rest of it could not change its class.  Decaying,
@@ -654,6 +656,9 @@ def find_decaying(
     n = system.n_components
     if not 0 <= anchor_component < n:
         raise ValueError("anchor component out of range")
+    # a converged tail is positive, so no shot settles under tol <= 0 or NaN
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     wts = system.constraint_weights()
     r_witness = math.exp(-n_detect / 2.0)
     if wts is not None and min(wts) > 0 and not system.is_singular \

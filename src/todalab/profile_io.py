@@ -94,11 +94,9 @@ def read_profile_json(path) -> RadialProfile:
 
 
 def write_series(path, xs, ys, x_label: str, y_labels: list[str]) -> None:
-    """Two-or-more column whitespace-separated series file for plotting."""
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    if ys.shape[0] != len(xs):
-        ys = ys.T
+    """Two-or-more column whitespace-separated series file for plotting;
+    ``ys`` holds one row of y values per x."""
     lines = ["# " + " ".join([x_label] + y_labels)]
-    for x, row in zip(xs, ys):
-        lines.append(" ".join(f"{v:.17g}" for v in [x, *np.atleast_1d(row)]))
+    for x, row in zip(xs, np.asarray(ys, dtype=float)):
+        lines.append(" ".join(f"{v:.17g}" for v in [x, *row]))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -11,7 +11,6 @@ from todalab.analysis import (
     DecayKind,
     DecayVerdict,
     IdentityBalance,
-    annulus_mass,
     bubble_masses,
     decay_classify,
     fast_decay_radius_scan,
@@ -98,11 +97,6 @@ class TestFastDecayScan:
             fast_decay_radius_scan(liouville_profile, 0, (50.0, 10.0), 5.0)
         with pytest.raises(ValueError):
             fast_decay_radius_scan(liouville_profile, 0, (1e-6, 1e-5), 5.0)
-
-    def test_annulus_mass_of_constant_profile(self, su4_zero_profile):
-        # unit density: mass over the annulus is (b^2 - a^2) / 2
-        got = annulus_mass(su4_zero_profile, 0, 2.0, 10.0)
-        assert got == pytest.approx((100.0 - 4.0) / 2, rel=1e-6)
 
     def test_final_onset(self, liouville_profile):
         onset = final_fast_decay_onset(liouville_profile, 5.0)
@@ -280,6 +274,18 @@ class TestBubbleMasses:
         a = np.array(rep.delta_ladder[0][1])
         b = np.array(rep.delta_ladder[-1][1])
         assert np.max(np.abs(a - b)) < 1e-2
+
+    def test_readme_session_reads_the_headline_at_delta(self, limitpair_target,
+                                                        spectrum_400):
+        """delta / eps_min = 1000 lies inside the base's terminal fast-decay
+        onset (r = 3758 at level 10; the witness at 1000 is -7.46), so the
+        delta walk takes no step and the headline is the given delta's row."""
+        _, base = limitpair_target
+        delta, ladder = 0.1, [1e-1, 1e-2, 1e-3, 1e-4]
+        rep = bubble_masses(base, ladder, delta, spectrum_400)
+        assert rep.fast_decay_radius > delta / ladder[-1]
+        assert rep.delta_ladder == [(delta, rep.eps_table[-1][1])]
+        assert max(base.witness_at(delta / ladder[-1])) > -10.0
 
     def test_liouville_bubble_masses(self, liouville_profile, spectrum_400):
         rep = bubble_masses(liouville_profile, [1e-1, 1e-2], 10.0, spectrum_400)

@@ -807,3 +807,33 @@ class TestInputsWithoutACorrectShot:
         assert (res.returncode, res.stdout) == (1, "")
         (line,) = res.stderr.splitlines()
         assert line.startswith("error: " + message)
+
+
+class TestInputsThatNoRunCanSatisfy:
+    """A bubble eps or delta that is not finite, or a target tol that is not
+    finite and positive, exits 1 before any work, with one line naming the
+    option."""
+
+    @pytest.mark.parametrize("argv,line", [
+        (["--ladder", "0.1,nan"],
+         "eps ladder must be finite and positive, got [0.1, nan]"),
+        (["--ladder", "inf,1"],
+         "eps ladder must be finite and positive, got [inf, 1.0]"),
+        (["--ladder", "0.1", "--delta", "nan"],
+         "delta must be finite and positive, got nan"),
+        (["--ladder", "0.1", "--delta", "inf"],
+         "delta must be finite and positive, got inf"),
+    ], ids=["ladder_nan", "ladder_inf", "delta_nan", "delta_inf"])
+    def test_bubble(self, capsys, outdir, monkeypatch, limitpair_target, argv,
+                    line):
+        monkeypatch.chdir(outdir)
+        doc = profile_to_json_dict(limitpair_target[1])
+        (outdir / "pair.json").write_text(json.dumps(doc))
+        got = run(capsys, "bubble", "--base", "pair.json", *argv)
+        assert got == (1, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_target_tol(self, capsys, outdir, tol):
+        got = run(capsys, *_TARGET_RUN, f"--tol={tol}")
+        want = f"error: tol must be finite and positive, got {float(tol)!r}\n"
+        assert got == (1, "", want)

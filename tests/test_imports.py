@@ -16,7 +16,7 @@ EXPORTS = [
     "IdentityBalance", "MassTriple", "ParamIndex", "RadialProfile", "ShootSpec",
     "SpectrumSet", "SpectrumVariant", "Su4Balance", "SystemKind",
     "TargetSearchError", "TerminationReason", "Variant", "VarsThetaPhi",
-    "VarsWEta", "annulus_mass", "bubble_mass", "bubble_masses",
+    "VarsWEta", "bubble_mass", "bubble_masses",
     "bubble_total_mass", "decay_classify", "enumerate_su3", "enumerate_su4",
     "fast_decay_radius_scan", "find_decaying", "from_theta_phi", "from_w_eta",
     "is_candidate_su4", "liouville_bubble", "mean_value_residuals",

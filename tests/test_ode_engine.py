@@ -15,12 +15,15 @@ from todalab.closed_forms import (
     from_w_eta,
     VarsWEta,
 )
+from todalab import dop853
 from todalab.dop853 import STEP_UNDERFLOW
 from todalab.ode_engine import (
     BracketError,
+    RadialProfile,
     ShootSpec,
     TargetSearchError,
     TerminationReason,
+    _reignites,
     classify_shot,
     find_decaying,
     mean_value_residuals,
@@ -512,6 +515,92 @@ class TestSearchStopsAtTheDecidingSample:
         ]
         for c in err.value.trace:
             assert c.reason is TerminationReason.STOPPED and c.stats.nfev > 0
+
+
+class TestOneReignitionRule:
+    """``classify_shot`` and the search's stop rule read first_up and r_up
+    by one rule: the first row where some w_i passes its threshold, and the
+    lowest component that passes there."""
+
+    @staticmethod
+    def tied_profile():
+        # thresholds max(w(first row), 0) + 0.5 = (0.6, 0.5, 0.7); components 1
+        # and 2 first pass theirs on row 3, component 2 by more, and
+        # component 0 passes on row 4
+        w = np.array([[0.1, -1.0, 0.2],
+                      [0.2, 0.0, 0.3],
+                      [0.3, 0.4, 0.6],
+                      [0.4, 0.9, 1.5],
+                      [0.9, 1.0, 1.6],
+                      [1.0, 1.1, 1.7]])
+        grid = np.geomspace(1e-2, 1e3, len(w))
+        u = -2.0 * np.log(grid)[:, None] - 20.0 + np.zeros_like(w)
+        sigma = np.zeros_like(w)
+        return RadialProfile(SystemKind(Variant.AFFINE_SU3), grid,
+                             np.hstack([u, w, sigma]),
+                             TerminationReason.REACHED_R_MAX)
+
+    def test_classify_reports_the_lower_component_of_a_tied_row(self):
+        p = self.tied_profile()
+        cls = classify_shot(p)
+        assert (cls.kind, cls.first_up, cls.r_up) == ("over", 1, float(p.grid[3]))
+
+    def test_matches_the_per_component_loop(self):
+        """The rule against a loop over components, on coarse random w
+        whose rows often tie."""
+        rng = np.random.default_rng(1616)
+        base = self.tied_profile()
+        for _ in range(200):
+            w = rng.integers(-4, 5, size=base.log_derivs.shape) / 4.0
+            state = base.state.copy()
+            state[:, 3:6] = w
+            p = dataclasses.replace(base, state=state)
+            thresholds = np.maximum(w[0], 0.0) + 0.5
+            want = (None, None)
+            for i in range(3):
+                hits = np.nonzero(w[:, i] > thresholds[i])[0]
+                if hits.size and (want[0] is None or hits[0] < want[0]):
+                    want = (int(hits[0]), i)
+            cls = classify_shot(p)
+            if want[0] is None:
+                assert cls.r_up is None or cls.r_up == p.r_end
+            else:
+                assert (cls.first_up, cls.r_up) == (want[1], float(p.grid[want[0]]))
+
+    @pytest.mark.parametrize("chunks", [(2, 4, 6), (1, 2, 3, 4, 6), (3, 6)])
+    def test_stop_rule_fires_on_the_chunk_holding_the_row(self, chunks):
+        p = self.tied_profile()
+        stop = _reignites(p.n_components)
+        t, y = np.log(p.grid), p.state.T
+        start = 0
+        for end in chunks:
+            fired = bool(stop(t[start:end], y[:, start:end]))
+            assert fired == (start <= 3 < end)
+            if fired:
+                break
+            start = end
+
+
+class TestDenseOutputScalarIsOnePointArray:
+    def test_scalar_equals_one_point_array(self, monkeypatch):
+        """A scalar evaluation of a real step's interpolant has the bits of
+        the one-point array evaluation, at both step ends and inside."""
+        made = []
+
+        class Recorded(dop853._DenseStep):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(dop853, "_DenseStep", Recorded)
+        shoot(ShootSpec(SystemKind(Variant.LIMIT_PAIR), (LOG8, 1.0), r_max=10.0))
+        assert len(made) > 10
+        for dense in (made[0], made[len(made) // 2], made[-1]):
+            t0, h = dense.t_old, dense.h
+            for t in (t0, t0 + h / 3.0, t0 + 0.5 * h, t0 + h):
+                one = dense(np.array([t]))
+                assert one.shape == (dense.y_old.size, 1)
+                assert dense(t).tobytes() == one[:, 0].tobytes()
 
 
 class TestProfileQueries:
