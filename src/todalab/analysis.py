@@ -55,19 +55,13 @@ class DecayVerdict:
             raise ValueError("verdict kind inconsistent with witness/threshold")
 
 
-def decay_classify(
-    p: RadialProfile,
-    r: float,
-    threshold: float = DECAY_LEVEL,
-    components: Optional[Sequence[int]] = None,
-) -> DecayVerdict:
-    """Classify the circle of radius r: fast iff max_i(u_i + 2 log r) <= -threshold."""
+def decay_classify(p: RadialProfile, r: float,
+                   threshold: float = DECAY_LEVEL) -> DecayVerdict:
+    """Classify the circle of radius r: fast iff max_i(u_i + 2 log r) <= -threshold,
+    the maximum taken over every component."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    wit = p.witness_at(r)
-    if components is not None:
-        wit = wit[list(components)]
-    witness = float(np.max(wit))
+    witness = float(np.max(p.witness_at(r)))
     kind = DecayKind.FAST if witness <= -threshold else DecayKind.SLOW
     return DecayVerdict(kind, witness, threshold)
 
@@ -361,11 +355,20 @@ def bubble_masses(
         raise ValueError("eps ladder must be strictly decreasing")
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    # every mass is read at some delta/eps_k, the largest at eps_min; each
+    # must lie in the base's grid, to the profile queries' 1e-12 slack
+    radii = [delta / e for e in eps]
+    g0, g1 = float(base.grid[0]), float(base.grid[-1])
+    if not (g0 * (1 - 1e-12) <= radii[0] and radii[-1] <= g1 * (1 + 1e-12)):
+        raise ValueError(
+            f"delta/eps from {radii[0]:g} to {radii[-1]:g} (delta {delta:g}, "
+            f"eps ladder {eps[0]:g} to {eps[-1]:g}) leaves the base profile's "
+            f"range [{g0:g}, {g1:g}]")
 
     def slot_masses(r: float) -> tuple[float, float, float]:
         return _to_slots(base.system.variant, base.mass_at(r))
 
-    eps_table = [(e, slot_masses(delta / e)) for e in eps]
+    eps_table = [(e, slot_masses(r)) for e, r in zip(eps, radii)]
 
     r_fast = final_fast_decay_onset(base, decay_threshold)
 
@@ -376,8 +379,7 @@ def bubble_masses(
     delta_ladder = [(float(delta), eps_table[-1][1])]
     d = 0.5 * float(delta)
     for _ in range(_MAX_REFINEMENTS if r_fast is not None else 0):
-        if d / e_min <= float(base.grid[0]) * (1 + 1e-9):
-            break
+        # r_fast is a grid node, so this also keeps d / e_min in the grid
         if d / e_min < r_fast:
             break
         delta_ladder.append((d, slot_masses(d / e_min)))

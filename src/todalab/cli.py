@@ -253,7 +253,7 @@ def _run_options(command: str) -> tuple[_Option, ...]:
     """The options of ``shoot`` or ``target``.  Their choices and defaults
     come from ``Variant`` and ``ShootSpec``, so this loads the numeric
     layers and runs only when one of the two commands is parsed."""
-    from .ode_engine import ShootSpec
+    from .ode_engine import SETTLE_TOL, ShootSpec
     from .systems import Variant
 
     system = _opt("system", "liouville", choices=sorted(v.value for v in Variant))
@@ -265,7 +265,7 @@ def _run_options(command: str) -> tuple[_Option, ...]:
             _opt("anchor", type=float, help="anchored initial height"),
             _opt("anchor_component", 0, type=int),
             _opt("bracket", help="lo,hi for the free height"),
-            _opt("tol", 1e-3, type=float),
+            _opt("tol", SETTLE_TOL, type=float),
             *tolerances,
         )
     return (

@@ -50,6 +50,8 @@ _TAIL_DECADES = 1.0  # the tail fit's window: the grid's last decade
 
 # a circle decays fast when max_i(u_i + 2 log r) <= -DECAY_LEVEL
 DECAY_LEVEL = 10.0
+# a shot's masses settle when each tail mass is at most SETTLE_TOL * max(total, 1)
+SETTLE_TOL = 1e-3
 
 # a component re-ignites once w = r u' rises this far above max(w(r_start), 0)
 _UP_JUMP = 0.5
@@ -88,8 +90,9 @@ class ShootSpec:
     ``init_heights`` are the u_i(0) for regular starts, or the additive
     constants c_i of u_i ~ 2 b_i log r + c_i for singular starts; they must
     be finite.  ``r_start`` defaults to 1e-4 (regular) or 1e-6 (singular),
-    shrunk by decades down to 1e-40 for tall data; heights whose
-    small-radius expansion breaks down even there are refused.  ``r_max``
+    shrunk by decades for tall data until the series head is small, at the
+    latest at 1e-41; heights whose small-radius expansion breaks down even
+    there, or gives a NaN head, are refused.  ``r_max``
     must keep r_max^2 finite (about 1.3e154 at most), because the
     right-hand side in log-radius carries the factor r^2.  ``mass_guard``
     ends the shot where the summed masses cross it (``MASS_OVERFLOW``).
@@ -118,7 +121,8 @@ class ShootSpec:
             raise ValueError("initial heights must be finite")
         if not self.mass_guard > 0:
             raise ValueError("mass_guard must be positive")
-        for _, p_exp in self.system.series_terms(self.init_heights):
+        terms = self.system.series_terms(self.init_heights)
+        for _, p_exp in terms:
             if p_exp <= -2.0:
                 raise ValueError(
                     "singular weights give a non-integrable or resonant "
@@ -132,6 +136,15 @@ class ShootSpec:
                     f"of {self.system.variant.value} has exponent {p_exp:g}, "
                     "whose (p + 2)^2 overflows"
                 )
+        # the series head's value corrections rho r0^(p+2) / (p+2)^2 (see
+        # _series_state), each by its largest |rho|
+        heads = [(float(np.max(np.abs(rho))), p + 2.0) for rho, p in terms]
+
+        def head_exceeds(r0: float, bound: float) -> bool:
+            # a NaN correction (0 * inf where e^{e . c} overflows, or inf * 0
+            # once r0^(p+2) underflows) counts as too large
+            return not all(a * r0 ** q / q ** 2 <= bound for a, q in heads)
+
         defaulted = self.r_start is None
         if defaulted:
             r0 = (
@@ -141,11 +154,10 @@ class ShootSpec:
             )
             # shrink the start radius until the series head is a genuine
             # perturbation (large heights concentrate at scale e^{-h/2})
-            while r0 > 1e-40 and _series_head_size(self.system,
-                                                   self.init_heights, r0) > 0.05:
+            while r0 > 1e-40 and head_exceeds(r0, 0.05):
                 r0 /= 10.0
             object.__setattr__(self, "r_start", r0)
-        if _series_head_size(self.system, self.init_heights, self.r_start) > 0.5:
+        if head_exceeds(self.r_start, 0.5):
             raise ValueError(
                 "initial heights too large: the small-radius expansion breaks "
                 f"down even at the smallest default r_start, {self.r_start:g}"
@@ -294,15 +306,6 @@ class RadialProfile:
         return float(np.max(np.abs(self.values @ np.asarray(w))))
 
 
-def _series_head_size(system: SystemKind, heights, r0: float) -> float:
-    """Largest value-correction magnitude of the small-radius expansion."""
-    c = np.asarray(heights, dtype=float)
-    size = 0.0
-    for rho, p in system.series_terms(c):
-        size = max(size, float(np.max(np.abs(rho))) * r0 ** (p + 2.0) / (p + 2.0) ** 2)
-    return size
-
-
 def _series_state(spec: ShootSpec) -> np.ndarray:
     """State (u, w, m) at r_start from the small-radius expansion."""
     sk = spec.system
@@ -434,8 +437,14 @@ def rescale(p: RadialProfile, eps: float) -> RadialProfile:
     so the mass law sigma_i(r; v) = sigma_i(eps r; u) holds exactly on the
     grid.  No shot reproduces the new grid, so ``spec`` is dropped.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
+    with np.errstate(over="ignore"):
+        grid = p.grid / eps
+    if not (grid[0] > 0 and grid[-1] < math.inf):
+        raise ValueError(
+            f"eps = {eps!r} takes the grid [{p.grid[0]:g}, {p.grid[-1]:g}] "
+            "outside (0, inf)")
     state = p.state.copy()
     state[:, : p.n_components] += 2.0 * math.log(eps)
     stats = p.stats
@@ -443,7 +452,7 @@ def rescale(p: RadialProfile, eps: float) -> RadialProfile:
         stats = replace(stats, r_event=stats.r_event / eps)
     return RadialProfile(
         system=p.system,
-        grid=p.grid / eps,
+        grid=grid,
         state=state,
         reason=p.reason,
         provenance=f"{p.provenance};rescale(eps={eps!r})",
@@ -536,13 +545,10 @@ class ShotClassification:
         )
 
 
-def classify_shot(
-    p: RadialProfile,
-    n_detect: float = DECAY_LEVEL,
-    mass_tol: float = 1e-3,
-) -> ShotClassification:
+def classify_shot(p: RadialProfile, mass_tol: float = SETTLE_TOL) -> ShotClassification:
     """OVER when some component turns upward (or blows up) before r_max,
-    UNDER when every component ends in fast decay with converged mass."""
+    UNDER when the last row's witness is at most -DECAY_LEVEL and every
+    tail mass converges to at most mass_tol * max(total, 1)."""
     up = _reignites(p.n_components)(None, p.state.T)
     witness = p.witnesses[-1]
     witness_max = float(np.max(witness))
@@ -562,7 +568,7 @@ def classify_shot(
     settled = bool(
         np.all(conv) and np.all(tails <= mass_tol * np.maximum(totals, 1.0))
     )
-    if witness_max <= -n_detect and settled:
+    if witness_max <= -DECAY_LEVEL and settled:
         return outcome("under", None, None, totals)
     # marginal shot: the slowest-decaying component is the one about to
     # re-ignite, so classify on its side
@@ -618,13 +624,12 @@ def find_decaying(
     anchor_component: int,
     anchor_height: float,
     search_interval: tuple[float, float],
-    tol: float = 1e-3,
+    tol: float = SETTLE_TOL,
     *,
     r_max: float = ShootSpec.r_max,
     rel_tol: float = ShootSpec.rel_tol,
     abs_tol: float = ShootSpec.abs_tol,
     samples_per_decade: int = ShootSpec.samples_per_decade,
-    n_detect: float = DECAY_LEVEL,
     trace: Optional[list] = None,
 ) -> tuple[tuple[float, ...], RadialProfile]:
     """Bisect the free initial height until the shot decays everywhere.
@@ -633,24 +638,25 @@ def find_decaying(
     component, the first one that is not the anchor, is bisected over
     ``search_interval``, classifying each shot by which component
     re-ignites first.  Returns (initial heights, profile) of the first
-    fully decaying shot whose masses converge within ``tol``, which must
-    be finite and positive: a shot settles when each tail mass is at most
-    tol * max(total, 1).
+    fully decaying shot: its last row's witness is at most -DECAY_LEVEL and
+    its masses converge within ``tol``, which must be finite and positive:
+    a shot settles when each tail mass is at most tol * max(total, 1).
 
     A shot that re-ignites ends at the sample that shows it (reason
     ``STOPPED``); the rest of it could not change its class.  Decaying,
     marginal and blow-up shots run in full, so the heights, the returned
     profile and every shot's kind, first_up and r_up are those of full
-    shots.  Each
-    shot's ``ShotClassification`` is appended to ``trace`` when it is
-    given, and to the trace of any ``TargetSearchError`` raised.
+    shots.  Each shot's ``ShotClassification`` is appended to ``trace``
+    when it is given, and to the trace of any ``TargetSearchError`` raised.
+    When the bisection ends without a decaying shot, that error counts the
+    shots that ran to r_max without decaying, a sign that r_max is too small.
 
     One-component variants are degenerate (every height decays): the
     anchor shot itself is classified and returned.
 
     Regular data of a variant whose constraint sum_i w_i u_i = 0 has
     positive weights (su3, su4) keeps max_i u_i >= 0, so the decay witness
-    is at least 2 log r and no shot reaching r > e^{-n_detect/2} can be
+    is at least 2 log r and no shot reaching r > e^{-DECAY_LEVEL/2} can be
     UNDER; such a search raises ``TargetSearchError`` before any shot.
     """
     n = system.n_components
@@ -660,15 +666,15 @@ def find_decaying(
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     wts = system.constraint_weights()
-    r_witness = math.exp(-n_detect / 2.0)
+    r_witness = math.exp(-DECAY_LEVEL / 2.0)
     if wts is not None and min(wts) > 0 and not system.is_singular \
             and r_max > r_witness:
         raise TargetSearchError(
             f"no {system.variant.value} shot can decay: the constraint "
             f"{wts} . u = 0 keeps max_i u_i >= 0, so the decay witness "
-            "max_i u_i + 2 log r is at least 2 log r, above "
-            f"-n_detect = {-n_detect:g} for r > e^(-n_detect/2) = "
-            f"{r_witness:.3g}, and r_max = {r_max:g}"
+            "max_i u_i + 2 log r is at least 2 log r, above the decay level "
+            f"{-DECAY_LEVEL:g} for r > e^({-DECAY_LEVEL:g}/2) = {r_witness:.3g}, "
+            f"and r_max = {r_max:g}"
         )
     if trace is None:
         trace = []
@@ -686,7 +692,7 @@ def find_decaying(
             ),
             stop=_reignites(n),
         )
-        cls = classify_shot(prof, n_detect=n_detect, mass_tol=tol)
+        cls = classify_shot(prof, mass_tol=tol)
         cls.free_value = x
         trace.append(cls)
         return cls, prof
@@ -736,6 +742,13 @@ def find_decaying(
             )
         if hi - lo < 1e-14 * max(1.0, abs(lo) + abs(hi)):
             break
+    # an OVER shot that ran to r_max did not re-ignite before its last step
+    # and did not decay there: the search may have run out of radius
+    undecided = sum(c.kind == "over" and c.reason is TerminationReason.REACHED_R_MAX
+                    for c in trace)
     raise TargetSearchError(
-        f"no decaying solution found after {len(trace)} shots", trace
+        f"no decaying solution found after {len(trace)} shots"
+        + (f"; {undecided} of them reached r_max = {r_max:g} without decaying, "
+           "so a larger r_max may let a shot decay" if undecided else ""),
+        trace,
     )

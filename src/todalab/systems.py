@@ -235,8 +235,9 @@ class SystemKind:
         out = []
         for coeffs, expo in _TERMS[self.variant]:
             e = np.asarray(expo)
-            # a term that overflows to inf is refused by ShootSpec's head bound
-            with np.errstate(over="ignore"):
+            # a term that overflows (inf, or NaN as 0 * inf) is refused by
+            # ShootSpec's head bound
+            with np.errstate(over="ignore", invalid="ignore"):
                 rho = np.asarray(coeffs) * np.exp(float(e @ c))
             p = 2.0 * float(e @ b)
             out.append((rho, p))

@@ -52,10 +52,6 @@ class TestDecayClassify:
         assert v.kind is DecayKind.SLOW
         assert v.witness == pytest.approx(6.0, abs=1e-9)
 
-    def test_component_selection(self, su4_zero_profile):
-        v = decay_classify(su4_zero_profile, 1.0, threshold=5.0, components=[2])
-        assert v.witness == pytest.approx(0.0, abs=1e-9)
-
     def test_threshold_validation(self, liouville_profile):
         with pytest.raises(ValueError):
             decay_classify(liouville_profile, 1.0, threshold=0.0)

@@ -799,8 +799,9 @@ class TestInputsWithoutACorrectShot:
         (["--height", "0", "--r-max", "1e300"], "r_max = 1e+300 too large"),
         (["--height", "0", "--weights", "1e200"], "singular weights too large"),
         (["--height", "0", "--weights", "1e308"], "singular weights too large"),
+        (["--height", "800", "--weights", "1000"], "initial heights too large"),
     ], ids=["height_nan", "weights_nan", "r_max_1e300", "weights_1e200",
-            "weights_1e308"])
+            "weights_1e308", "nan_series_head"])
     def test_exits_one_with_one_line(self, isolated_python, argv, message):
         res = isolated_python("-m", "todalab", "shoot", "--system", "liouville",
                               *argv)
@@ -810,9 +811,9 @@ class TestInputsWithoutACorrectShot:
 
 
 class TestInputsThatNoRunCanSatisfy:
-    """A bubble eps or delta that is not finite, or a target tol that is not
-    finite and positive, exits 1 before any work, with one line naming the
-    option."""
+    """A bubble eps or delta that is not finite or whose radii delta/eps_k
+    leave the base's grid, or a target tol that is not finite and positive,
+    exits 1 before any work, with one line naming the option."""
 
     @pytest.mark.parametrize("argv,line", [
         (["--ladder", "0.1,nan"],
@@ -823,7 +824,14 @@ class TestInputsThatNoRunCanSatisfy:
          "delta must be finite and positive, got nan"),
         (["--ladder", "0.1", "--delta", "inf"],
          "delta must be finite and positive, got inf"),
-    ], ids=["ladder_nan", "ladder_inf", "delta_nan", "delta_inf"])
+        (["--ladder", "0.1,0.01", "--delta", "1e9"],
+         "delta/eps from 1e+10 to 1e+11 (delta 1e+09, eps ladder 0.1 to 0.01) "
+         "leaves the base profile's range [0.0001, 1e+06]"),
+        (["--ladder", "0.1,0.01", "--delta", "1e-9"],
+         "delta/eps from 1e-08 to 1e-07 (delta 1e-09, eps ladder 0.1 to 0.01) "
+         "leaves the base profile's range [0.0001, 1e+06]"),
+    ], ids=["ladder_nan", "ladder_inf", "delta_nan", "delta_inf",
+            "radii_past_the_grid", "radii_before_the_grid"])
     def test_bubble(self, capsys, outdir, monkeypatch, limitpair_target, argv,
                     line):
         monkeypatch.chdir(outdir)

@@ -338,6 +338,23 @@ class TestRescale:
         with pytest.raises(ValueError):
             rescale(liouville_profile, 0.0)
 
+    @pytest.mark.parametrize("eps,message", [
+        (math.inf, "eps must be finite and positive, got inf"),
+        (math.nan, "eps must be finite and positive, got nan"),
+        (1e-320, r"eps = 1e-320 takes the grid \[0.0001, 1000\] outside \(0, inf\)"),
+    ], ids=["inf", "nan", "1e-320"])
+    def test_rejects_eps_without_a_usable_grid(self, liouville_profile, eps, message):
+        """eps = inf made the grid 0 and u inf, whose queries failed with a
+        math domain error; 1e-320 overflowed the grid to inf."""
+        with pytest.raises(ValueError, match=message):
+            rescale(liouville_profile, eps)
+
+    def test_rejects_eps_that_underflows_the_grid(self, liouville_profile):
+        q = rescale(liouville_profile, 1e300)
+        assert q.grid[0] == pytest.approx(1e-304)
+        with pytest.raises(ValueError, match=r"takes the grid \[1e-304, 1e-297\]"):
+            rescale(q, 1e300)
+
     @pytest.mark.parametrize("eps", [1e-3, 0.1, 1.0, 1e3])
     def test_scaling_covariance(self, liouville_profile, eps):
         # rescaled mu=1 bubble equals the mu=eps bubble
@@ -440,6 +457,30 @@ class TestFindDecaying:
         high = shoot(ShootSpec(sk, (LOG8, 5.0), r_max=1e6))
         assert classify_shot(low).first_up == 1  # free component re-ignites
         assert classify_shot(high).first_up == 0  # anchored component re-ignites
+
+    def test_bisection_moves_the_upper_end(self):
+        """From (-5, 15) the midpoint 5 re-ignites on the upper end's side, so
+        the bisection takes hi = 5; the next midpoint, 0, decays."""
+        trace = []
+        heights, _ = find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, LOG8,
+                                   (-5.0, 15.0), trace=trace)
+        assert heights == (LOG8, 0.0)
+        assert [(c.free_value, c.first_up) for c in trace] == [
+            (-5.0, 1), (15.0, 0), (5.0, 0), (0.0, None)]
+
+    def test_endpoints_that_blow_up_at_the_start(self):
+        """Anchor 60 puts the start state above the +50 guard, so both shots
+        end with COMPONENT_BLOW_UP at r_start and classify OVER on component
+        0, the largest at the last row."""
+        trace = []
+        with pytest.raises(BracketError, match=r"re-ignite the same component \(0\)"):
+            find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, 60.0, (-5.0, 5.0),
+                          trace=trace)
+        assert [c.free_value for c in trace] == [-5.0, 5.0]
+        for c in trace:
+            assert c.reason is TerminationReason.COMPONENT_BLOW_UP
+            assert (c.kind, c.first_up) == ("over", 0)
+            assert c.r_up == pytest.approx(1e-14, rel=1e-12)
 
 
 class TestSearchStopsAtTheDecidingSample:
@@ -612,6 +653,16 @@ class TestProfileQueries:
         with pytest.raises(ValueError):
             liouville_profile.value_at(1e9)
 
+    def test_one_row_profile_returns_its_row(self):
+        """Height 60 starts above the +50 guard: the shot has one row, and
+        every query at r_start returns that row's block."""
+        p = shoot(ShootSpec(SystemKind(Variant.LIOUVILLE), (60.0,), r_max=10.0))
+        assert p.state.shape == (1, 3)
+        r = p.spec.r_start
+        assert p.value_at(r).tolist() == p.values[0].tolist()
+        assert p.log_deriv_at(r).tolist() == p.log_derivs[0].tolist()
+        assert p.mass_at(r).tolist() == p.masses[0].tolist()
+
     def test_off_node_queries_match_closed_form(self, liouville_profile):
         p = liouville_profile
         spec = BubbleSpec(1.0)
@@ -681,17 +732,17 @@ class TestConstrainedTargetingFailsFast:
         with pytest.raises(TargetSearchError, match="constraint") as err:
             find_decaying(SystemKind(variant), 0, LOG8, (-5.0, 5.0))
         assert err.value.trace == []
+        assert str(err.value).endswith(
+            "above the decay level -10 for r > e^(-10/2) = 0.00674, "
+            "and r_max = 1e+06")
 
     def test_witness_radius_is_the_threshold(self):
         sk = SystemKind(Variant.AFFINE_SU3)
-        # below e^{-n_detect/2} an UNDER verdict stays possible: the search
+        # below e^{-DECAY_LEVEL/2} an UNDER verdict stays possible: the search
         # runs (and fails for other reasons) instead of refusing up front
         with pytest.raises((TargetSearchError, BracketError)) as err:
             find_decaying(sk, 0, 0.0, (-1.0, 1.0), r_max=math.exp(-6.0))
         assert err.value.trace
-        # n_detect moves the threshold radius: with n_detect = 20 it is e^-10
-        with pytest.raises(TargetSearchError, match="constraint"):
-            find_decaying(sk, 0, 0.0, (-1.0, 1.0), r_max=math.exp(-9.0), n_detect=20.0)
 
 
 class TestSpecRefusesInputsWithoutACorrectShot:
@@ -708,6 +759,19 @@ class TestSpecRefusesInputsWithoutACorrectShot:
         r_start may have."""
         with pytest.raises(ValueError, match=message):
             ShootSpec(SystemKind(Variant.LIOUVILLE), (height,))
+
+    @pytest.mark.parametrize("variant,weights,heights", [
+        (Variant.AFFINE_SU3, (), (710.0, -710.0, 0.0)),
+        (Variant.LIOUVILLE, (30.0,), (710.0,)),
+        (Variant.LIOUVILLE, (1000.0,), (800.0,)),
+    ], ids=["su3_710", "liouville_b30_710", "liouville_b1000_800"])
+    def test_nan_series_head(self, variant, weights, heights):
+        """e^710 overflows, so the series head is 0 * inf (su3's zero
+        coefficient) or inf * 0 (r0^(p+2) underflows) at every start
+        radius: NaN, which counts as too large.  These specs used to start
+        from a NaN state and end with step_underflow."""
+        with pytest.raises(ValueError, match="initial heights too large.*1e-41$"):
+            ShootSpec(SystemKind(variant, weights), heights)
 
     @pytest.mark.parametrize("weight", [math.nan, math.inf], ids=["nan", "inf"])
     def test_weights(self, weight):
@@ -745,6 +809,22 @@ class TestNanStepEndsTheRun:
 
 
 class TestSearchErrors:
+    def test_search_that_runs_out_of_radius_names_r_max(self):
+        """At r_max = 10 the bisection alternates between shots that re-ignite
+        at r = 0.944 and marginal shots that end at r = 10 with witness
+        1.04, far above -10; the error counts the latter and names r_max."""
+        with pytest.raises(TargetSearchError) as err:
+            find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, 2.0794415417,
+                          (-5.0, 5.0), r_max=10.0)
+        trace = err.value.trace
+        at_r_max = [c for c in trace if c.reason is TerminationReason.REACHED_R_MAX]
+        assert len(trace) == 52 and len(at_r_max) == 18
+        assert all(c.kind == "over" and c.r_up == pytest.approx(10.0, rel=1e-12)
+                   for c in at_r_max)
+        assert str(err.value) == (
+            "no decaying solution found after 52 shots; 18 of them reached "
+            "r_max = 10 without decaying, so a larger r_max may let a shot decay")
+
     def test_bracket_error_is_a_target_search_error(self):
         with pytest.raises(TargetSearchError) as err:
             find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, LOG8, (0.0, 0.0))
