@@ -25,14 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ode_engine import DECAY_LEVEL, RadialProfile
-from .spectrum import (
-    MassTriple,
-    ParamIndex,
-    SpectrumSet,
-    SpectrumVariant,
-    pohozaev_residual_su3,
-    pohozaev_residual_su4,
-)
+from .spectrum import RULES, MassTriple, ParamIndex, SpectrumSet
 from .systems import Variant
 
 
@@ -43,16 +36,15 @@ class DecayKind(Enum):
 
 @dataclass(frozen=True)
 class DecayVerdict:
-    """Fast/slow verdict with its witness sup(u + 2 log r) and threshold."""
+    """Fast/slow verdict of a witness sup(u + 2 log r) against a threshold:
+    FAST iff witness <= -threshold."""
 
-    kind: DecayKind
     witness: float
     threshold: float
 
-    def __post_init__(self):
-        expected = DecayKind.FAST if self.witness <= -self.threshold else DecayKind.SLOW
-        if self.kind is not expected:
-            raise ValueError("verdict kind inconsistent with witness/threshold")
+    @property
+    def kind(self) -> DecayKind:
+        return DecayKind.FAST if self.witness <= -self.threshold else DecayKind.SLOW
 
 
 def decay_classify(p: RadialProfile, r: float,
@@ -61,9 +53,7 @@ def decay_classify(p: RadialProfile, r: float,
     the maximum taken over every component."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    witness = float(np.max(p.witness_at(r)))
-    kind = DecayKind.FAST if witness <= -threshold else DecayKind.SLOW
-    return DecayVerdict(kind, witness, threshold)
+    return DecayVerdict(float(np.max(p.witness_at(r))), threshold)
 
 
 def fast_decay_radius_scan(
@@ -81,8 +71,7 @@ def fast_decay_radius_scan(
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError("need a < b")
-    slop = 1e-12
-    if a < p.grid[0] * (1 - slop) or b > p.grid[-1] * (1 + slop):
+    if not p.covers(a, b):
         raise ValueError(
             f"interval [{a:g}, {b:g}] not contained in the profile grid "
             f"[{p.grid[0]:g}, {p.grid[-1]:g}]"
@@ -316,13 +305,6 @@ def nearest_member(
     return spectrum.members[k], spectrum.indices[k], float(d[k])
 
 
-def _spectrum_residual(spectrum: SpectrumSet, triple: Sequence[float]) -> float:
-    t = MassTriple(*[float(x) for x in triple])
-    if spectrum.variant is SpectrumVariant.SU3_AFFINE:
-        return float(pohozaev_residual_su3(t))
-    return float(pohozaev_residual_su4(t))
-
-
 # halvings of delta in bubble_masses' headline walk
 _MAX_REFINEMENTS = 12
 
@@ -356,14 +338,13 @@ def bubble_masses(
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
     # every mass is read at some delta/eps_k, the largest at eps_min; each
-    # must lie in the base's grid, to the profile queries' 1e-12 slack
+    # must lie in the base's grid
     radii = [delta / e for e in eps]
-    g0, g1 = float(base.grid[0]), float(base.grid[-1])
-    if not (g0 * (1 - 1e-12) <= radii[0] and radii[-1] <= g1 * (1 + 1e-12)):
+    if not base.covers(radii[0], radii[-1]):
         raise ValueError(
             f"delta/eps from {radii[0]:g} to {radii[-1]:g} (delta {delta:g}, "
             f"eps ladder {eps[0]:g} to {eps[-1]:g}) leaves the base profile's "
-            f"range [{g0:g}, {g1:g}]")
+            f"range [{base.grid[0]:g}, {base.r_end:g}]")
 
     def slot_masses(r: float) -> tuple[float, float, float]:
         return _to_slots(base.system.variant, base.mass_at(r))
@@ -393,7 +374,7 @@ def bubble_masses(
         nearest=near,
         nearest_index=near_idx,
         distance=dist,
-        pohozaev_residual=_spectrum_residual(spectrum, measured_vals),
+        pohozaev_residual=float(RULES[spectrum.variant].residual(measured)),
         delta_ladder=delta_ladder,
         eps_table=eps_table,
         fast_decay_radius=r_fast,

@@ -42,11 +42,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import spectrum as spec_mod
-from .spectrum import MassTriple
+from .spectrum import RULES, MassTriple, SpectrumVariant
 
 SCHEMA_VERSION = 1
 
-_ENUMERATE = {"su3": spec_mod.enumerate_su3, "su4": spec_mod.enumerate_su4}
+_SPECTRUM_VARIANTS = [v.value for v in SpectrumVariant]
 
 
 class UsageError(RuntimeError):
@@ -167,7 +167,7 @@ def _emit(args, human_lines: list[str], payload: dict) -> None:
 # --------------------------------------------------------------------------
 
 _SPECTRUM = (
-    _opt("variant", "su3", choices=sorted(_ENUMERATE)),
+    _opt("variant", "su3", choices=_SPECTRUM_VARIANTS),
     _opt("bound", 400, type=int),
     # a config key of every spectrum subcommand, a flag of ``check`` only
     _opt("triple", type=str, help="s1,s2,s3"),
@@ -176,10 +176,11 @@ _SPECTRUM = (
 
 def cmd_spectrum(args, cfg: dict, given: dict) -> int:
     variant = cfg["variant"]
+    rules = RULES[SpectrumVariant(variant)]
 
     if args.spectrum_cmd == "enumerate":
         bound = cfg["bound"]
-        sset = _ENUMERATE[variant](bound)
+        sset = rules.enumerate(bound)
         out = cfg["out"] or str(_outdir() / f"spectrum_{variant}_{bound}.txt")
         Path(out).write_text(
             "\n".join([f"# config {json.dumps(_embed_cfg(given), sort_keys=True)}"] + sset.to_lines())
@@ -196,14 +197,8 @@ def cmd_spectrum(args, cfg: dict, given: dict) -> int:
         if cfg["triple"] is None:
             raise UsageError("check needs --triple s1,s2,s3")
         t = _parse_triple(cfg["triple"])
-        if variant == "su3":
-            residual = spec_mod.pohozaev_residual_su3(t)
-            index = spec_mod.membership_su3(t)
-            member = index is not None
-        else:
-            residual = spec_mod.pohozaev_residual_su4(t)
-            index = None
-            member = spec_mod.is_candidate_su4(t)
+        residual = rules.residual(t)
+        member, index = rules.membership(t)
         lines = [
             f"triple ({t.s1}, {t.s2}, {t.s3}): "
             + ("member" if member else "not a member"),
@@ -460,7 +455,7 @@ _BUBBLE = (
     _opt("base", type=str, help="stored profile JSON"),
     _opt("ladder", help="strictly decreasing eps values"),
     _opt("delta", 0.1, type=float),
-    _opt("spectrum_variant", "su3", choices=sorted(_ENUMERATE)),
+    _opt("spectrum_variant", "su3", choices=_SPECTRUM_VARIANTS),
     _opt("spectrum_bound", 400, type=int),
     _opt("series_prefix", type=str),
 )
@@ -477,7 +472,7 @@ def cmd_bubble(args, cfg: dict, given: dict) -> int:
         raise ValueError(f"cannot read base profile {cfg['base']}: {exc}") from exc
     ladder = _as_floats(cfg["ladder"])
     given["ladder"] = list(ladder)
-    sset = _ENUMERATE[cfg["spectrum_variant"]](cfg["spectrum_bound"])
+    sset = RULES[SpectrumVariant(cfg["spectrum_variant"])].enumerate(cfg["spectrum_bound"])
     report = analysis.bubble_masses(base, ladder, cfg["delta"], sset)
 
     out = cfg["out"] or str(_outdir() / "bubble_report.json")

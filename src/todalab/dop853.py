@@ -296,9 +296,6 @@ class SolverStats:
     n_rejected: int  # rejected trial steps
     message: str
     wall_s: float = 0.0  # wall-clock seconds the integration took
-    # radius where the terminating event fired (``shoot`` fills it in);
-    # None when the run reached its end or the step underflowed
-    r_event: Optional[float] = None
 
     def to_json_dict(self) -> dict:
         """The counts only, so payloads that embed them stay reproducible

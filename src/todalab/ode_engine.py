@@ -24,7 +24,7 @@ accuracy checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
 
@@ -142,8 +142,12 @@ class ShootSpec:
 
         def head_exceeds(r0: float, bound: float) -> bool:
             # a NaN correction (0 * inf where e^{e . c} overflows, or inf * 0
-            # once r0^(p+2) underflows) counts as too large
-            return not all(a * r0 ** q / q ** 2 <= bound for a, q in heads)
+            # once r0^(p+2) underflows) counts as too large, as does an
+            # r0^(p+2) that overflows
+            try:
+                return not all(a * r0 ** q / q ** 2 <= bound for a, q in heads)
+            except OverflowError:
+                return True
 
         defaulted = self.r_start is None
         if defaulted:
@@ -157,6 +161,9 @@ class ShootSpec:
             while r0 > 1e-40 and head_exceeds(r0, 0.05):
                 r0 /= 10.0
             object.__setattr__(self, "r_start", r0)
+        # before the head bound, which needs a positive r_start
+        if not (0 < self.r_start < self.r_max):
+            raise ValueError("need 0 < r_start < r_max")
         if head_exceeds(self.r_start, 0.5):
             raise ValueError(
                 "initial heights too large: the small-radius expansion breaks "
@@ -165,8 +172,6 @@ class ShootSpec:
                 "r_start too large: the small-radius expansion breaks down "
                 "for these initial heights; decrease r_start or omit it"
             )
-        if not (0 < self.r_start < self.r_max):
-            raise ValueError("need 0 < r_start < r_max")
         if not self.r_max * self.r_max < math.inf:
             raise ValueError(
                 f"r_max = {self.r_max:g} too large: the shot's right-hand side "
@@ -210,7 +215,9 @@ class RadialProfile:
     ODE's own slopes, which does not resolve the far field past the last
     bubble: it oscillates in t faster than the grid samples it.  ``stats``
     records what the shot cost and why it stopped; it is neither
-    serialized nor compared.
+    serialized nor compared.  A shot that an event ends (blow-up, mass
+    overflow) has the event state as its last row, so ``r_end`` is the
+    event radius.
     """
 
     system: SystemKind
@@ -248,12 +255,18 @@ class RadialProfile:
     def r_end(self) -> float:
         return float(self.grid[-1])
 
+    def covers(self, a: float, b: float) -> bool:
+        """Whether the radii a <= b lie in the grid's range, to the relative
+        slack of 1e-12 that every profile query allows."""
+        g = self.grid
+        return g[0] * (1 - 1e-12) <= a and b <= g[-1] * (1 + 1e-12)
+
     def _hermite(self, r: float, block: int, slopes) -> tuple[np.ndarray, np.ndarray]:
         """Column block ``block`` (0 = u, 1 = w, 2 = sigma) at radius r, and
         the two state rows ``node`` bracketing r, whose d(block)/dt at log
         radii ``t`` (a column) is ``slopes(node, t)``."""
         g, r = self.grid, float(r)
-        if not (g[0] * (1 - 1e-12) <= r <= g[-1] * (1 + 1e-12)):
+        if not self.covers(r, r):
             raise ValueError(f"radius {r:g} outside profile range [{g[0]:g}, {g[-1]:g}]")
         r = min(max(r, g[0]), g[-1])
         n = self.n_components
@@ -346,8 +359,7 @@ def shoot(spec: ShootSpec, *, stop=None) -> RadialProfile:
         t_eval = np.append(t_eval, t1)
 
     if np.max(y0[:n]) >= BLOWUP_GUARD:
-        stats = SolverStats(0, 0, 0, "initial state at or above the blow-up guard",
-                            r_event=spec.r_start)
+        stats = SolverStats(0, 0, 0, "initial state at or above the blow-up guard")
         return _assemble(spec, np.array([t0]), y0[:, None],
                          TerminationReason.COMPONENT_BLOW_UP, stats)
 
@@ -382,7 +394,6 @@ def shoot(spec: ShootSpec, *, stop=None) -> RadialProfile:
     stats = sol.stats
     if sol.status == dop853.EVENT:
         te = sol.t_event
-        stats = replace(stats, r_event=float(np.exp(te)))  # np.exp, as for the grid
         # the last row is the event state; a sample within 1e-12 of the
         # root gives way to it
         if ts.size and te <= ts[-1] + 1e-12:
@@ -447,16 +458,13 @@ def rescale(p: RadialProfile, eps: float) -> RadialProfile:
             "outside (0, inf)")
     state = p.state.copy()
     state[:, : p.n_components] += 2.0 * math.log(eps)
-    stats = p.stats
-    if stats is not None and stats.r_event is not None:
-        stats = replace(stats, r_event=stats.r_event / eps)
     return RadialProfile(
         system=p.system,
         grid=grid,
         state=state,
         reason=p.reason,
         provenance=f"{p.provenance};rescale(eps={eps!r})",
-        stats=stats,
+        stats=p.stats,
     )
 
 
@@ -480,38 +488,32 @@ def mean_value_residuals(p: RadialProfile) -> np.ndarray:
     return w - w[0] + dm @ np.array(identity.A).T
 
 
-def tail_fit(p: RadialProfile, component: int):
-    """Fit u ~ -alpha log r + beta over the last decade of the grid.
-
-    Returns (alpha, beta, tail_mass, converged): tail_mass is the analytic
-    remainder int_R^inf e^beta s^(1-alpha) ds when alpha exceeds the
-    convergence threshold, else 0 with converged = False.
-    """
-    if len(p.grid) < 4:
-        return 0.0, float(p.values[-1, component]), 0.0, False
-    t = np.log(p.grid)
-    mask = t >= t[-1] - _TAIL_DECADES * math.log(10.0)
-    if mask.sum() < 4:
-        mask = np.zeros_like(mask)
-        mask[-4:] = True
-    coef = np.polyfit(t[mask], p.values[mask, component], 1)
-    alpha, beta = -coef[0], coef[1]
-    if alpha > TAIL_ALPHA_MIN:
-        R = p.r_end
-        tail = math.exp(beta) * R ** (2.0 - alpha) / (alpha - 2.0)
-        return alpha, beta, tail, True
-    return alpha, beta, 0.0, False
-
-
 def total_masses(p: RadialProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Tail-corrected total masses and per-component convergence flags."""
+    """Tail-corrected total masses and per-component convergence flags.
+
+    Each component is fit as u ~ -alpha log r + beta over the last decade
+    of the grid (at least its last 4 rows; a shorter grid converges
+    nothing).  A component whose alpha exceeds TAIL_ALPHA_MIN converges,
+    and its total gains the analytic remainder int_R^inf e^beta
+    s^(1-alpha) ds, R = r_end.
+    """
     n = p.n_components
     totals = p.masses[-1].copy()
     ok = np.zeros(n, dtype=bool)
+    if len(p.grid) < 4:
+        return totals, ok
+    t = np.log(p.grid)
+    mask = t >= t[-1] - _TAIL_DECADES * math.log(10.0)
+    if mask.sum() < 4:
+        mask[:-4] = False
+        mask[-4:] = True
     for i in range(n):
-        _, _, tail, conv = tail_fit(p, i)
-        totals[i] += tail
-        ok[i] = conv
+        # one fit per component: a 2-D fit takes another LAPACK path
+        slope, beta = np.polyfit(t[mask], p.values[mask, i], 1)
+        alpha = -slope
+        if alpha > TAIL_ALPHA_MIN:
+            totals[i] += math.exp(beta) * p.r_end ** (2.0 - alpha) / (alpha - 2.0)
+            ok[i] = True
     return totals, ok
 
 

@@ -9,7 +9,8 @@ minus the origin.  The same set is swept by an integer parametrization
 (m1, m2).  This module enumerates it both ways, by solving the quadric
 for s3 exactly and by sweeping (m1, m2), and checks that the two
 productions coincide.  A three-fold symmetric analogue (the SU(4) affine
-candidate set) is enumerated by the same quadric solve.
+candidate set) is enumerated by the same quadric solve.  ``RULES`` maps
+each ``SpectrumVariant`` to its enumerator, residual and membership test.
 
 The solve reads a residual's integer coefficients once per s1 row, so it
 calls the residual O(bound) times, does O(bound^2) integer operations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 Exact = int | Fraction
 
@@ -104,9 +105,6 @@ class SpectrumSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, t: MassTriple) -> bool:
-        return t in self.members
 
     @cached_property
     def points(self):
@@ -354,3 +352,25 @@ def sinh_gordon_slice(s: SpectrumSet) -> list[MassTriple]:
     if s.variant is not SpectrumVariant.SU3_AFFINE:
         raise ValueError("sinh-Gordon slice is defined on the su3 spectrum")
     return [t for t in s.members if t.s1 == t.s2]
+
+
+class SpectrumRules(NamedTuple):
+    """A spectrum variant's enumerator, Pohozaev residual and membership
+    test; ``membership(t)`` is (member, index pair or None)."""
+
+    enumerate: Callable[[int], SpectrumSet]
+    residual: Callable[[MassTriple], Exact]
+    membership: Callable[[MassTriple], tuple[bool, Optional[ParamIndex]]]
+
+
+def _membership_su3(t: MassTriple) -> tuple[bool, Optional[ParamIndex]]:
+    index = membership_su3(t)
+    return index is not None, index
+
+
+RULES = {
+    SpectrumVariant.SU3_AFFINE: SpectrumRules(
+        enumerate_su3, pohozaev_residual_su3, _membership_su3),
+    SpectrumVariant.SU4_AFFINE: SpectrumRules(
+        enumerate_su4, pohozaev_residual_su4, lambda t: (is_candidate_su4(t), None)),
+}

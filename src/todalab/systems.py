@@ -230,15 +230,13 @@ class SystemKind:
         rho * r^p per component, rho = c_term * exp(e . c),
         p = 2 e . b.  Returns the list of (rho vector, p).
         """
+        t = self._t
         b = np.asarray(self.singular_weights, dtype=float)
         c = np.asarray(heights, dtype=float)
-        out = []
-        for coeffs, expo in _TERMS[self.variant]:
-            e = np.asarray(expo)
-            # a term that overflows (inf, or NaN as 0 * inf) is refused by
-            # ShootSpec's head bound
-            with np.errstate(over="ignore", invalid="ignore"):
-                rho = np.asarray(coeffs) * np.exp(float(e @ c))
-            p = 2.0 * float(e @ b)
-            out.append((rho, p))
-        return out
+        # a term that overflows (inf, or NaN as 0 * inf) is refused by
+        # ShootSpec's head bound.  Every exponent row is a unit vector or a
+        # scalar, so each dot product is exact
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = np.exp(t.exponents @ c)[:, None] * t.coeffs_t.T
+            p = 2.0 * (t.exponents @ b)
+        return list(zip(rho, p.tolist()))

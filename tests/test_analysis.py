@@ -56,11 +56,11 @@ class TestDecayClassify:
         with pytest.raises(ValueError):
             decay_classify(liouville_profile, 1.0, threshold=0.0)
 
-    def test_verdict_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            DecayVerdict(DecayKind.FAST, witness=1.0, threshold=5.0)
-        DecayVerdict(DecayKind.FAST, witness=-6.0, threshold=5.0)
-        DecayVerdict(DecayKind.SLOW, witness=-4.0, threshold=5.0)
+    def test_kind_follows_witness_and_threshold(self):
+        assert DecayVerdict(witness=1.0, threshold=5.0).kind is DecayKind.SLOW
+        assert DecayVerdict(witness=-4.0, threshold=5.0).kind is DecayKind.SLOW
+        assert DecayVerdict(witness=-5.0, threshold=5.0).kind is DecayKind.FAST
+        assert DecayVerdict(witness=-6.0, threshold=5.0).kind is DecayKind.FAST
 
 
 class TestFastDecayScan:

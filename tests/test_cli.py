@@ -800,8 +800,18 @@ class TestInputsWithoutACorrectShot:
         (["--height", "0", "--weights", "1e200"], "singular weights too large"),
         (["--height", "0", "--weights", "1e308"], "singular weights too large"),
         (["--height", "800", "--weights", "1000"], "initial heights too large"),
+        (["--weights", "1000", "--height", "0", "--r-start", "10"],
+         "r_start too large"),
+        (["--weights", "0.25", "--height", "0", "--r-start=-1"],
+         "need 0 < r_start < r_max"),
+        (["--height", "0", "--r-start=nan"], "need 0 < r_start < r_max"),
+        (["--height", "0", "--r-start=-10"], "need 0 < r_start < r_max"),
+        (["--system", "tzitzeica", "--weights", "1e308", "--height", "0"],
+         "singular weights too large"),
     ], ids=["height_nan", "weights_nan", "r_max_1e300", "weights_1e200",
-            "weights_1e308", "nan_series_head"])
+            "weights_1e308", "nan_series_head", "head_overflows_at_r_start",
+            "r_start_negative_complex_head", "r_start_nan", "r_start_negative",
+            "tzitzeica_weights_1e308"])
     def test_exits_one_with_one_line(self, isolated_python, argv, message):
         res = isolated_python("-m", "todalab", "shoot", "--system", "liouville",
                               *argv)

@@ -3,9 +3,11 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from todalab.closed_forms import (
     BubbleSpec,
@@ -18,6 +20,7 @@ from todalab.closed_forms import (
 from todalab import dop853
 from todalab.dop853 import STEP_UNDERFLOW
 from todalab.ode_engine import (
+    BLOWUP_GUARD,
     BracketError,
     RadialProfile,
     ShootSpec,
@@ -298,7 +301,6 @@ class TestTermination:
         # r = 1; the event state, not that sample, must end the profile
         p = shoot(ShootSpec(SystemKind(Variant.LIOUVILLE, (1e15,)), (0.0,)))
         assert p.reason is TerminationReason.MASS_OVERFLOW
-        assert p.r_end == p.stats.r_event
         # the mass grows like r^(2b + 2) there, so a root placed to a few
         # ulp in log r fixes it only to within a factor of order one
         assert p.masses[-1].sum() == pytest.approx(p.spec.mass_guard, rel=0.25)
@@ -317,14 +319,14 @@ class TestTermination:
     def test_stats_record_wall_time_and_event_radius(self, liouville_profile):
         blown = shoot(ShootSpec(SystemKind(Variant.SINH_GORDON), (-160.0,), r_max=1e3))
         assert blown.stats.wall_s > 0
-        assert blown.stats.r_event == pytest.approx(blown.r_end, rel=1e-12)
+        # the last row is the event state, so r_end is the event radius
+        assert blown.reason is TerminationReason.COMPONENT_BLOW_UP
+        assert np.max(blown.values[-1]) == pytest.approx(BLOWUP_GUARD, rel=1e-9)
         assert liouville_profile.stats.wall_s > 0
-        assert liouville_profile.stats.r_event is None
         start = shoot(ShootSpec(SystemKind(Variant.LIOUVILLE), (60.0,), r_max=10.0))
-        assert start.stats.r_event == start.spec.r_start
         assert start.r_end == pytest.approx(start.spec.r_start, rel=1e-12)
         # a rescaled profile reports the event at its own radius
-        assert rescale(blown, 1e-3).stats.r_event == blown.stats.r_event / 1e-3
+        assert rescale(blown, 1e-3).r_end == blown.r_end / 1e-3
         assert sorted(blown.stats.to_json_dict()) == ["n_accepted", "n_rejected", "nfev"]
 
 
@@ -653,6 +655,14 @@ class TestProfileQueries:
         with pytest.raises(ValueError):
             liouville_profile.value_at(1e9)
 
+    def test_covers_the_grid_to_the_query_slack(self, liouville_profile):
+        p = liouville_profile
+        g0, g1 = p.grid[0], p.r_end
+        assert p.covers(g0 * (1 - 1e-13), g1 * (1 + 1e-13))
+        assert not p.covers(g0 * (1 - 1e-11), g1)
+        assert not p.covers(g0, g1 * (1 + 1e-11))
+        assert np.array_equal(p.value_at(g1 * (1 + 1e-13)), p.value_at(g1))
+
     def test_one_row_profile_returns_its_row(self):
         """Height 60 starts above the +50 guard: the shot has one row, and
         every query at r_start returns that row's block."""
@@ -745,7 +755,47 @@ class TestConstrainedTargetingFailsFast:
         assert err.value.trace
 
 
+# floats from every region that has tripped ShootSpec's validation:
+# non-finite, negative, zero, subnormal and near the float limits, plus
+# moderate values that reach the later checks
+_EDGY = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300,
+                     1e300, -1e300, 1e308, -1.0, 10.0, 1000.0]),
+    st.floats(),
+    st.floats(-1e3, 1e3),
+)
+
+
+def _spec_fields():
+    """A variant, its weights (or none) and heights, and each other field
+    drawn or left at its default."""
+    def for_variant(variant):
+        n = SystemKind(variant).n_components
+        vector = st.lists(_EDGY, min_size=n, max_size=n).map(tuple)
+        others = st.fixed_dictionaries({}, optional=dict(
+            r_start=_EDGY, r_max=_EDGY, rel_tol=_EDGY, abs_tol=_EDGY,
+            mass_guard=_EDGY, samples_per_decade=st.integers(-10, 10**9)))
+        return st.tuples(st.just(variant), st.just(()) | vector, vector, others)
+
+    return st.sampled_from(list(Variant)).flatmap(for_variant)
+
+
 class TestSpecRefusesInputsWithoutACorrectShot:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_spec_fields())
+    def test_any_fields_build_or_raise_value_error(self, fields):
+        """Whatever the fields, building the spec succeeds or raises
+        ``ValueError``, and warns of nothing (an r_start whose r0^(p+2)
+        overflowed raised ``OverflowError``, a negative one ``TypeError``)."""
+        variant, weights, heights, kwargs = fields
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                ShootSpec(SystemKind(variant, weights), heights, **kwargs)
+            except ValueError:
+                pass
+        assert caught == []
+
     @pytest.mark.parametrize("height,message", [
         (math.nan, "initial heights must be finite"),
         (math.inf, "initial heights must be finite"),

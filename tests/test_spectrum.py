@@ -134,6 +134,24 @@ class TestMembership:
         ) == ParamIndex(1, -3)
 
 
+class TestRules:
+    def test_each_variant_has_its_functions(self):
+        assert set(spectrum.RULES) == set(SpectrumVariant)
+        su3 = spectrum.RULES[SpectrumVariant.SU3_AFFINE]
+        su4 = spectrum.RULES[SpectrumVariant.SU4_AFFINE]
+        assert (su3.enumerate, su3.residual) == (enumerate_su3, pohozaev_residual_su3)
+        assert (su4.enumerate, su4.residual) == (enumerate_su4, pohozaev_residual_su4)
+
+    @pytest.mark.parametrize("variant,triple,want", [
+        (SpectrumVariant.SU3_AFFINE, (4, 4, 12), (True, ParamIndex(-2, -2))),
+        (SpectrumVariant.SU3_AFFINE, (4, 4, 4), (False, None)),
+        (SpectrumVariant.SU4_AFFINE, (12, 12, 0), (True, None)),
+        (SpectrumVariant.SU4_AFFINE, (4, 4, 4), (False, None)),
+    ])
+    def test_membership_gives_member_and_index(self, variant, triple, want):
+        assert spectrum.RULES[variant].membership(MassTriple(*triple)) == want
+
+
 class TestEnumerationSu3:
     def test_bound_4_contents(self):
         s = enumerate_su3(4)
