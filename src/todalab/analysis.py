@@ -47,13 +47,20 @@ class DecayVerdict:
         return DecayKind.FAST if self.witness <= -self.threshold else DecayKind.SLOW
 
 
+def _checked_threshold(threshold: float) -> float:
+    """The decay threshold of every fast/slow rule here, which must be
+    finite and positive: a NaN would make every circle slow, and one at or
+    below 0 every circle of a decaying profile fast."""
+    if not 0 < threshold < math.inf:
+        raise ValueError(f"decay threshold must be finite and positive, got {threshold!r}")
+    return threshold
+
+
 def decay_classify(p: RadialProfile, r: float,
                    threshold: float = DECAY_LEVEL) -> DecayVerdict:
     """Classify the circle of radius r: fast iff max_i(u_i + 2 log r) <= -threshold,
     the maximum taken over every component."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    return DecayVerdict(float(np.max(p.witness_at(r))), threshold)
+    return DecayVerdict(float(np.max(p.witness_at(r))), _checked_threshold(threshold))
 
 
 def fast_decay_radius_scan(
@@ -68,6 +75,7 @@ def fast_decay_radius_scan(
     interval; in that case its annulus mass, p.mass_at(b) - p.mass_at(a),
     grows like log(b/a) and is the quantity to inspect.
     """
+    _checked_threshold(threshold)
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError("need a < b")
@@ -91,7 +99,7 @@ def final_fast_decay_onset(p: RadialProfile, threshold: float) -> Optional[float
     that max_i(u_i + 2 log r) <= -threshold from there outward.  None when
     the profile does not end in fast decay.
     """
-    fast = np.max(p.witnesses, axis=1) <= -threshold
+    fast = np.max(p.witnesses, axis=1) <= -_checked_threshold(threshold)
     if not fast[-1]:
         return None
     k = len(fast) - 1
@@ -337,6 +345,7 @@ def bubble_masses(
         raise ValueError("eps ladder must be strictly decreasing")
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    _checked_threshold(decay_threshold)
     # every mass is read at some delta/eps_k, the largest at eps_min; each
     # must lie in the base's grid
     radii = [delta / e for e in eps]

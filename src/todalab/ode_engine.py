@@ -24,8 +24,10 @@ accuracy checks.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -213,11 +215,13 @@ class RadialProfile:
     ``witnesses`` holds the decay witnesses u_i + 2 log r at the nodes.
     Between nodes every query is the cubic Hermite in t = log r with the
     ODE's own slopes, which does not resolve the far field past the last
-    bubble: it oscillates in t faster than the grid samples it.  ``stats``
-    records what the shot cost and why it stopped; it is neither
-    serialized nor compared.  A shot that an event ends (blow-up, mass
-    overflow) has the event state as its last row, so ``r_end`` is the
-    event radius.
+    bubble: it oscillates in t faster than the grid samples it.  Those
+    slopes are evaluated once per profile, on its first query between nodes,
+    so a profile is an immutable value: ``dataclasses.replace`` or
+    ``rescale`` derive new ones.  ``stats`` records what the shot cost and
+    why it stopped; it is neither serialized nor compared.  A shot that an
+    event ends (blow-up, mass overflow) has the event state as its last
+    row, so ``r_end`` is the event radius.
     """
 
     system: SystemKind
@@ -261,40 +265,45 @@ class RadialProfile:
         g = self.grid
         return g[0] * (1 - 1e-12) <= a and b <= g[-1] * (1 + 1e-12)
 
-    def _hermite(self, r: float, block: int, slopes) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def _nodes(self) -> tuple[list, list, tuple[np.ndarray, ...]]:
+        """The grid and its log radii as float lists, and the t-slopes of the
+        three column blocks at every node: w, -r^2 F(u) and r^2 e^u (capped)."""
+        grid = self.grid.tolist()
+        t = [math.log(r) for r in grid]
+        tc, u = np.array(t)[:, None], self.values
+        return grid, t, (self.log_derivs, -np.exp(2.0 * tc) * self.system.rhs(u.T).T,
+                         np.exp(np.minimum(u + 2.0 * tc, _MASS_EXP_CAP)))
+
+    def _hermite(self, r: float, block: int) -> tuple[np.ndarray, np.ndarray]:
         """Column block ``block`` (0 = u, 1 = w, 2 = sigma) at radius r, and
-        the two state rows ``node`` bracketing r, whose d(block)/dt at log
-        radii ``t`` (a column) is ``slopes(node, t)``."""
+        the two state rows ``node`` bracketing r."""
         g, r = self.grid, float(r)
         if not self.covers(r, r):
             raise ValueError(f"radius {r:g} outside profile range [{g[0]:g}, {g[-1]:g}]")
-        r = min(max(r, g[0]), g[-1])
         n = self.n_components
         cols = slice(block * n, (block + 1) * n)
         if len(g) < 2:
             return self.state[0, cols].copy(), self.state[:1]
-        j = min(max(int(g.searchsorted(r, side="right")) - 1, 0), len(g) - 2)
+        grid, t, slopes = self._nodes
+        r = min(max(r, grid[0]), grid[-1])
+        j = min(max(bisect_right(grid, r) - 1, 0), len(grid) - 2)
         node = self.state[j : j + 2]
-        t0, t1 = math.log(g[j]), math.log(g[j + 1])
+        t0, t1 = t[j], t[j + 1]
         dt = t1 - t0
         x = (math.log(r) - t0) / dt
         # Hermite basis weights of the node values and of the nodal slopes
         wy = ((1.0 + 2.0 * x) * (1.0 - x) ** 2, x * x * (3.0 - 2.0 * x))
         wd = (x * (1.0 - x) ** 2 * dt, x * x * (x - 1.0) * dt)
-        d = slopes(node, np.array(((t0,), (t1,))))
-        return wy @ node[:, cols] + wd @ d, node
+        return wy @ node[:, cols] + wd @ slopes[block][j : j + 2], node
 
     def value_at(self, r: float) -> np.ndarray:
         """u_i(r), with slopes du/dt = w."""
-        n = self.n_components
-        return self._hermite(r, 0, lambda node, t: node[:, n : 2 * n])[0]
+        return self._hermite(r, 0)[0]
 
     def log_deriv_at(self, r: float) -> np.ndarray:
         """w_i(r) = r du_i/dr, with slopes dw/dt = -r^2 F(u)."""
-        n, rhs = self.n_components, self.system.rhs
-        return self._hermite(
-            r, 1, lambda node, t: -np.exp(2.0 * t) * rhs(node[:, :n].T).T
-        )[0]
+        return self._hermite(r, 1)[0]
 
     def mass_at(self, r: float) -> np.ndarray:
         """sigma_i(r), with slopes dsigma/dt = r^2 e^u.
@@ -303,8 +312,7 @@ class RadialProfile:
         running integral is preserved exactly.
         """
         n = self.n_components
-        out, node = self._hermite(r, 2, lambda node, t: np.exp(
-            np.minimum(node[:, :n] + 2.0 * t, _MASS_EXP_CAP)))
+        out, node = self._hermite(r, 2)
         return out.clip(node[0, 2 * n :], node[-1, 2 * n :])
 
     def witness_at(self, r: float) -> np.ndarray:
@@ -683,17 +691,9 @@ def find_decaying(
 
     def run(x: float) -> tuple[ShotClassification, RadialProfile]:
         heights = _fill_heights(system, anchor_component, anchor_height, x)
-        prof = shoot(
-            ShootSpec(
-                system=system,
-                init_heights=heights,
-                r_max=r_max,
-                rel_tol=rel_tol,
-                abs_tol=abs_tol,
-                samples_per_decade=samples_per_decade,
-            ),
-            stop=_reignites(n),
-        )
+        spec = ShootSpec(system, heights, r_max=r_max, rel_tol=rel_tol, abs_tol=abs_tol,
+                         samples_per_decade=samples_per_decade)
+        prof = shoot(spec, stop=_reignites(n))
         cls = classify_shot(prof, mass_tol=tol)
         cls.free_value = x
         trace.append(cls)

@@ -200,7 +200,7 @@ class SystemKind:
         states as columns.
 
         This is the one F evaluator: ``shoot``'s right-hand side,
-        ``RadialProfile.log_deriv_at`` and the scipy copy of the shot in
+        ``RadialProfile``'s nodal slopes and the scipy copy of the shot in
         the agreement tests all call it, so they share its bits.
         ``ndarray.dot`` gives the same bits as ``@`` here at less than half
         the per-call cost.

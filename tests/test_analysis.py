@@ -101,6 +101,32 @@ class TestFastDecayScan:
         assert final_fast_decay_onset(liouville_profile, 1e9) is None
 
 
+class TestDecayThresholdValidation:
+    """Every fast/slow rule refuses a threshold that is not finite and
+    positive, with one message.  A NaN made every circle slow (or no onset),
+    and -5 made a Liouville bubble's first node its fast-decay radius."""
+
+    CALLS = {
+        "decay_classify": lambda p, th: decay_classify(p, 1.0, th),
+        "fast_decay_radius_scan":
+            lambda p, th: fast_decay_radius_scan(p, 0, (10.0, 1000.0), th),
+        "final_fast_decay_onset": lambda p, th: final_fast_decay_onset(p, th),
+        "bubble_masses": lambda p, th: bubble_masses(
+            p, [1e-1, 1e-2], 0.1, enumerate_su3(40), decay_threshold=th),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    @pytest.mark.parametrize("threshold", [math.nan, 0.0, -5.0, -math.inf, math.inf])
+    def test_rejects(self, liouville_profile, name, threshold):
+        with pytest.raises(ValueError, match=(
+                f"decay threshold must be finite and positive, got {threshold!r}")):
+            self.CALLS[name](liouville_profile, threshold)
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_accepts_a_finite_positive_threshold(self, liouville_profile, name):
+        self.CALLS[name](liouville_profile, 5.0)
+
+
 class TestPohozaevChecks:
     def test_limitpair_residual_vanishes_in_tail(self, limitpair_target):
         _, prof = limitpair_target

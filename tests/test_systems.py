@@ -126,15 +126,17 @@ def reference_rhs(variant, u):
 
 
 def kernel_inputs(n, seed=41):
-    """States (n,) over magnitudes 1e-3 to 1e300, transposed two-row node
-    blocks (n, 2), the shape ``log_deriv_at`` passes, and states built from
-    +-inf, NaN and -0.0 components."""
+    """States (n,) over magnitudes 1e-3 to 1e300, transposed node blocks
+    (n, 2) and (n, 400), the latter the shape of the whole-grid block that
+    ``RadialProfile``'s slope table passes, and states built from +-inf, NaN
+    and -0.0 components."""
     rng = np.random.default_rng(seed)
     for _ in range(400):
         yield rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-3.0, 300.0, n)
-    for scale in (1e-3, 1.0, 30.0, 1e3, 1e300):
-        for _ in range(40):
-            yield (rng.standard_normal((2, n)) * scale).T
+    for rows in (2, 400):
+        for scale in (1e-3, 1.0, 30.0, 1e3, 1e300):
+            for _ in range(40):
+                yield (rng.standard_normal((rows, n)) * scale).T
     special = (np.inf, -np.inf, np.nan, -0.0, 0.0, 1.5)
     for u in itertools.product(special, repeat=n):
         yield np.array(u)
