@@ -48,7 +48,7 @@ class DecayVerdict:
 
 
 def _checked_threshold(threshold: float) -> float:
-    """The decay threshold of every fast/slow rule here, which must be
+    """The decay threshold of a fast/slow rule that takes one, which must be
     finite and positive: a NaN would make every circle slow, and one at or
     below 0 every circle of a decaying profile fast."""
     if not 0 < threshold < math.inf:
@@ -92,14 +92,14 @@ def fast_decay_radius_scan(
     return float(radii[hits[0]])
 
 
-def final_fast_decay_onset(p: RadialProfile, threshold: float) -> Optional[float]:
+def final_fast_decay_onset(p: RadialProfile) -> Optional[float]:
     """Start of the terminal annulus where every component is fast-decaying.
 
     Scanning inward from the outer edge, the smallest grid radius such
-    that max_i(u_i + 2 log r) <= -threshold from there outward.  None when
-    the profile does not end in fast decay.
+    that max_i(u_i + 2 log r) <= -DECAY_LEVEL from there outward.  None
+    when the profile does not end in fast decay.
     """
-    fast = np.max(p.witnesses, axis=1) <= -_checked_threshold(threshold)
+    fast = np.max(p.witnesses, axis=1) <= -DECAY_LEVEL
     if not fast[-1]:
         return None
     k = len(fast) - 1
@@ -322,8 +322,6 @@ def bubble_masses(
     eps_ladder: Sequence[float],
     delta: float,
     spectrum: SpectrumSet,
-    *,
-    decay_threshold: float = DECAY_LEVEL,
 ) -> BubbleReport:
     """Estimate the double-limit local masses of a rescaled bubble family.
 
@@ -335,7 +333,7 @@ def bubble_masses(
     evaluation radius stays beyond the base's fast-decay radius.  On the
     README session (the limit-pair search from log 8, ladder 0.1 ... 1e-4,
     delta = 0.1) delta/eps_min = 1000, where the witness is -7.46, lies
-    inside that radius, 3758 at the default level 10, so ``delta_ladder``
+    inside that radius, 3758 at DECAY_LEVEL = 10, so ``delta_ladder``
     has one row and the headline is read at delta = 0.1.
     """
     eps = [float(e) for e in eps_ladder]
@@ -345,7 +343,6 @@ def bubble_masses(
         raise ValueError("eps ladder must be strictly decreasing")
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
-    _checked_threshold(decay_threshold)
     # every mass is read at some delta/eps_k, the largest at eps_min; each
     # must lie in the base's grid
     radii = [delta / e for e in eps]
@@ -360,7 +357,7 @@ def bubble_masses(
 
     eps_table = [(e, slot_masses(r)) for e, r in zip(eps, radii)]
 
-    r_fast = final_fast_decay_onset(base, decay_threshold)
+    r_fast = final_fast_decay_onset(base)
 
     # headline estimate: deepest rescale, then walk delta down while the
     # evaluation radius stays beyond the base's terminal fast-decay onset;

@@ -166,9 +166,10 @@ def _emit(args, human_lines: list[str], payload: dict) -> None:
 # spectrum
 # --------------------------------------------------------------------------
 
+_SPECTRUM_BOUND = 400  # the default of ``bound`` and of bubble's ``spectrum_bound``
 _SPECTRUM = (
     _opt("variant", "su3", choices=_SPECTRUM_VARIANTS),
-    _opt("bound", 400, type=int),
+    _opt("bound", _SPECTRUM_BOUND, type=int),
     # a config key of every spectrum subcommand, a flag of ``check`` only
     _opt("triple", type=str, help="s1,s2,s3"),
 )
@@ -456,7 +457,7 @@ _BUBBLE = (
     _opt("ladder", help="strictly decreasing eps values"),
     _opt("delta", 0.1, type=float),
     _opt("spectrum_variant", "su3", choices=_SPECTRUM_VARIANTS),
-    _opt("spectrum_bound", 400, type=int),
+    _opt("spectrum_bound", _SPECTRUM_BOUND, type=int),
     _opt("series_prefix", type=str),
 )
 

@@ -210,6 +210,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 class RadialProfile:
     """The integrator's state (u, w = r du/dr, sigma) at every grid node.
 
+    ``grid`` and ``state`` are the arrays that a profile file stores as is.
     ``values``, ``log_derivs`` and ``masses`` are views of the column blocks
     of ``state``; sigma_i is int_0^r e^{u_i} s ds (analytic head included).
     ``witnesses`` holds the decay witnesses u_i + 2 log r at the nodes.
@@ -253,7 +254,6 @@ class RadialProfile:
         lambda self: self.state[:, self.n_components : 2 * self.n_components])
     masses = property(lambda self: self.state[:, 2 * self.n_components :])
     witnesses = property(lambda self: self.values + 2.0 * np.log(self.grid)[:, None])
-    derivs = property(lambda self: self.log_derivs / self.grid[:, None])  # du/dr
 
     @property
     def r_end(self) -> float:

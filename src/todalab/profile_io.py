@@ -1,14 +1,15 @@
 """Flat-file formats for radial profiles.
 
-CSV rows carry the full grid at 17 significant digits under the header
-``r,u1[,u2,...],du1[,...],sigma1[,...]``; the JSON form additionally
-carries the originating shot parameters so a profile can be reloaded or
-re-run exactly.  Leading ``#`` comment lines in the CSV hold the resolved
-run configuration for reproducibility.  Reading a JSON profile is the
-boundary for outside files: malformed content (a missing key, a null or
-mistyped value, a grid with no nodes, a document that is not an object)
-raises ``ValueError``, and a missing key reads as its quoted name, e.g.
-``'grid'``.
+A profile file holds a ``RadialProfile``'s own ``grid`` and (m, 3n) ``state``
+of (u, w = r du/dr, sigma), as they are.  The CSV writes their columns at 17
+significant digits under the header ``r,u1[,...],w1[,...],sigma1[,...]``,
+after ``#`` lines with the run configuration and the termination reason.  The
+JSON form (format 2) adds the system, reason, provenance and shot parameters,
+and reads back ``==`` to the profile written.  Reading it is the boundary for
+outside files: malformed content (a missing key, a null or mistyped value, a
+grid with no nodes, another format version, a state not of shape
+(len(grid), 3n), a document that is not an object) raises ``ValueError``, and
+a missing key reads as its quoted name, e.g. ``'grid'``.
 """
 
 from __future__ import annotations
@@ -21,15 +22,11 @@ import numpy as np
 from .ode_engine import RadialProfile, ShootSpec, TerminationReason
 from .systems import SystemKind
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _header(n: int) -> list[str]:
-    cols = ["r"]
-    cols += [f"u{i + 1}" for i in range(n)]
-    cols += [f"du{i + 1}" for i in range(n)]
-    cols += [f"sigma{i + 1}" for i in range(n)]
-    return cols
+    return ["r", *(f"{block}{i + 1}" for block in ("u", "w", "sigma") for i in range(n))]
 
 
 def write_profile_csv(p: RadialProfile, path, config: dict | None = None) -> None:
@@ -40,8 +37,7 @@ def write_profile_csv(p: RadialProfile, path, config: dict | None = None) -> Non
         lines.append(f"# config {blob}")
     lines.append(f"# reason {p.reason.value}")
     lines.append(",".join(_header(n)))
-    table = np.column_stack([p.grid, p.values, p.derivs, p.masses])
-    for row in table:
+    for row in np.column_stack([p.grid, p.state]):
         lines.append(",".join(f"{x:.17g}" for x in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -54,9 +50,7 @@ def profile_to_json_dict(p: RadialProfile, config: dict | None = None) -> dict:
         "provenance": p.provenance,
         "shoot_spec": None if p.spec is None else p.spec.to_json_dict(),
         "grid": p.grid.tolist(),
-        "values": p.values.tolist(),
-        "derivs": p.derivs.tolist(),
-        "masses": p.masses.tolist(),
+        "state": p.state.tolist(),
     }
     if config is not None:
         d["config"] = config
@@ -73,12 +67,17 @@ def profile_from_json_dict(d: dict) -> RadialProfile:
         grid = np.asarray(d["grid"], dtype=float)
         if grid.size == 0:
             raise ValueError("profile grid has no nodes")
-        # the file keeps du/dr; the profile stores w = r du/dr
-        w = np.asarray(d["derivs"], dtype=float) * grid[:, None]
-        state = np.column_stack([np.asarray(d["values"], dtype=float), w,
-                                 np.asarray(d["masses"], dtype=float)])
+        version = d.get("format_version")
+        if version != FORMAT_VERSION:
+            raise ValueError(f"profile format_version {version!r}: this reader "
+                             f"reads format {FORMAT_VERSION} only")
+        system = SystemKind.from_json_dict(d)
+        state = np.asarray(d["state"], dtype=float)
+        shape = (len(grid), 3 * system.n_components)
+        if state.shape != shape:
+            raise ValueError(f"profile state has shape {state.shape}, expected {shape}")
         return RadialProfile(
-            system=SystemKind.from_json_dict(d),
+            system=system,
             grid=grid,
             state=state,
             reason=TerminationReason(d["reason"]),

@@ -20,7 +20,7 @@ from todalab.analysis import (
     su4_radial_balance,
 )
 from todalab.closed_forms import BubbleSpec, bubble_mass, liouville_bubble
-from todalab.ode_engine import ShootSpec, shoot
+from todalab.ode_engine import DECAY_LEVEL, ShootSpec, shoot
 from todalab.spectrum import MassTriple, ParamIndex, enumerate_su3, enumerate_su4
 from todalab.systems import SystemKind, Variant
 
@@ -64,8 +64,8 @@ class TestDecayClassify:
 
 
 class TestFastDecayScan:
-    def oracle_root(self):
-        f = lambda r: liouville_bubble(BubbleSpec(1.0), r) + 2 * math.log(r) + 5.0
+    def oracle_root(self, level=5.0):
+        f = lambda r: liouville_bubble(BubbleSpec(1.0), r) + 2 * math.log(r) + level
         return brentq(f, 10.0, 1000.0, xtol=1e-12)
 
     def test_scan_matches_closed_form_root(self, liouville_profile_fine):
@@ -94,25 +94,24 @@ class TestFastDecayScan:
         with pytest.raises(ValueError):
             fast_decay_radius_scan(liouville_profile, 0, (1e-6, 1e-5), 5.0)
 
-    def test_final_onset(self, liouville_profile):
-        onset = final_fast_decay_onset(liouville_profile, 5.0)
-        assert onset is not None
-        assert abs(onset - self.oracle_root()) / self.oracle_root() < 0.1
-        assert final_fast_decay_onset(liouville_profile, 1e9) is None
+    def test_final_onset(self, liouville_profile, su4_zero_profile):
+        # the first node at or past the closed-form root at DECAY_LEVEL
+        p, root = liouville_profile, self.oracle_root(DECAY_LEVEL)
+        onset = final_fast_decay_onset(p)
+        step = p.grid[1] / p.grid[0]
+        assert root <= onset <= root * step
+        assert final_fast_decay_onset(su4_zero_profile) is None
 
 
 class TestDecayThresholdValidation:
-    """Every fast/slow rule refuses a threshold that is not finite and
-    positive, with one message.  A NaN made every circle slow (or no onset),
-    and -5 made a Liouville bubble's first node its fast-decay radius."""
+    """Every fast/slow rule that takes a threshold refuses one that is not
+    finite and positive, with one message.  A NaN made every circle slow.
+    (``final_fast_decay_onset`` and ``bubble_masses`` read DECAY_LEVEL.)"""
 
     CALLS = {
         "decay_classify": lambda p, th: decay_classify(p, 1.0, th),
         "fast_decay_radius_scan":
             lambda p, th: fast_decay_radius_scan(p, 0, (10.0, 1000.0), th),
-        "final_fast_decay_onset": lambda p, th: final_fast_decay_onset(p, th),
-        "bubble_masses": lambda p, th: bubble_masses(
-            p, [1e-1, 1e-2], 0.1, enumerate_su3(40), decay_threshold=th),
     }
 
     @pytest.mark.parametrize("name", list(CALLS))
@@ -287,15 +286,16 @@ class TestBubbleMasses:
         assert np.linalg.norm(last - target) < np.linalg.norm(prev - target) + 1e-12
 
     def test_delta_stability(self, limitpair_target, spectrum_400):
-        # once past the fast-decay radius the measurement is delta-stable
+        # once past the fast-decay radius the measurement is delta-stable:
+        # delta / eps_min = 40000 lies past the onset, 3758 at DECAY_LEVEL,
+        # so the walk halves delta three times
         _, base = limitpair_target
-        rep = bubble_masses(
-            base, [1e-2, 1e-3], 4.0, spectrum_400, decay_threshold=6.0
-        )
-        assert len(rep.delta_ladder) >= 2
+        rep = bubble_masses(base, [1e-2, 1e-3], 40.0, spectrum_400)
+        assert len(rep.delta_ladder) == 4
         a = np.array(rep.delta_ladder[0][1])
         b = np.array(rep.delta_ladder[-1][1])
-        assert np.max(np.abs(a - b)) < 1e-2
+        assert np.max(np.abs(a - b)) < 1e-4
+        assert rep.nearest == MassTriple(16, 0, 12)
 
     def test_readme_session_reads_the_headline_at_delta(self, limitpair_target,
                                                         spectrum_400):

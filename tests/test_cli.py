@@ -123,7 +123,7 @@ class TestShootCommand:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# config ")
         header = next(l for l in lines if not l.startswith("#"))
-        assert header == "r,u1,du1,sigma1"
+        assert header == "r,u1,w1,sigma1"
         first = next(l for l in lines if not l.startswith("#") and l != header)
         assert len(first.split(",")) == 4
 
@@ -777,7 +777,7 @@ class TestMalformedInputFiles:
         doc = profile_to_json_dict(limitpair_target[1])
         (outdir / "pair.json").write_text(json.dumps(doc))
         assert run(capsys, "bubble", "--base", "pair.json", "--ladder", "0.1")[0] == 0
-        for key in ("grid", "values", "derivs", "masses"):
+        for key in ("grid", "state"):
             doc[key] = []
         (outdir / "empty.json").write_text(json.dumps(doc))
         code, _, err = run(capsys, "bubble", "--base", "empty.json",
@@ -786,6 +786,24 @@ class TestMalformedInputFiles:
         (line,) = err.splitlines()
         assert line == ("error: cannot read base profile empty.json: "
                         "profile grid has no nodes")
+
+    @pytest.mark.parametrize("edit,reason", [
+        (lambda doc: doc.update(format_version=99),
+         "profile format_version 99: this reader reads format 2 only"),
+        (lambda doc: doc.pop("format_version"),
+         "profile format_version None: this reader reads format 2 only"),
+        (lambda doc: doc.update(state=[row[1:] for row in doc["state"]]),
+         "profile state has shape (401, 5), expected (401, 6)"),
+    ], ids=["version_99", "no_version", "state_missing_a_column"])
+    def test_base_profile_of_another_layout(self, capsys, outdir, monkeypatch,
+                                            limitpair_target, edit, reason):
+        monkeypatch.chdir(outdir)
+        doc = profile_to_json_dict(limitpair_target[1])
+        assert len(doc["grid"]) == 401
+        edit(doc)
+        (outdir / "other.json").write_text(json.dumps(doc))
+        got = run(capsys, "bubble", "--base", "other.json", "--ladder", "0.1")
+        assert got == (1, "", f"error: cannot read base profile other.json: {reason}\n")
 
 
 class TestInputsWithoutACorrectShot:

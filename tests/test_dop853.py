@@ -105,7 +105,7 @@ def test_shot_agrees_with_scipy(name, request):
     assert prof.stats.nfev == nfev
     np.testing.assert_allclose(prof.values, ys[:n].T, rtol=0, atol=1e-10)
     r = np.exp(ts)
-    np.testing.assert_allclose(prof.derivs * r[:, None], ys[n : 2 * n].T, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(prof.log_derivs, ys[n : 2 * n].T, rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(
         prof.masses, np.maximum.accumulate(ys[2 * n :].T, axis=0), rtol=1e-10, atol=1e-10
     )
