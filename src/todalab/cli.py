@@ -223,10 +223,15 @@ def cmd_spectrum(args, cfg: dict, given: dict) -> int:
     bound = cfg["bound"]
     if variant != "su3":
         raise ValueError("equiv applies to the su3 spectrum")
-    # enumerate_su3 raises internally on any mismatch between the quadric
-    # solve and the parametrization, so reaching the report line is the
-    # equivalence proof
+    # the one comparison of the quadric solve with enumerate_su3's (m1, m2) sweep
+    solved = spec_mod._on_quadric(spec_mod.pohozaev_residual_su3, bound)
     sset = spec_mod.enumerate_su3(bound)
+    param = set(sset.members)
+    if solved != param:
+        raise ValueError(
+            "enumeration mismatch: quadric solve and parametrization disagree "
+            f"(bound={bound}, only-quadric={sorted(solved - param)}, "
+            f"only-param={sorted(param - solved)})")
     _emit(
         args,
         [f"equivalence holds up to bound {bound} ({len(sset)} members)"],

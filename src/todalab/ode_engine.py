@@ -6,12 +6,12 @@ t = log r the state (u, w = du/dt, m = cumulative mass) obeys
     du/dt = w,   dw/dt = -exp(2t) F(u),   dm_i/dt = exp(u_i + 2t),
 
 which makes the far field linear in t and cheap to follow out to large
-radii.  Integration starts from a second-order series head at a small
-radius (regular data) or from the power-law asymptote 2 b log r + c
-(singular data), runs the in-house Dormand-Prince 8(5,3) stepper of
-``dop853`` (the method and controller of scipy's ``solve_ivp(DOP853)``,
-without scipy), and guards against component blow-up at +50.  Each
-profile carries the stepper's counts and message in ``stats``.
+radii.  Integration starts at a small radius from the series head
+c + 2 b log r (b = 0 for regular data) plus one correction per series
+term, runs the in-house Dormand-Prince 8(5,3) stepper of ``dop853`` (the
+method and controller of scipy's ``solve_ivp(DOP853)``, without scipy),
+and guards against component blow-up at +50.  Each profile carries the
+stepper's counts and message in ``stats``.
 
 Masses ride along in the state, so the divergence-theorem identity
 r u_i'(r) = -(signed mass combination) is a linear invariant of the

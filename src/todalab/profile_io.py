@@ -7,9 +7,10 @@ after ``#`` lines with the run configuration and the termination reason.  The
 JSON form (format 2) adds the system, reason, provenance and shot parameters,
 and reads back ``==`` to the profile written.  Reading it is the boundary for
 outside files: malformed content (a missing key, a null or mistyped value, a
-grid with no nodes, another format version, a state not of shape
-(len(grid), 3n), a document that is not an object) raises ``ValueError``, and
-a missing key reads as its quoted name, e.g. ``'grid'``.
+grid with no nodes or not positive, finite and strictly increasing, another
+format version, a state not of shape (len(grid), 3n), a document that is not
+an object) raises ``ValueError``, and a missing key reads as its quoted name,
+e.g. ``'grid'``.
 """
 
 from __future__ import annotations
@@ -67,6 +68,9 @@ def profile_from_json_dict(d: dict) -> RadialProfile:
         grid = np.asarray(d["grid"], dtype=float)
         if grid.size == 0:
             raise ValueError("profile grid has no nodes")
+        if not (np.isfinite(grid).all() and grid[0] > 0 and (np.diff(grid) > 0).all()):
+            raise ValueError("profile grid must be positive, finite and "
+                             "strictly increasing")
         version = d.get("format_version")
         if version != FORMAT_VERSION:
             raise ValueError(f"profile format_version {version!r}: this reader "

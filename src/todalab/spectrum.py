@@ -1,16 +1,17 @@
 """Exact arithmetic on blow-up local-mass triples.
 
 The admissible triples for the three-component affine system are the
-non-negative multiples of 4 on the quadric
+theorem's sigma(m1, m2) over index pairs with m1, m2 both 0 or 1 or both
+2 or 3 mod 4, minus the origin: exactly the non-negative multiples of 4
+on the quadric
 
-    (s1 - s3)^2 + (s2 - s3)^2 = 4 (s1 + s2 + 2 s3),
+    (s1 - s3)^2 + (s2 - s3)^2 = 4 (s1 + s2 + 2 s3).
 
-minus the origin.  The same set is swept by an integer parametrization
-(m1, m2).  This module enumerates it both ways, by solving the quadric
-for s3 exactly and by sweeping (m1, m2), and checks that the two
-productions coincide.  A three-fold symmetric analogue (the SU(4) affine
-candidate set) is enumerated by the same quadric solve.  ``RULES`` maps
-each ``SpectrumVariant`` to its enumerator, residual and membership test.
+``enumerate_su3`` sweeps (m1, m2).  The quadric solve below enumerates
+the three-fold symmetric analogue (the SU(4) affine candidate set), and
+``todalab spectrum equiv`` runs it on the su3 quadric to compare the two.
+``RULES`` maps each ``SpectrumVariant`` to its enumerator, residual and
+membership test.
 
 The solve reads a residual's integer coefficients once per s1 row, so it
 calls the residual O(bound) times, does O(bound^2) integer operations
@@ -213,13 +214,6 @@ def membership_su3(t: MassTriple) -> Optional[ParamIndex]:
     return p
 
 
-def _index_window(bound: int) -> int:
-    # s3 >= m(m-1) for each index, so |m| <= 1 + ceil(sqrt(bound)) already
-    # suffices; one extra unit of margin lets enumerate_su3 assert that no
-    # member touches the window edge.
-    return math.isqrt(bound) + 3
-
-
 _NOT_QUADRATIC = (
     "residual is not a quadratic polynomial in (s2, s3) with integer "
     "coefficients"
@@ -282,11 +276,20 @@ def _on_quadric(residual, bound: int) -> set[MassTriple]:
     return found
 
 
-def _parametrized_su3(bound: int) -> dict[MassTriple, ParamIndex]:
-    # the residue and range tests run on plain ints; objects are built for
-    # members only
-    window = _index_window(bound)
-    found: dict[MassTriple, ParamIndex] = {}
+def enumerate_su3(bound: int) -> SpectrumSet:
+    """All quantization-set members with max component <= bound.
+
+    Sweeps the residue-valid index pairs (m1, m2) and keeps the non-zero
+    triples in [0, bound]^3, sorted lexicographically with their indices.
+    """
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    # s3 >= m(m-1) for each index, so |m| <= 1 + ceil(sqrt(bound)) already
+    # suffices; one extra unit of margin lets the sweep assert that no member
+    # touches the window edge.  The residue and range tests run on plain
+    # ints; objects are built for members only.
+    window = math.isqrt(bound) + 3
+    rows = []
     for m1 in range(-window, window + 1):
         for m2 in range(-window, window + 1):
             if not _residue_ok(m1, m2):
@@ -296,29 +299,12 @@ def _parametrized_su3(bound: int) -> dict[MassTriple, ParamIndex]:
                 continue
             if max(abs(m1), abs(m2)) >= window - 1:
                 raise AssertionError("index window too small for bound %d" % bound)
-            found[MassTriple(*t)] = ParamIndex(m1, m2)
-    return found
-
-
-def enumerate_su3(bound: int) -> SpectrumSet:
-    """All quantization-set members with max component <= bound.
-
-    The set is produced twice, by solving the quadric for s3 over
-    multiples of 4 and by sweeping the (m1, m2) parametrization, and the
-    two productions must coincide; a mismatch raises.  Members come out
-    sorted lexicographically with their indices attached.
-    """
-    solved = _on_quadric(pohozaev_residual_su3, bound)
-    param = _parametrized_su3(bound)
-    if solved != set(param):
-        raise RuntimeError(
-            "enumeration mismatch: quadric solve and parametrization disagree "
-            f"(bound={bound}, only-quadric={sorted(solved - set(param))}, "
-            f"only-param={sorted(set(param) - solved)})"
-        )
-    members = tuple(sorted(solved))
-    indices = tuple(param[t] for t in members)
-    return SpectrumSet(SpectrumVariant.SU3_AFFINE, bound, members, indices)
+            rows.append((t, ParamIndex(m1, m2)))
+    # sigma is injective, so the sort never compares two indices
+    rows.sort()
+    return SpectrumSet(SpectrumVariant.SU3_AFFINE, bound,
+                       tuple(MassTriple(*t) for t, _ in rows),
+                       tuple(p for _, p in rows))
 
 
 def is_candidate_su4(t: MassTriple) -> bool:

@@ -7,6 +7,7 @@ coefficient 8, so 9a is expected to stay red.  Check 9b verifies the
 independently derived radial balance, which passes.  See README.
 """
 
+import functools
 import math
 import time
 
@@ -67,7 +68,7 @@ def brute_python_su3(bound):
 
 def test_criterion_1_spectrum_equivalence():
     t0 = time.perf_counter()
-    full = enumerate_su3(400)  # raises internally if productions disagree
+    full = enumerate_su3(400)  # the (m1, m2) sweep, against the brute force below
     elapsed = time.perf_counter() - t0
 
     oracle = brute_python_su3(400)
@@ -262,13 +263,20 @@ def _su4_measurement_points(prof, n_detect=6.0, min_mass=2.0):
     return [float(prof.grid[k])]
 
 
+@functools.cache
 def _su4_profiles():
-    return [
+    """The two su4 shots of checks 9a and 9b, shot once; their grids and
+    states are read-only, so a check that wrote into them would fail."""
+    profiles = tuple(
         shoot(
             ShootSpec(SystemKind(Variant.AFFINE_SU4), (-h, -h, 2 * h), r_max=1e3)
         )
         for h in (10.0, 12.0)
-    ]
+    )
+    for prof in profiles:
+        prof.grid.setflags(write=False)
+        prof.state.setflags(write=False)
+    return profiles
 
 
 def test_criterion_9a_su4_symmetric_form_as_published():

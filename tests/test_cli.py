@@ -1,13 +1,16 @@
 """Command-line interface: exit codes, file formats, reproducibility."""
 
 import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from todalab import spectrum
 from todalab.cli import build_parser, main
 from todalab.profile_io import profile_to_json_dict, read_profile_json
+from todalab.spectrum import MassTriple
 
 
 def run(capsys, *argv):
@@ -76,6 +79,25 @@ class TestSpectrumCommands:
         code, out, _ = run(capsys, "spectrum", "equiv", "--bound", "400")
         assert code == 0
         assert "equivalence holds" in out
+
+    @pytest.mark.parametrize("production,patched,extra", [
+        ("_on_quadric", lambda found: found - {MassTriple(16, 0, 12)}, (16, 0, 12)),
+        ("enumerate_su3", lambda sset: dataclasses.replace(
+            sset, members=(*sset.members, MassTriple(4, 4, 4)),
+            indices=(*sset.indices, None)), (4, 4, 4)),
+    ], ids=["quadric_drops_16_0_12", "sweep_adds_4_4_4"])
+    def test_equiv_with_disagreeing_productions_exits_one(
+            self, capsys, outdir, monkeypatch, production, patched, extra):
+        original = getattr(spectrum, production)
+        monkeypatch.setattr(spectrum, production,
+                            lambda *args: patched(original(*args)))
+        code, out, err = run(capsys, "spectrum", "equiv", "--bound", "40")
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert line == (
+            "error: enumeration mismatch: quadric solve and parametrization "
+            "disagree (bound=40, only-quadric=[], only-param="
+            f"[{MassTriple(*extra)!r}])")
 
     def test_print_config(self, capsys, outdir):
         code, out, _ = run(capsys, "spectrum", "enumerate", "--print-config")
@@ -786,6 +808,20 @@ class TestMalformedInputFiles:
         (line,) = err.splitlines()
         assert line == ("error: cannot read base profile empty.json: "
                         "profile grid has no nodes")
+
+    def test_base_profile_with_swapped_nodes(self, capsys, outdir, monkeypatch,
+                                             limitpair_target):
+        # nodes 200 and 201 swapped used to load, and bubble reported masses
+        # off by 0.1
+        monkeypatch.chdir(outdir)
+        doc = profile_to_json_dict(limitpair_target[1])
+        grid = doc["grid"]
+        grid[200], grid[201] = grid[201], grid[200]
+        (outdir / "swapped.json").write_text(json.dumps(doc))
+        got = run(capsys, "bubble", "--base", "swapped.json", "--ladder", "0.1")
+        assert got == (1, "", "error: cannot read base profile swapped.json: "
+                              "profile grid must be positive, finite and "
+                              "strictly increasing\n")
 
     @pytest.mark.parametrize("edit,reason", [
         (lambda doc: doc.update(format_version=99),

@@ -161,3 +161,21 @@ class TestReaderRefusesOtherLayouts:
              "format_version": 1}
         with pytest.raises(ValueError, match="^profile grid has no nodes$"):
             profile_from_json_dict(d)
+
+    @pytest.mark.parametrize("edit", [
+        lambda g: [*g[:200], g[201], g[200], *g[202:]],
+        lambda g: [0.0, *g[1:]],
+        lambda g: [-g[0], *g[1:]],
+        lambda g: [g[0], *g[:-1]],
+        lambda g: [*g[:100], math.nan, *g[101:]],
+        lambda g: [*g[:-1], math.inf],
+    ], ids=["nodes_200_201_swapped", "first_node_zero", "first_node_negative",
+            "a_repeated_node", "a_nan_node", "an_infinite_last_node"])
+    def test_a_grid_that_is_not_positive_and_increasing(self, su3_ladder_profile,
+                                                         edit):
+        d = profile_to_json_dict(su3_ladder_profile)
+        d["grid"] = edit(d["grid"])
+        with pytest.raises(ValueError) as err:
+            profile_from_json_dict(d)
+        assert str(err.value) == ("profile grid must be positive, finite and "
+                                  "strictly increasing")

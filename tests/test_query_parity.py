@@ -106,8 +106,7 @@ PROFILES = {
         Variant.LIOUVILLE, (math.log(32.0),), (1.0,), r_max=1e4),
     "one-row": lambda: shot(Variant.LIOUVILLE, (60.0,), r_max=10.0),
     "sinh-gordon-blow-up": lambda: shot(Variant.SINH_GORDON, (-160.0,), r_max=1e3),
-    "su3-read-back": lambda: read_back(
-        shot(Variant.AFFINE_SU3, (-28.0, -28.0, 28.0), r_max=1e3)),
+    "su3-read-back": lambda: read_back(built("su3")),
 }
 
 

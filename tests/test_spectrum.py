@@ -1,5 +1,6 @@
 """Exact-arithmetic tests for the mass-triple spectrum module."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -202,20 +203,48 @@ class TestEnumerationSu3:
         assert lines[0].split() == ["0", "0", "4", "-1", "-1"]
         assert all(len(line.split()) == 5 for line in lines)
 
-    @pytest.mark.parametrize(
-        "production,patched",
-        [
-            ("_on_quadric", lambda found: found - {MassTriple(16, 0, 12)}),
-            ("_parametrized_su3", lambda found: {**found, MassTriple(4, 4, 4): None}),
-        ],
-    )
-    def test_disagreeing_productions_raise(self, monkeypatch, production, patched):
-        original = getattr(spectrum, production)
-        monkeypatch.setattr(
-            spectrum, production, lambda *args: patched(original(*args))
-        )
-        with pytest.raises(RuntimeError, match="enumeration mismatch"):
-            enumerate_su3(40)
+
+class TestEquivalenceLemma:
+    """The multiples of 4 on the su3 quadric, minus the origin, are the
+    theorem's sigma(m1, m2) over residue-valid index pairs at every bound;
+    ``todalab spectrum equiv`` compares the two productions at one bound."""
+
+    def test_quadric_in_index_coordinates(self):
+        # with s1 = s3 + 4 m1 and s2 = s3 + 4 m2 the quadric reads
+        # s3 = m1(m1-1) + m2(m2-1); both sides have degree <= 2 in each of
+        # m1, m2 and s3, so agreeing on a 3x3x3 grid makes them equal
+        for m1, m2, s3 in itertools.product(range(3), repeat=3):
+            t = MassTriple(s3 + 4 * m1, s3 + 4 * m2, s3)
+            assert pohozaev_residual_su3(t) == -16 * (
+                s3 - m1 * (m1 - 1) - m2 * (m2 - 1))
+
+    def test_residue_rule_is_s3_divisible_by_4(self):
+        # m(m-1) mod 4 depends on m mod 4 only, and is 0, 0, 2, 2
+        for m in range(-8, 8):
+            assert m * (m - 1) % 4 == (0, 0, 2, 2)[m % 4]
+        for m1, m2 in itertools.product(range(4), repeat=2):
+            s3 = m1 * (m1 - 1) + m2 * (m2 - 1)
+            assert (s3 % 4 == 0) == spectrum._residue_ok(m1, m2)
+
+    def test_membership_inverts_the_map(self):
+        for m1, m2 in itertools.product(range(-12, 13), repeat=2):
+            p = ParamIndex(m1, m2)
+            t = triple_from_params(p)
+            member = (p.residue_ok() and t.as_tuple() != (0, 0, 0)
+                      and min(t.as_tuple()) >= 0)
+            assert membership_su3(t) == (p if member else None)
+
+    @pytest.mark.parametrize("bound", [0, 4, 400, 1000, 1003])
+    def test_productions_agree(self, bound):
+        assert set(enumerate_su3(bound).members) == spectrum._on_quadric(
+            pohozaev_residual_su3, bound)
+
+    def test_enumeration_does_not_solve_the_quadric(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerate_su3 solved the quadric")
+
+        monkeypatch.setattr(spectrum, "_on_quadric", refuse)
+        assert len(enumerate_su3(400)) == 566
 
 
 class TestEnumerationSu4:
@@ -298,7 +327,7 @@ class TestQuadricSolver:
         assert len(enumerate_su3(1000)) == 1474
         assert len(enumerate_su4(1000)) == 426
 
-    def test_residual_calls_linear_in_bound(self, monkeypatch):
+    def test_residual_calls_linear_in_bound(self):
         calls = 0
 
         def counted(t):
@@ -306,9 +335,8 @@ class TestQuadricSolver:
             calls += 1
             return pohozaev_residual_su3(t)
 
-        monkeypatch.setattr(spectrum, "pohozaev_residual_su3", counted)
         bound = 1000
-        assert len(enumerate_su3(bound)) == 1474
+        assert len(spectrum._on_quadric(counted, bound)) == 1474
         # the per-cell solve made 126,755 calls at this bound
         assert 0 < calls <= 7 * (bound // 4 + 1) + 3
 
