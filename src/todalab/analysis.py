@@ -76,6 +76,9 @@ def fast_decay_radius_scan(
     grows like log(b/a) and is the quantity to inspect.
     """
     _checked_threshold(threshold)
+    n = p.n_components
+    if not 0 <= component < n:
+        raise ValueError(f"component {component!r} outside 0 <= component < {n}")
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise ValueError("need a < b")

@@ -12,6 +12,7 @@ coefficient 2 on the right-hand side is the same family shifted by log 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,16 +22,18 @@ ArrayLike = float | np.ndarray
 
 @dataclass(frozen=True)
 class BubbleSpec:
-    """Scale mu > 0 and singular weight b >= 0 (b = 0 means regular)."""
+    """Finite scale mu > 0 and finite singular weight b >= 0 (b = 0 means
+    regular)."""
 
     mu: float
     b: float = 0.0
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
-        if self.b < 0:
-            raise ValueError("singular weight b must be non-negative")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be finite and positive, got {self.mu!r}")
+        if not 0 <= self.b < math.inf:
+            raise ValueError(
+                f"singular weight b must be finite and non-negative, got {self.b!r}")
 
 
 def liouville_bubble(spec: BubbleSpec, r: ArrayLike) -> ArrayLike:

@@ -218,11 +218,12 @@ class RadialProfile:
     ODE's own slopes, which does not resolve the far field past the last
     bubble: it oscillates in t faster than the grid samples it.  Those
     slopes are evaluated once per profile, on its first query between nodes,
-    so a profile is an immutable value: ``dataclasses.replace`` or
-    ``rescale`` derive new ones.  ``stats`` records what the shot cost and
-    why it stopped; it is neither serialized nor compared.  A shot that an
-    event ends (blow-up, mass overflow) has the event state as its last
-    row, so ``r_end`` is the event radius.
+    so a profile is an immutable value: its ``grid`` and ``state`` are
+    read-only, and ``dataclasses.replace`` or ``rescale`` derive new
+    profiles.  ``stats`` records what the shot cost and why it stopped; it
+    is neither serialized nor compared.  A shot that an event ends (blow-up,
+    mass overflow) has the event state as its last row, so ``r_end`` is the
+    event radius.
     """
 
     system: SystemKind
@@ -232,6 +233,12 @@ class RadialProfile:
     spec: Optional[ShootSpec] = None
     provenance: str = "shoot"
     stats: Optional[SolverStats] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the nodal slopes are cached on the first query, so the rows they
+        # were read from must not change
+        self.grid.setflags(write=False)
+        self.state.setflags(write=False)
 
     def __eq__(self, other) -> bool:
         """Value equality: the same system, reason, spec and provenance, and

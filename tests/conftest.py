@@ -1,3 +1,5 @@
+import functools
+import json
 import math
 import os
 import subprocess
@@ -15,52 +17,61 @@ from todalab import (
     find_decaying,
     shoot,
 )
+from todalab.profile_io import profile_from_json_dict, profile_to_json_dict
 
 LOG8 = math.log(8.0)
+
+# The registry: a spec or search that more than one test reads is run here,
+# once per session, and every test takes it from ``shot`` or ``search``.
+# Only a test whose subject is the shot itself calls ``shoot`` or
+# ``find_decaying`` on its own (determinism and equality, a timed shot, a
+# profile that holds no table until queried, a search against full shots,
+# the scipy agreement side, a CLI command).  A profile's arrays are
+# read-only, so no test can change what another test reads.
+shot_of = functools.cache(shoot)
+search = functools.cache(find_decaying)
+
+
+def shot(variant, heights, weights=(), **kwargs):
+    """The registry's shot of ``ShootSpec(SystemKind(variant, weights),
+    heights, **kwargs)``."""
+    return shot_of(ShootSpec(SystemKind(variant, weights), heights, **kwargs))
+
+
+def read_back(p):
+    """``p`` through a profile file's JSON text."""
+    return profile_from_json_dict(json.loads(json.dumps(profile_to_json_dict(p))))
 
 
 @pytest.fixture(scope="session")
 def liouville_profile():
     """Regular bubble shot out to r = 1e3."""
-    return shoot(ShootSpec(SystemKind(Variant.LIOUVILLE), (LOG8,), r_max=1e3))
+    return shot(Variant.LIOUVILLE, (LOG8,), r_max=1e3)
 
 
 @pytest.fixture(scope="session")
 def liouville_profile_fine():
     """Same shot on a dense grid for radius-resolution tests."""
-    return shoot(
-        ShootSpec(
-            SystemKind(Variant.LIOUVILLE),
-            (LOG8,),
-            r_max=1e3,
-            samples_per_decade=400,
-        )
-    )
+    return shot(Variant.LIOUVILLE, (LOG8,), r_max=1e3, samples_per_decade=400)
 
 
 @pytest.fixture(scope="session")
 def limitpair_target():
     """Mass-targeted fully decaying two-component solution."""
-    return find_decaying(
-        SystemKind(Variant.LIMIT_PAIR), 0, LOG8, (-5.0, 5.0), tol=1e-4
-    )
+    return search(SystemKind(Variant.LIMIT_PAIR), 0, LOG8, (-5.0, 5.0), tol=1e-4)
 
 
 @pytest.fixture(scope="session")
 def su3_ladder_profile():
     """Symmetric (u1 = u2) three-component shot tall enough to show two
     mass plateaus with simultaneous fast decay."""
-    return shoot(
-        ShootSpec(SystemKind(Variant.AFFINE_SU3), (-28.0, -28.0, 28.0), r_max=1e3)
-    )
+    return shot(Variant.AFFINE_SU3, (-28.0, -28.0, 28.0), r_max=1e3)
 
 
 @pytest.fixture(scope="session")
 def su4_bubble_profile():
     """Three-component symmetric shot with a clean fast-decay annulus."""
-    return shoot(
-        ShootSpec(SystemKind(Variant.AFFINE_SU4), (-12.0, -12.0, 24.0), r_max=1e3)
-    )
+    return shot(Variant.AFFINE_SU4, (-12.0, -12.0, 24.0), r_max=1e3)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,6 @@ coefficient 8, so 9a is expected to stay red.  Check 9b verifies the
 independently derived radial balance, which passes.  See README.
 """
 
-import functools
 import math
 import time
 
@@ -26,7 +25,6 @@ from todalab.analysis import (
 from todalab.closed_forms import BubbleSpec, bubble_value, from_w_eta, VarsWEta
 from todalab.ode_engine import (
     ShootSpec,
-    find_decaying,
     mean_value_residuals,
     rescale,
     shoot,
@@ -41,7 +39,7 @@ from todalab.spectrum import (
 )
 from todalab.systems import SystemKind, Variant
 
-LOG8 = math.log(8.0)
+from conftest import LOG8, search, shot
 
 
 def report(num: str, ok: bool, detail: str) -> bool:
@@ -147,7 +145,7 @@ def test_criterion_3_liouville_oracle():
 
 def test_criterion_4_two_component_masses():
     t0 = time.perf_counter()
-    heights, prof = find_decaying(
+    heights, prof = search(
         SystemKind(Variant.LIMIT_PAIR), 0, LOG8, (-5.0, 5.0), tol=1e-4
     )
     totals, _ = total_masses(prof)
@@ -169,7 +167,7 @@ def test_criterion_4_two_component_masses():
 @pytest.mark.parametrize("b", [1.0, 2.0, 3.0])
 def test_criterion_5_singular_quantization(b):
     c = math.log(8 * (1 + b) ** 2)
-    prof = shoot(ShootSpec(SystemKind(Variant.LIOUVILLE, (b,)), (c,), r_max=1e4))
+    prof = shot(Variant.LIOUVILLE, (c,), (b,), r_max=1e4)
     totals, converged = total_masses(prof)
     expected = 4 * (1 + b)
     rel = abs(totals[0] - expected) / expected
@@ -263,20 +261,9 @@ def _su4_measurement_points(prof, n_detect=6.0, min_mass=2.0):
     return [float(prof.grid[k])]
 
 
-@functools.cache
 def _su4_profiles():
-    """The two su4 shots of checks 9a and 9b, shot once; their grids and
-    states are read-only, so a check that wrote into them would fail."""
-    profiles = tuple(
-        shoot(
-            ShootSpec(SystemKind(Variant.AFFINE_SU4), (-h, -h, 2 * h), r_max=1e3)
-        )
-        for h in (10.0, 12.0)
-    )
-    for prof in profiles:
-        prof.grid.setflags(write=False)
-        prof.state.setflags(write=False)
-    return profiles
+    """The two su4 shots of checks 9a and 9b."""
+    return [shot(Variant.AFFINE_SU4, (-h, -h, 2 * h), r_max=1e3) for h in (10.0, 12.0)]
 
 
 def test_criterion_9a_su4_symmetric_form_as_published():

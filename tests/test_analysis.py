@@ -24,14 +24,12 @@ from todalab.ode_engine import DECAY_LEVEL, ShootSpec, shoot
 from todalab.spectrum import MassTriple, ParamIndex, enumerate_su3, enumerate_su4
 from todalab.systems import SystemKind, Variant
 
-LOG8 = math.log(8.0)
+from conftest import shot
 
 
 @pytest.fixture(scope="module")
 def su4_zero_profile():
-    return shoot(
-        ShootSpec(SystemKind(Variant.AFFINE_SU4), (0.0, 0.0, 0.0), r_max=100.0)
-    )
+    return shot(Variant.AFFINE_SU4, (0.0, 0.0, 0.0), r_max=100.0)
 
 
 class TestDecayClassify:
@@ -93,6 +91,12 @@ class TestFastDecayScan:
             fast_decay_radius_scan(liouville_profile, 0, (50.0, 10.0), 5.0)
         with pytest.raises(ValueError):
             fast_decay_radius_scan(liouville_profile, 0, (1e-6, 1e-5), 5.0)
+
+    @pytest.mark.parametrize("component", [-1, 2])
+    def test_component_validation(self, limitpair_target, component):
+        with pytest.raises(ValueError) as err:
+            fast_decay_radius_scan(limitpair_target[1], component, (1.0, 1e3), 5.0)
+        assert str(err.value) == f"component {component} outside 0 <= component < 2"
 
     def test_final_onset(self, liouville_profile, su4_zero_profile):
         # the first node at or past the closed-form root at DECAY_LEVEL

@@ -7,10 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from todalab import spectrum
+from todalab import SystemKind, Variant, spectrum
 from todalab.cli import build_parser, main
-from todalab.profile_io import profile_to_json_dict, read_profile_json
+from todalab.profile_io import profile_to_json_dict, read_profile_json, write_profile_json
 from todalab.spectrum import MassTriple
+
+from conftest import search
 
 
 def run(capsys, *argv):
@@ -210,7 +212,7 @@ class TestTargetCommand:
         assert (outdir / "target_limitpair.json").exists()
 
     def test_json_counts_the_search(self, capsys, outdir):
-        from todalab import SystemKind, Variant, find_decaying
+        from todalab import find_decaying
 
         trace = []
         find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, 2.08, (-5.0, 5.0), trace=trace)
@@ -259,15 +261,13 @@ class TestTargetCommand:
         assert code == 2
 
 
-@pytest.fixture()
-def base_profile(capsys, outdir):
-    path = outdir / "base.json"
-    code, _, _ = run(
-        capsys,
-        "target", "--system", "limitpair", "--anchor", "2.0794415417",
-        "--bracket=-5,5", "--out", str(path),
-    )
-    assert code == 0
+@pytest.fixture(scope="session")
+def base_profile(tmp_path_factory):
+    """The profile file of ``target --system limitpair --anchor 2.0794415417
+    --bracket=-5,5``, from the registry's run of that search."""
+    path = tmp_path_factory.mktemp("base") / "base.json"
+    _, prof = search(SystemKind(Variant.LIMIT_PAIR), 0, 2.0794415417, (-5.0, 5.0))
+    write_profile_json(prof, path)
     return path
 
 

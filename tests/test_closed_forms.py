@@ -65,6 +65,12 @@ class TestBubbleValues:
         with pytest.raises(ValueError):
             BubbleSpec(1.0, -0.5)
 
+    @pytest.mark.parametrize("mu,b", [(1.0, math.nan), (math.inf, 0.0), (1.0, math.inf)],
+                             ids=["b_nan", "mu_inf", "b_inf"])
+    def test_spec_refuses_non_finite_values(self, mu, b):
+        with pytest.raises(ValueError, match="must be finite"):
+            BubbleSpec(mu, b)
+
 
 class TestMassesByQuadrature:
     @pytest.mark.parametrize("spec", SPECS, ids=str)

@@ -24,9 +24,10 @@ from todalab.ode_engine import (
     ShootSpec,
     TerminationReason,
     _series_state,
-    shoot,
 )
 from todalab.systems import SystemKind, Variant
+
+from conftest import shot_of
 
 SU3 = SystemKind(Variant.AFFINE_SU3)
 SU4 = SystemKind(Variant.AFFINE_SU4)
@@ -92,10 +93,9 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_shot_agrees_with_scipy(name, request):
+def test_shot_agrees_with_scipy(name):
     spec = CASES[name]()
-    fixture = {"su3": "su3_ladder_profile", "su4": "su4_bubble_profile"}.get(name)
-    prof = request.getfixturevalue(fixture) if fixture else shoot(spec)
+    prof = shot_of(spec)
     assert prof.spec == spec
     reason, ts, ys, nfev = scipy_shot(spec)
     n = spec.system.n_components
@@ -113,7 +113,7 @@ def test_shot_agrees_with_scipy(name, request):
 
 
 def test_blow_up_case_fires_the_event():
-    prof = shoot(CASES["sinh_gordon_blow_up"]())
+    prof = shot_of(CASES["sinh_gordon_blow_up"]())
     assert prof.reason is TerminationReason.COMPONENT_BLOW_UP
     assert prof.values[-1, 0] == pytest.approx(BLOWUP_GUARD, abs=1e-8)
 

@@ -41,7 +41,7 @@ from todalab.profile_io import (
 )
 from todalab.systems import SystemKind, Variant
 
-LOG8 = math.log(8.0)
+from conftest import LOG8, shot
 
 
 class TestShootSpecValidation:
@@ -163,9 +163,7 @@ class TestSingularShot:
     @pytest.mark.parametrize("b", [1.0, 2.0])
     def test_matches_closed_form(self, b):
         c = math.log(8 * (1 + b) ** 2)  # mu = 1 asymptote constant
-        p = shoot(
-            ShootSpec(SystemKind(Variant.LIOUVILLE, (b,)), (c,), r_max=1e4)
-        )
+        p = shot(Variant.LIOUVILLE, (c,), (b,), r_max=1e4)
         cf = bubble_value(BubbleSpec(1.0, b), p.grid)
         rel = np.max(np.abs(p.values[:, 0] - cf) / np.maximum(np.abs(cf), 1.0))
         assert rel < 1e-8
@@ -173,9 +171,7 @@ class TestSingularShot:
     @pytest.mark.parametrize("b", [1.0, 2.0, 3.0])
     def test_total_mass_quantized(self, b):
         c = math.log(8 * (1 + b) ** 2)
-        p = shoot(
-            ShootSpec(SystemKind(Variant.LIOUVILLE, (b,)), (c,), r_max=1e4)
-        )
+        p = shot(Variant.LIOUVILLE, (c,), (b,), r_max=1e4)
         totals, converged = total_masses(p)
         assert converged[0]
         assert totals[0] == pytest.approx(4 * (1 + b), rel=1e-6)
@@ -224,9 +220,7 @@ class TestSingularShot:
 
 class TestConstrainedSystems:
     def test_su4_zero_data_constant_profile(self):
-        p = shoot(
-            ShootSpec(SystemKind(Variant.AFFINE_SU4), (0.0, 0.0, 0.0), r_max=100.0)
-        )
+        p = shot(Variant.AFFINE_SU4, (0.0, 0.0, 0.0), r_max=100.0)
         assert np.max(np.abs(p.values)) < 1e-12
         # unit density: sigma = r^2 / 2 per component
         assert p.masses[-1, 0] == pytest.approx(100.0**2 / 2, rel=1e-8)
@@ -268,13 +262,13 @@ class TestTermination:
     def test_sinh_gordon_blow_up(self):
         # a deep negative start rebounds past the guard (turning height
         # is about a third of the starting depth)
-        p = shoot(ShootSpec(SystemKind(Variant.SINH_GORDON), (-160.0,), r_max=1e3))
+        p = shot(Variant.SINH_GORDON, (-160.0,), r_max=1e3)
         assert p.reason is TerminationReason.COMPONENT_BLOW_UP
         assert p.values.max() >= 49.0
         assert p.r_end < 1e3
 
     def test_start_above_guard(self):
-        p = shoot(ShootSpec(SystemKind(Variant.LIOUVILLE), (60.0,), r_max=10.0))
+        p = shot(Variant.LIOUVILLE, (60.0,), r_max=10.0)
         assert p.reason is TerminationReason.COMPONENT_BLOW_UP
         assert len(p.grid) == 1
 
@@ -299,7 +293,7 @@ class TestTermination:
     def test_event_next_to_a_sample_is_the_last_row(self):
         # the mass_guard root lies within 1e-12 in log r of the sample at
         # r = 1; the event state, not that sample, must end the profile
-        p = shoot(ShootSpec(SystemKind(Variant.LIOUVILLE, (1e15,)), (0.0,)))
+        p = shot(Variant.LIOUVILLE, (0.0,), (1e15,))
         assert p.reason is TerminationReason.MASS_OVERFLOW
         # the mass grows like r^(2b + 2) there, so a root placed to a few
         # ulp in log r fixes it only to within a factor of order one
@@ -310,20 +304,20 @@ class TestTermination:
         # the crossing is located in log r to 4 machine epsilons; the mass
         # grows like r^(2e15 + 2) there, so the last row misses the 1e6
         # guard by 8 % although the root is within a few ulp of r = 1
-        p = shoot(ShootSpec(SystemKind(Variant.LIOUVILLE, (1e15,)), (0.0,)))
+        p = shot(Variant.LIOUVILLE, (0.0,), (1e15,))
         assert p.reason is TerminationReason.MASS_OVERFLOW
         assert p.r_end == 1.0000000000000224
         assert p.masses[-1].sum() == pytest.approx(9.1594e5, rel=1e-4)
         assert p.masses[-1].sum() < p.spec.mass_guard
 
     def test_stats_record_wall_time_and_event_radius(self, liouville_profile):
-        blown = shoot(ShootSpec(SystemKind(Variant.SINH_GORDON), (-160.0,), r_max=1e3))
+        blown = shot(Variant.SINH_GORDON, (-160.0,), r_max=1e3)
         assert blown.stats.wall_s > 0
         # the last row is the event state, so r_end is the event radius
         assert blown.reason is TerminationReason.COMPONENT_BLOW_UP
         assert np.max(blown.values[-1]) == pytest.approx(BLOWUP_GUARD, rel=1e-9)
         assert liouville_profile.stats.wall_s > 0
-        start = shoot(ShootSpec(SystemKind(Variant.LIOUVILLE), (60.0,), r_max=10.0))
+        start = shot(Variant.LIOUVILLE, (60.0,), r_max=10.0)
         assert start.r_end == pytest.approx(start.spec.r_start, rel=1e-12)
         # a rescaled profile reports the event at its own radius
         assert rescale(blown, 1e-3).r_end == blown.r_end / 1e-3
@@ -454,9 +448,8 @@ class TestFindDecaying:
         assert err.value.trace  # classifier trace attached
 
     def test_classifier_orientation(self):
-        sk = SystemKind(Variant.LIMIT_PAIR)
-        low = shoot(ShootSpec(sk, (LOG8, -5.0), r_max=1e6))
-        high = shoot(ShootSpec(sk, (LOG8, 5.0), r_max=1e6))
+        low = shot(Variant.LIMIT_PAIR, (LOG8, -5.0), r_max=1e6)
+        high = shot(Variant.LIMIT_PAIR, (LOG8, 5.0), r_max=1e6)
         assert classify_shot(low).first_up == 1  # free component re-ignites
         assert classify_shot(high).first_up == 0  # anchored component re-ignites
 
@@ -666,7 +659,7 @@ class TestProfileQueries:
     def test_one_row_profile_returns_its_row(self):
         """Height 60 starts above the +50 guard: the shot has one row, and
         every query at r_start returns that row's block."""
-        p = shoot(ShootSpec(SystemKind(Variant.LIOUVILLE), (60.0,), r_max=10.0))
+        p = shot(Variant.LIOUVILLE, (60.0,), r_max=10.0)
         assert p.state.shape == (1, 3)
         r = p.spec.r_start
         assert p.value_at(r).tolist() == p.values[0].tolist()

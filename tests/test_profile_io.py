@@ -2,7 +2,6 @@
 bit-equal; the reader refuses a file whose version or shape is not its own."""
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -26,15 +25,7 @@ from todalab.profile_io import (
 )
 from todalab.systems import SystemKind, Variant
 
-LOG8 = math.log(8.0)
-
-
-def shot(variant, heights, weights=(), **kwargs):
-    return shoot(ShootSpec(SystemKind(variant, weights), heights, **kwargs))
-
-
-def read_back(p):
-    return profile_from_json_dict(json.loads(json.dumps(profile_to_json_dict(p))))
+from conftest import LOG8, read_back, shot
 
 
 # every variant, a singular start, the three ways a shot ends early and a

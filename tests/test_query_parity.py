@@ -8,8 +8,6 @@ dsigma/dt) on those two rows only.
 """
 
 import dataclasses
-import functools
-import json
 import math
 
 import numpy as np
@@ -25,10 +23,9 @@ from todalab.ode_engine import (
     rescale,
     shoot,
 )
-from todalab.profile_io import profile_from_json_dict, profile_to_json_dict
 from todalab.systems import SystemKind, Variant
 
-LOG8 = math.log(8.0)
+from conftest import LOG8, read_back, search, shot
 
 
 class OracleProfile(RadialProfile):
@@ -87,18 +84,10 @@ def bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
-def shot(variant, heights, weights=(), **kwargs):
-    return shoot(ShootSpec(SystemKind(variant, weights), heights, **kwargs))
-
-
-def read_back(p: RadialProfile) -> RadialProfile:
-    return profile_from_json_dict(json.loads(json.dumps(profile_to_json_dict(p))))
-
-
 PROFILES = {
     "su3": lambda: shot(Variant.AFFINE_SU3, (-28.0, -28.0, 28.0), r_max=1e3),
     "su4": lambda: shot(Variant.AFFINE_SU4, (-12.0, -12.0, 24.0), r_max=1e3),
-    "limitpair": lambda: find_decaying(
+    "limitpair": lambda: search(
         SystemKind(Variant.LIMIT_PAIR), 0, LOG8, (-5.0, 5.0))[1],
     "sinh-gordon": lambda: shot(Variant.SINH_GORDON, (2.0,), r_max=1e3),
     "tzitzeica": lambda: shot(Variant.TZITZEICA, (LOG8,), r_max=1e3),
@@ -114,7 +103,6 @@ PROFILES = {
 NO_IDENTITY = {"sinh-gordon", "tzitzeica", "sinh-gordon-blow-up"}
 
 
-@functools.cache
 def built(name: str) -> RadialProfile:
     return PROFILES[name]()
 
@@ -185,7 +173,8 @@ class TestNoStaleTable:
                 rel=1e-9, abs=1e-300)
 
     def test_a_shot_holds_no_table_until_queried(self):
-        p = shot(Variant.AFFINE_SU3, (-28.0, -28.0, 28.0), r_max=10.0)
+        p = shoot(ShootSpec(SystemKind(Variant.AFFINE_SU3), (-28.0, -28.0, 28.0),
+                            r_max=10.0))
         assert "_nodes" not in vars(p)
         p.mass_at(float(p.grid[0]))
         assert "_nodes" in vars(p)
@@ -193,3 +182,22 @@ class TestNoStaleTable:
     def test_a_search_result_holds_no_table(self):
         _, p = find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, LOG8, (-5.0, 5.0))
         assert "_nodes" not in vars(p)
+
+
+# every way a profile is made: its arrays are read-only, so no write can
+# leave the nodal slope table stale
+MAKERS = {
+    "shoot": lambda p: p,
+    "rescale": lambda p: rescale(p, 7.3),
+    "profile_from_json_dict": read_back,
+    "dataclasses.replace": lambda p: dataclasses.replace(
+        p, grid=p.grid.copy(), state=p.state.copy()),
+}
+
+
+@pytest.mark.parametrize("make", MAKERS.values(), ids=list(MAKERS))
+def test_a_profile_refuses_writes_into_its_arrays(liouville_profile, make):
+    p = make(liouville_profile)
+    assert not p.grid.flags.writeable and not p.state.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        p.state[:, 0] += 1
