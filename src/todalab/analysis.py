@@ -5,8 +5,9 @@ exponential-linear variant derives from its term table (``systems.Identity``):
 the mass-form residual, its exact finite-radius correction (the boundary
 defect) and the flux recomputation, as an ``IdentityBalance``;
 ``su4_radial_balance`` is a view of the same balance.  Also fast/slow decay
-classification, annulus scans, and the double-limit bubble-mass extraction
-with nearest-member matching.
+classification at a threshold, annulus scans, and the double-limit
+bubble-mass extraction with nearest-member matching, which reads where the
+base profile ends in fast decay from ``RadialProfile.fast_decay_onset``.
 
 Profiles map onto mass triples by variant: the three-component systems
 (su3, and su4, whose candidate triple is its component masses) fill all
@@ -93,22 +94,6 @@ def fast_decay_radius_scan(
     if hits.size == 0:
         return None
     return float(radii[hits[0]])
-
-
-def final_fast_decay_onset(p: RadialProfile) -> Optional[float]:
-    """Start of the terminal annulus where every component is fast-decaying.
-
-    Scanning inward from the outer edge, the smallest grid radius such
-    that max_i(u_i + 2 log r) <= -DECAY_LEVEL from there outward.  None
-    when the profile does not end in fast decay.
-    """
-    fast = np.max(p.witnesses, axis=1) <= -DECAY_LEVEL
-    if not fast[-1]:
-        return None
-    k = len(fast) - 1
-    while k > 0 and fast[k - 1]:
-        k -= 1
-    return float(p.grid[k])
 
 
 # --------------------------------------------------------------------------
@@ -307,10 +292,14 @@ class BubbleReport:
 def nearest_member(
     spectrum: SpectrumSet, triple: Sequence[float]
 ) -> tuple[MassTriple, Optional[ParamIndex], float]:
-    """Euclidean-nearest spectrum member; lexicographic order breaks ties."""
+    """Euclidean-nearest spectrum member; lexicographic order breaks ties.
+    A triple that is not finite has no nearest member (``ValueError``)."""
     if len(spectrum) == 0:
         raise ValueError("spectrum set is empty")
-    d = np.linalg.norm(spectrum.points - np.asarray(triple, dtype=float), axis=1)
+    x = np.asarray(triple, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"triple {tuple(x.tolist())} is not finite")
+    d = np.linalg.norm(spectrum.points - x, axis=1)
     # argmin keeps the first minimum, the lexicographically smallest member
     k = int(np.argmin(d))
     return spectrum.members[k], spectrum.indices[k], float(d[k])
@@ -333,11 +322,13 @@ def bubble_masses(
     = sigma(delta/eps_k; base), and every mass is read off the base.  The
     table over the ladder shows the inner limit stabilizing; the headline
     value takes the deepest rescale and then walks delta down while the
-    evaluation radius stays beyond the base's fast-decay radius.  On the
-    README session (the limit-pair search from log 8, ladder 0.1 ... 1e-4,
-    delta = 0.1) delta/eps_min = 1000, where the witness is -7.46, lies
-    inside that radius, 3758 at DECAY_LEVEL = 10, so ``delta_ladder``
-    has one row and the headline is read at delta = 0.1.
+    evaluation radius stays beyond ``base.fast_decay_onset``, the start of
+    the base's terminal fast-decay annulus, which the report keeps as
+    ``fast_decay_radius``.  On the README session (the limit-pair search
+    from log 8, ladder 0.1 ... 1e-4, delta = 0.1) delta/eps_min = 1000,
+    where the witness is -7.46, lies inside that radius, 3758 at
+    DECAY_LEVEL = 10, so ``delta_ladder`` has one row and the headline is
+    read at delta = 0.1.
     """
     eps = [float(e) for e in eps_ladder]
     if not eps or not all(0 < e < math.inf for e in eps):
@@ -360,7 +351,7 @@ def bubble_masses(
 
     eps_table = [(e, slot_masses(r)) for e, r in zip(eps, radii)]
 
-    r_fast = final_fast_decay_onset(base)
+    r_fast = base.fast_decay_onset
 
     # headline estimate: deepest rescale, then walk delta down while the
     # evaluation radius stays beyond the base's terminal fast-decay onset;

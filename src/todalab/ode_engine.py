@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
 from typing import Optional
@@ -211,9 +211,14 @@ class RadialProfile:
     """The integrator's state (u, w = r du/dr, sigma) at every grid node.
 
     ``grid`` and ``state`` are the arrays that a profile file stores as is.
+    Every profile, however built (``shoot``, ``rescale``, a file or
+    ``dataclasses.replace``), refuses with ``ValueError`` a grid that is
+    not positive, finite and strictly increasing and a state that is not
+    finite or not of shape (len(grid), 3n), which every query would misread.
     ``values``, ``log_derivs`` and ``masses`` are views of the column blocks
     of ``state``; sigma_i is int_0^r e^{u_i} s ds (analytic head included).
-    ``witnesses`` holds the decay witnesses u_i + 2 log r at the nodes.
+    ``witnesses`` holds the decay witnesses u_i + 2 log r at the nodes, and
+    ``fast_decay_onset`` is where they stay in fast decay up to ``r_end``.
     Between nodes every query is the cubic Hermite in t = log r with the
     ODE's own slopes, which does not resolve the far field past the last
     bubble: it oscillates in t faster than the grid samples it.  Those
@@ -235,9 +240,20 @@ class RadialProfile:
     stats: Optional[SolverStats] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        g = self.grid
+        if not (g.ndim == 1 and g.size and np.isfinite(g).all() and g[0] > 0
+                and (np.diff(g) > 0).all()):
+            raise ValueError("profile grid must be positive, finite and "
+                             "strictly increasing")
+        shape = (len(g), 3 * self.n_components)
+        if self.state.shape != shape:
+            raise ValueError(f"profile state has shape {self.state.shape}, "
+                             f"expected {shape}")
+        if not np.isfinite(self.state).all():
+            raise ValueError("profile state must be finite")
         # the nodal slopes are cached on the first query, so the rows they
         # were read from must not change
-        self.grid.setflags(write=False)
+        g.setflags(write=False)
         self.state.setflags(write=False)
 
     def __eq__(self, other) -> bool:
@@ -265,6 +281,15 @@ class RadialProfile:
     @property
     def r_end(self) -> float:
         return float(self.grid[-1])
+
+    @cached_property
+    def fast_decay_onset(self) -> Optional[float]:
+        """The smallest grid radius from which every node out to ``r_end``
+        decays fast, max_i(u_i + 2 log r) <= -DECAY_LEVEL; None when the
+        last node does not."""
+        slow = np.flatnonzero(~(self.witnesses.max(axis=1) <= -DECAY_LEVEL))
+        k = int(slow[-1]) + 1 if slow.size else 0
+        return float(self.grid[k]) if k < len(self.grid) else None
 
     def covers(self, a: float, b: float) -> bool:
         """Whether the radii a <= b lie in the grid's range, to the relative
@@ -473,14 +498,8 @@ def rescale(p: RadialProfile, eps: float) -> RadialProfile:
             "outside (0, inf)")
     state = p.state.copy()
     state[:, : p.n_components] += 2.0 * math.log(eps)
-    return RadialProfile(
-        system=p.system,
-        grid=grid,
-        state=state,
-        reason=p.reason,
-        provenance=f"{p.provenance};rescale(eps={eps!r})",
-        stats=p.stats,
-    )
+    return replace(p, grid=grid, state=state, spec=None,
+                   provenance=f"{p.provenance};rescale(eps={eps!r})")
 
 
 def mean_value_residuals(p: RadialProfile) -> np.ndarray:
@@ -564,8 +583,8 @@ class ShotClassification:
 
 def classify_shot(p: RadialProfile, mass_tol: float = SETTLE_TOL) -> ShotClassification:
     """OVER when some component turns upward (or blows up) before r_max,
-    UNDER when the last row's witness is at most -DECAY_LEVEL and every
-    tail mass converges to at most mass_tol * max(total, 1)."""
+    UNDER when ``p.fast_decay_onset`` is not None and every tail mass
+    converges to at most mass_tol * max(total, 1)."""
     up = _reignites(p.n_components)(None, p.state.T)
     witness = p.witnesses[-1]
     witness_max = float(np.max(witness))
@@ -585,7 +604,7 @@ def classify_shot(p: RadialProfile, mass_tol: float = SETTLE_TOL) -> ShotClassif
     settled = bool(
         np.all(conv) and np.all(tails <= mass_tol * np.maximum(totals, 1.0))
     )
-    if witness_max <= -DECAY_LEVEL and settled:
+    if settled and p.fast_decay_onset is not None:
         return outcome("under", None, None, totals)
     # marginal shot: the slowest-decaying component is the one about to
     # re-ignite, so classify on its side
@@ -655,8 +674,8 @@ def find_decaying(
     component, the first one that is not the anchor, is bisected over
     ``search_interval``, classifying each shot by which component
     re-ignites first.  Returns (initial heights, profile) of the first
-    fully decaying shot: its last row's witness is at most -DECAY_LEVEL and
-    its masses converge within ``tol``, which must be finite and positive:
+    fully decaying shot: its ``fast_decay_onset`` is not None and its
+    masses converge within ``tol``, which must be finite and positive:
     a shot settles when each tail mass is at most tol * max(total, 1).
 
     A shot that re-ignites ends at the sample that shows it (reason

@@ -6,11 +6,10 @@ significant digits under the header ``r,u1[,...],w1[,...],sigma1[,...]``,
 after ``#`` lines with the run configuration and the termination reason.  The
 JSON form (format 2) adds the system, reason, provenance and shot parameters,
 and reads back ``==`` to the profile written.  Reading it is the boundary for
-outside files: malformed content (a missing key, a null or mistyped value, a
-grid with no nodes or not positive, finite and strictly increasing, another
-format version, a state not of shape (len(grid), 3n), a document that is not
-an object) raises ``ValueError``, and a missing key reads as its quoted name,
-e.g. ``'grid'``.
+outside files: it refuses a missing key, a null or mistyped value, a grid
+with no nodes, another format version or a document that is not an object
+with ``ValueError``, a missing key read as its quoted name, e.g. ``'grid'``;
+the grid and state that a ``RadialProfile`` refuses raise it too.
 """
 
 from __future__ import annotations
@@ -68,22 +67,14 @@ def profile_from_json_dict(d: dict) -> RadialProfile:
         grid = np.asarray(d["grid"], dtype=float)
         if grid.size == 0:
             raise ValueError("profile grid has no nodes")
-        if not (np.isfinite(grid).all() and grid[0] > 0 and (np.diff(grid) > 0).all()):
-            raise ValueError("profile grid must be positive, finite and "
-                             "strictly increasing")
         version = d.get("format_version")
         if version != FORMAT_VERSION:
             raise ValueError(f"profile format_version {version!r}: this reader "
                              f"reads format {FORMAT_VERSION} only")
-        system = SystemKind.from_json_dict(d)
-        state = np.asarray(d["state"], dtype=float)
-        shape = (len(grid), 3 * system.n_components)
-        if state.shape != shape:
-            raise ValueError(f"profile state has shape {state.shape}, expected {shape}")
         return RadialProfile(
-            system=system,
+            system=SystemKind.from_json_dict(d),
             grid=grid,
-            state=state,
+            state=np.asarray(d["state"], dtype=float),
             reason=TerminationReason(d["reason"]),
             spec=None if spec is None else ShootSpec.from_json_dict(spec),
             provenance=d.get("provenance", "loaded"),

@@ -193,23 +193,18 @@ def membership_su3(t: MassTriple) -> Optional[ParamIndex]:
 
     Membership requires all components to be non-negative integers divisible
     by 4, the quadric residual to vanish, and the triple to differ from the
-    origin.  The recovered indices are m1 = (s1-s3)/4, m2 = (s2-s3)/4; the
-    remaining conditions (third-component formula and residue condition) are
-    verified rather than assumed.
+    origin.  The recovered indices are m1 = (s1-s3)/4, m2 = (s2-s3)/4, and
+    the third-component formula is verified rather than assumed; it gives
+    s3 = m1(m1-1) + m2(m2-1), which is divisible by 4 exactly when the
+    residue condition holds, so that holds too.
     """
     if not all(_is_nonneg_multiple_of_4(s) for s in t.as_tuple()):
         return None
     s1, s2, s3 = (int(s) for s in t.as_tuple())
     if (s1, s2, s3) == (0, 0, 0):
         return None
-    m1, r1 = divmod(s1 - s3, 4)
-    m2, r2 = divmod(s2 - s3, 4)
-    if r1 or r2:
-        return None
-    p = ParamIndex(m1, m2)
+    p = ParamIndex((s1 - s3) // 4, (s2 - s3) // 4)
     if triple_from_params(p) != MassTriple(s1, s2, s3):
-        return None
-    if not p.residue_ok():
         return None
     return p
 

@@ -14,7 +14,6 @@ from todalab.analysis import (
     bubble_masses,
     decay_classify,
     fast_decay_radius_scan,
-    final_fast_decay_onset,
     nearest_member,
     pohozaev_check,
     su4_radial_balance,
@@ -101,16 +100,16 @@ class TestFastDecayScan:
     def test_final_onset(self, liouville_profile, su4_zero_profile):
         # the first node at or past the closed-form root at DECAY_LEVEL
         p, root = liouville_profile, self.oracle_root(DECAY_LEVEL)
-        onset = final_fast_decay_onset(p)
+        onset = p.fast_decay_onset
         step = p.grid[1] / p.grid[0]
         assert root <= onset <= root * step
-        assert final_fast_decay_onset(su4_zero_profile) is None
+        assert su4_zero_profile.fast_decay_onset is None
 
 
 class TestDecayThresholdValidation:
     """Every fast/slow rule that takes a threshold refuses one that is not
     finite and positive, with one message.  A NaN made every circle slow.
-    (``final_fast_decay_onset`` and ``bubble_masses`` read DECAY_LEVEL.)"""
+    (``RadialProfile.fast_decay_onset`` and ``bubble_masses`` read DECAY_LEVEL.)"""
 
     CALLS = {
         "decay_classify": lambda p, th: decay_classify(p, 1.0, th),
@@ -341,6 +340,24 @@ class TestBubbleMasses:
     def test_nearest_member_requires_nonempty(self):
         with pytest.raises(ValueError):
             nearest_member(enumerate_su3(0), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("triple,shown", [
+        ((math.nan, 0.0, 0.0), "(nan, 0.0, 0.0)"),
+        ((math.inf, 0.0, 0.0), "(inf, 0.0, 0.0)"),
+    ], ids=["nan", "inf"])
+    def test_nearest_member_refuses_a_non_finite_triple(self, spectrum_400,
+                                                        triple, shown):
+        # both used to answer (0, 0, 4), at distance nan and inf
+        with pytest.raises(ValueError) as err:
+            nearest_member(spectrum_400, triple)
+        assert str(err.value) == f"triple {shown} is not finite"
+
+    def test_a_base_without_a_triple_mapping(self):
+        base = shot(Variant.SINH_GORDON, (2.0,), r_max=10.0)
+        with pytest.raises(ValueError) as err:
+            bubble_masses(base, [1.0], 1.0, enumerate_su3(40))
+        assert str(err.value) == ("no mass-triple mapping for variant sinh-gordon; "
+                                  "expected one of su3, su4, limitpair, liouville")
 
     def test_nearest_member_tie_break_lexicographic(self, spectrum_400):
         # equidistant between (0,4,0) and (4,0,0); the smaller one wins

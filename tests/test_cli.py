@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -132,6 +133,17 @@ class TestShootCommand:
         assert doc["final_masses"][0] == pytest.approx(5000.0, rel=1e-6)
         assert not any(doc["mass_converged"])
 
+    def test_sinh_gordon_shot_has_no_mean_value_line(self, capsys, outdir):
+        argv = ["shoot", "--system", "sinh-gordon", "--height", "2", "--r-max", "10"]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["max_mean_value_residual"] is None
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "terminated", "final masses", "max constraint violation",
+            f"wrote {outdir / 'profile_sinh-gordon.csv'}"]
+
     def test_missing_height_usage_error(self, capsys, outdir):
         code, _, _ = run(capsys, "shoot", "--system", "liouville")
         assert code == 2
@@ -259,6 +271,15 @@ class TestTargetCommand:
     def test_missing_bracket_usage_error(self, capsys, outdir):
         code, _, _ = run(capsys, "target", "--system", "limitpair", "--anchor", "2.0")
         assert code == 2
+
+    def test_a_failed_search_lists_its_shots_in_text(self, capsys, outdir):
+        argv = ["target", "--anchor", "2.0", "--bracket=-5,-4"]
+        code, out, _ = run(capsys, *argv, "--json")
+        doc = json.loads(out)
+        assert code == 1 and len(doc["trace"]) == 2
+        assert run(capsys, *argv) == (1, "", "".join(
+            f"{line}\n" for line in [f"error: {doc['error']}",
+                                      *(f"  {t}" for t in doc["trace"])]))
 
 
 @pytest.fixture(scope="session")
@@ -747,13 +768,28 @@ class TestExitContract:
              "cannot read base profile 5: "),
             (["shoot", "--height", "0", "--r-max", "10"], {"out": 5}, None, 0, None),
             (_TARGET_RUN, {"out": 7}, None, 0, None),
+            (["spectrum", "check", "--triple", "1,2,x"], None, None, 2,
+             "malformed triple '1,2,x'"),
+            (["spectrum", "enumerate", "--config", "missing.json"], None, None, 1,
+             "cannot read config missing.json: "
+             "[Errno 2] No such file or directory: 'missing.json'"),
+            (["spectrum", "enumerate"], {"schema_version": 2}, None, 1,
+             "unsupported config schema_version 2"),
+            (["spectrum", "equiv", "--variant", "su4"], None, None, 1,
+             "equiv applies to the su3 spectrum"),
+            ([*_TARGET_RUN[:-1], "--bracket=1,2,3"], None, None, 1,
+             "bracket must be lo,hi"),
+            (["bubble", "--ladder", "0.1"], None, None, 2,
+             "bubble needs --base profile.json and --ladder e1,e2,..."),
         ],
         ids=["anchor_component_5", "anchor_component_-1", "rel_tol_1",
              "r_max_below_r_start", "equiv_negative_bound",
              "bubble_negative_spectrum_bound", "base_null_r_max",
              "base_null_samples_per_decade", "base_null_init_heights",
              "base_null_grid", "base_json_list", "config_int_triple",
-             "config_int_base", "shoot_config_int_out", "target_config_int_out"],
+             "config_int_base", "shoot_config_int_out", "target_config_int_out",
+             "malformed_triple", "missing_config", "schema_version_2",
+             "equiv_su4", "three_bracket_ends", "bubble_without_base"],
     )
     def test_invocation(self, capsys, outdir, monkeypatch, limitpair_target,
                         argv, cfg, edit, code, message):
@@ -822,6 +858,19 @@ class TestMalformedInputFiles:
         assert got == (1, "", "error: cannot read base profile swapped.json: "
                               "profile grid must be positive, finite and "
                               "strictly increasing\n")
+
+    def test_base_profile_with_nan_masses(self, capsys, outdir, monkeypatch,
+                                          limitpair_target):
+        # NaN masses from row 200 on used to load, and bubble exited 0 with
+        # "nearest member: (0, 0, 4)" at "distance: nan"
+        monkeypatch.chdir(outdir)
+        doc = profile_to_json_dict(limitpair_target[1])
+        for row in doc["state"][200:]:
+            row[4:] = [math.nan, math.nan]
+        (outdir / "nan.json").write_text(json.dumps(doc))
+        got = run(capsys, "bubble", "--base", "nan.json", "--ladder", "0.1")
+        assert got == (1, "", "error: cannot read base profile nan.json: "
+                              "profile state must be finite\n")
 
     @pytest.mark.parametrize("edit,reason", [
         (lambda doc: doc.update(format_version=99),

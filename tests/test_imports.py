@@ -47,6 +47,11 @@ class TestNamespace:
         assert obj.__module__.startswith("todalab.")
         assert obj is getattr(sys.modules[obj.__module__], name)
 
+    def test_dir_lists_every_export(self):
+        # loaded or not: dir() reads the export table, not the module globals
+        listed = dir(todalab)
+        assert set(EXPORTS) <= set(listed) and "__version__" in listed
+
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             todalab.no_such_name

@@ -41,7 +41,7 @@ from todalab.profile_io import (
 )
 from todalab.systems import SystemKind, Variant
 
-from conftest import LOG8, shot
+from conftest import LOG8, search, shot
 
 
 class TestShootSpecValidation:
@@ -72,6 +72,10 @@ class TestShootSpecValidation:
     def test_explicit_start_radius_must_fit_series(self):
         with pytest.raises(ValueError):
             ShootSpec(SystemKind(Variant.LIOUVILLE), (24.0,), r_start=1e-2)
+
+    def test_samples_per_decade_must_be_positive(self):
+        with pytest.raises(ValueError, match="^samples_per_decade must be positive$"):
+            ShootSpec(SystemKind(Variant.LIOUVILLE), (0.0,), samples_per_decade=0)
 
     def test_singular_weight_validation(self):
         with pytest.raises(ValueError):
@@ -324,6 +328,14 @@ class TestTermination:
         assert sorted(blown.stats.to_json_dict()) == ["n_accepted", "n_rejected", "nfev"]
 
 
+class TestTotalMasses:
+    def test_a_one_row_profile_converges_nothing(self):
+        p = shot(Variant.LIOUVILLE, (60.0,), r_max=10.0)
+        totals, converged = total_masses(p)
+        assert totals.tobytes() == p.masses[-1].tobytes()
+        assert converged.tolist() == [False]
+
+
 class TestRescale:
     def test_identity(self, liouville_profile):
         q = rescale(liouville_profile, 1.0)
@@ -476,6 +488,23 @@ class TestFindDecaying:
             assert c.reason is TerminationReason.COMPONENT_BLOW_UP
             assert (c.kind, c.first_up) == ("over", 0)
             assert c.r_up == pytest.approx(1e-14, rel=1e-12)
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_an_endpoint_that_already_decays(self, side):
+        """An endpoint at the decaying height found from (-5, 5) is returned
+        at once: the first shot from lo, the second from hi.  The UNDER shot
+        ending the trace summarizes its masses."""
+        heights, prof = search(SystemKind(Variant.LIMIT_PAIR), 0, LOG8, (-5.0, 5.0))
+        x = heights[1]
+        trace = []
+        got = find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, LOG8,
+                            (x, x + 1.0) if side == "lo" else (x - 1.0, x),
+                            trace=trace)
+        assert got == (heights, prof)
+        assert [c.kind for c in trace] == (["under"] if side == "lo"
+                                           else ["over", "under"])
+        masses = ", ".join(f"{m:.6g}" for m in total_masses(prof)[0])
+        assert trace[-1].summary() == f"height={x:.10g} under masses=({masses})"
 
 
 class TestSearchStopsAtTheDecidingSample:

@@ -1,5 +1,7 @@
 """Profile files hold the profile's own ``grid`` and ``state``, read back
-bit-equal; the reader refuses a file whose version or shape is not its own."""
+bit-equal; the reader refuses a file whose version or shape is not its own.
+Every profile, however it is built, refuses a grid or state whose queries
+would read wrong values, and owns where it ends in fast decay."""
 
 import dataclasses
 import math
@@ -9,6 +11,8 @@ import pytest
 
 from todalab.analysis import pohozaev_check
 from todalab.ode_engine import (
+    DECAY_LEVEL,
+    RadialProfile,
     ShootSpec,
     TerminationReason,
     _reignites,
@@ -56,6 +60,9 @@ class TestRoundTrip:
         assert p["su3"].reason is TerminationReason.MASS_OVERFLOW
         assert p["stopped_search_shot"].reason is TerminationReason.STOPPED
         assert p["rescaled"].spec is None
+        # the onset oracle below meets both outcomes
+        assert p["liouville"].fast_decay_onset is not None
+        assert p["su3"].fast_decay_onset is None
 
     @pytest.mark.parametrize("name", list(ZOO))
     def test_json_reads_back_equal(self, request, name):
@@ -170,3 +177,83 @@ class TestReaderRefusesOtherLayouts:
             profile_from_json_dict(d)
         assert str(err.value) == ("profile grid must be positive, finite and "
                                   "strictly increasing")
+
+
+def final_fast_decay_onset(p):
+    """The inward scan that ``analysis.final_fast_decay_onset`` ran before
+    the profile owned its onset, kept as the oracle of ``fast_decay_onset``."""
+    fast = np.max(p.witnesses, axis=1) <= -DECAY_LEVEL
+    if not fast[-1]:
+        return None
+    k = len(fast) - 1
+    while k > 0 and fast[k - 1]:
+        k -= 1
+    return float(p.grid[k])
+
+
+class TestFastDecayOnset:
+    @pytest.mark.parametrize("name", list(ZOO))
+    def test_matches_the_inward_scan(self, request, name):
+        p = ZOO[name](request)
+        assert p.fast_decay_onset == final_fast_decay_onset(p)
+
+    def test_a_profile_fast_from_its_first_node(self):
+        # u ~ -40 keeps every witness below -35 out to r = 10
+        p = shot(Variant.LIOUVILLE, (-40.0,), r_max=10.0)
+        assert p.fast_decay_onset == final_fast_decay_onset(p) == p.grid[0]
+
+
+def _short_state(p):
+    return {"state": p.state[:, :-1].copy()}
+
+
+def _swapped_nodes(p):
+    grid = p.grid.copy()
+    grid[[100, 101]] = grid[[101, 100]]
+    return {"grid": grid}
+
+
+def _nan_masses(p):
+    state = p.state.copy()
+    state[100:, 2 * p.n_components:] = math.nan
+    return {"state": state}
+
+
+def _by_replace(p, edit):
+    return dataclasses.replace(p, **edit)
+
+
+def _by_constructor(p, edit):
+    return RadialProfile(p.system, edit.get("grid", p.grid),
+                         edit.get("state", p.state), p.reason)
+
+
+def _by_reader(p, edit):
+    return profile_from_json_dict(
+        {**profile_to_json_dict(p), **{k: v.tolist() for k, v in edit.items()}})
+
+
+class TestEveryProfileIsChecked:
+    """``RadialProfile`` refuses, wherever it is built, a grid or state that
+    every query would read wrong: a short state broke ``mass_at`` with a
+    broadcast error, swapped nodes 100 and 101 made ``value_at(grid[100])``
+    read -4.96533 where the profile holds -4.96324, and NaN masses gave a
+    nearest member at distance nan."""
+
+    @pytest.fixture(scope="class")
+    def profile(self):
+        p = shot(Variant.AFFINE_SU3, (-5.0, -5.0, 5.0), r_max=10.0)
+        assert p.state.shape == (201, 9)
+        return p
+
+    @pytest.mark.parametrize("build", [_by_replace, _by_constructor, _by_reader],
+                             ids=["replace", "constructor", "reader"])
+    @pytest.mark.parametrize("edit,message", [
+        (_short_state, "profile state has shape (201, 8), expected (201, 9)"),
+        (_swapped_nodes, "profile grid must be positive, finite and strictly increasing"),
+        (_nan_masses, "profile state must be finite"),
+    ], ids=["short_state", "swapped_nodes", "nan_masses"])
+    def test_refuses(self, profile, build, edit, message):
+        with pytest.raises(ValueError) as err:
+            build(profile, edit(profile))
+        assert str(err.value) == message

@@ -11,6 +11,7 @@ from todalab import spectrum
 from todalab.spectrum import (
     MassTriple,
     ParamIndex,
+    SpectrumSet,
     SpectrumVariant,
     enumerate_su3,
     enumerate_su4,
@@ -128,11 +129,22 @@ class TestMembership:
         assert membership_su3(MassTriple(-4, 0, 0)) is None
         assert membership_su3(MassTriple(2, 2, 0)) is None
         assert membership_su3(MassTriple(Fraction(1, 2), 0, 0)) is None
+        # exact arithmetic only: an integral float is not an exact integer
+        assert membership_su3(MassTriple(16.0, 0.0, 12.0)) is None
 
     def test_accepts_integral_fractions(self):
         assert membership_su3(
             MassTriple(Fraction(16), Fraction(0), Fraction(12))
         ) == ParamIndex(1, -3)
+
+    def test_agrees_with_the_enumeration_on_every_multiple_of_4(self):
+        """Over [0, 120]^3 in steps of 4: a member exactly when enumerated,
+        with the enumeration's index."""
+        sset = enumerate_su3(120)
+        index = dict(zip(sset.members, sset.indices))
+        for t in itertools.product(range(0, 121, 4), repeat=3):
+            t = MassTriple(*t)
+            assert membership_su3(t) == index.get(t), t
 
 
 class TestRules:
@@ -276,6 +288,7 @@ class TestEnumerationSu4:
         assert not is_candidate_su4(MassTriple(0, 0, 0))
         assert not is_candidate_su4(MassTriple(8, 8, 0))
         assert not is_candidate_su4(MassTriple(6, 6, 0))
+        assert not is_candidate_su4(MassTriple(12.0, 12.0, 0.0))
         for t in enumerate_su4(60).members:
             assert is_candidate_su4(t)
 
@@ -350,9 +363,10 @@ class TestQuadricSolver:
             lambda t: t.s1 * t.s3 * t.s3,
             lambda t: t.s2 * (t.s2 - 1) // 2,  # integer-valued, half coefficients
             lambda t: Fraction(t.s2, 2),
+            lambda t: Fraction(t.s3 * t.s3, 2),  # a half-integer s3^2 coefficient
         ],
         ids=["s3^3", "s3^3-s3", "s2^3", "s2*s3^2", "s1*s3^2", "half_binomial",
-             "fraction_valued"],
+             "fraction_valued", "half_s3_squared"],
     )
     def test_non_quadratic_residual_rejected(self, extra):
         def residual(t):
@@ -364,6 +378,12 @@ class TestQuadricSolver:
     def test_residual_without_s3_squared_rejected(self):
         with pytest.raises(ValueError, match="no s3\\^2 term"):
             spectrum._on_quadric(lambda t: t.s1 + t.s2 - t.s3, 40)
+
+
+class TestSpectrumSet:
+    def test_refuses_misaligned_indices(self):
+        with pytest.raises(ValueError, match="^members and indices must align$"):
+            SpectrumSet(SpectrumVariant.SU3_AFFINE, 4, (MassTriple(0, 0, 4),), ())
 
 
 class TestPoints:
