@@ -5,16 +5,17 @@
 (the method and its 7th-order continuous extension) and Sec. II.10 (the
 dense output), driven exactly as ``scipy.integrate.solve_ivp`` drives it
 with ``method="DOP853"``: the same initial-step rule, the same step
-controller and error norm, the same step floor, the same dense output and
-the same event location.  A shot therefore takes the same steps and makes
-the same right-hand-side calls with or without scipy installed.
+controller and error norm, the same step floor, and the same dense output.
+A shot therefore takes the same steps and makes the same right-hand-side
+calls with or without scipy installed.
 
 The stepper integrates forward only (t1 > t0) and supports terminal events
 with direction -1: an event g(t, y) fires on the first step over which g
-goes from >= 0 to <= 0, and its root is located on the step's dense output
-by Brent's method to 4 machine epsilons.  An optional ``stop`` callable
-sees the samples of each accepted step and may end the run there; it
-changes neither the steps taken nor the samples already made.
+goes from >= 0 to <= 0, and its root is bisected on the step's dense
+output to 4 machine epsilons, on the side where g has not yet fired.  An
+optional ``stop`` callable sees the samples of each accepted step and may
+end the run there; it changes neither the steps taken nor the samples
+already made.
 """
 
 from __future__ import annotations
@@ -395,47 +396,17 @@ class _DenseStep:
         return y[0] if np.ndim(t) == 0 else y.T
 
 
-def _brentq(f, xa: float, xb: float, tol: float = 4 * EPS, maxiter: int = 100):
-    """Root of f in the sign-changing bracket [xa, xb], Brent's method with
-    absolute and relative tolerance ``tol`` (the algorithm of scipy's
-    ``brentq``, step for step)."""
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1, fpre) != math.copysign(1, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (tol + tol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+def _bisect(f, xa: float, xb: float) -> float:
+    """The root of f(xa) >= 0 >= f(xb) that ``integrate`` documents."""
+    if f(xa) == 0:
+        return xa
+    while xb - xa > 4 * EPS * (1 + abs(xa)):
+        xm = (xa + xb) / 2
+        if f(xm) > 0:
+            xa = xm
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"event root not located in {maxiter} iterations")
+            xb = xm
+    return xa
 
 
 def integrate(
@@ -452,8 +423,11 @@ def integrate(
     """Integrate y' = fun(t, y) from t0 to t1 > t0, sampling at ``t_eval``.
 
     ``t_eval`` is increasing and inside [t0, t1].  Every event is terminal
-    with direction -1.  The interpolant's three extra stages are computed
-    only for steps that hold ``t_eval`` points or an event.
+    with direction -1.  Its root is the last point that bisection of the
+    step's dense output finds with g > 0, to 4 eps (1 + |t|), or the step's
+    start where g already reads 0 there; no rhs call is made to find it.
+    The interpolant's three extra stages are computed only for steps that
+    hold ``t_eval`` points or an event.
 
     ``stop(t, y)`` is called with the times (m,) and states (n, m) sampled
     on each accepted step that samples any, but not on a step where an
@@ -541,7 +515,7 @@ def integrate(
                 dense = _DenseStep(fun, K, KT, t_old, t, y_old, y, f)
                 nfev += _N_EXTRA
                 roots = [
-                    _brentq(lambda s, ev=events[i]: ev(s, dense(s)), t_old, t)
+                    _bisect(lambda s, ev=events[i]: ev(s, dense(s)), t_old, t)
                     for i in active
                 ]
                 k = min(range(len(roots)), key=roots.__getitem__)

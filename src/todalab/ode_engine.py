@@ -65,9 +65,9 @@ class TerminationReason(Enum):
     REACHED_R_MAX = "reached_r_max"
     COMPONENT_BLOW_UP = "component_blow_up"
     STEP_UNDERFLOW = "step_underflow"
-    # the summed mass crossed ``mass_guard``; the crossing is located in
-    # log r to 4 machine epsilons, so where the mass grows steeply the last
-    # row can sit below the guard
+    # the summed mass crossed ``mass_guard``; the crossing is bisected in
+    # log r to 4 machine epsilons, so the last row sits below the guard,
+    # well below where the mass grows steeply
     MASS_OVERFLOW = "mass_overflow"
     # the caller's ``stop`` rule ended the shot at a sampled row
     STOPPED = "stopped"
@@ -98,12 +98,13 @@ class ShootSpec:
     must keep r_max^2 finite (about 1.3e154 at most), because the
     right-hand side in log-radius carries the factor r^2.  ``mass_guard``
     ends the shot where the summed masses cross it (``MASS_OVERFLOW``).
-    That crossing is located in log r to 4 machine epsilons, as scipy's
-    event location does, so where the mass grows steeply (like r^(2b + 2)
-    near r = 1 for a singular weight b = 1e15) the last row can sit well
-    below the guard.  The field defaults are the only copy of the shot
-    defaults: ``find_decaying``, ``from_json_dict`` and the CLI options
-    read them from here.
+    That crossing is bisected in log r to 4 machine epsilons on the side
+    the guard has not reached, so where the mass grows steeply (like
+    r^(2b + 2) near r = 1 for a singular weight b = 1e15) the last row can
+    sit well below the guard.  A start state at or beyond either guard is
+    the whole shot, one row.  The field defaults are the only copy of the
+    shot defaults: ``find_decaying``, ``from_json_dict`` and the CLI
+    options read them from here.
     """
 
     system: SystemKind
@@ -398,21 +399,7 @@ def shoot(spec: ShootSpec, *, stop=None) -> RadialProfile:
     if t1 - t_eval[-1] > 1e-12:
         t_eval = np.append(t_eval, t1)
 
-    if np.max(y0[:n]) >= BLOWUP_GUARD:
-        stats = SolverStats(0, 0, 0, "initial state at or above the blow-up guard")
-        return _assemble(spec, np.array([t0]), y0[:, None],
-                         TerminationReason.COMPONENT_BLOW_UP, stats)
-
-    # bound per shot, not per module: a wrapper put on the class attribute
-    # SystemKind.rhs (as bench/spans.py does) sees every call
-    F = sk.rhs
     n2 = 2 * n
-
-    def rhs(t, y):
-        u = y[:n]
-        r2 = math.exp(2.0 * t)
-        return np.concatenate(
-            [y[n:n2], -r2 * F(u), r2 * np.exp(np.minimum(u, _MASS_EXP_CAP))])
 
     def blow_up(t, y):
         return BLOWUP_GUARD - y[:n].max()
@@ -422,11 +409,34 @@ def shoot(spec: ShootSpec, *, stop=None) -> RadialProfile:
         # without bound (desk-scale runs never approach the default)
         return spec.mass_guard - y[n2:].sum()
 
+    # the terminal events and their reasons; an event fires only where it
+    # crosses 0 downwards, so a start state at or beyond a guard is the shot
+    guards = (
+        (blow_up, TerminationReason.COMPONENT_BLOW_UP,
+         "initial state at or above the blow-up guard"),
+        (mass_overflow, TerminationReason.MASS_OVERFLOW,
+         "initial summed mass at or above mass_guard"),
+    )
+    for event, reason, message in guards:
+        if event(t0, y0) <= 0:
+            return _assemble(spec, np.array([t0]), y0[:, None], reason,
+                             SolverStats(0, 0, 0, message))
+
+    # bound per shot, not per module: a wrapper put on the class attribute
+    # SystemKind.rhs (as bench/spans.py does) sees every call
+    F = sk.rhs
+
+    def rhs(t, y):
+        u = y[:n]
+        r2 = math.exp(2.0 * t)
+        return np.concatenate(
+            [y[n:n2], -r2 * F(u), r2 * np.exp(np.minimum(u, _MASS_EXP_CAP))])
+
     # overflow in rejected trial steps is handled by the error controller
     with np.errstate(over="ignore", invalid="ignore"):
         sol = dop853.integrate(
             rhs, t0, t1, y0, spec.rel_tol, spec.abs_tol, t_eval,
-            events=(blow_up, mass_overflow), stop=stop,
+            events=[event for event, _, _ in guards], stop=stop,
         )
 
     ts = sol.t
@@ -440,11 +450,7 @@ def shoot(spec: ShootSpec, *, stop=None) -> RadialProfile:
             ts, ys = ts[:-1], ys[:, :-1]
         ts = np.append(ts, te)
         ys = np.hstack([ys, sol.y_event[:, None]])
-        reason = (
-            TerminationReason.COMPONENT_BLOW_UP
-            if sol.event == 0
-            else TerminationReason.MASS_OVERFLOW
-        )
+        reason = guards[sol.event][1]
     elif sol.status == dop853.FINISHED:
         reason = TerminationReason.REACHED_R_MAX
     elif sol.status == dop853.STOPPED:

@@ -144,6 +144,19 @@ class TestShootCommand:
             "terminated", "final masses", "max constraint violation",
             f"wrote {outdir / 'profile_sinh-gordon.csv'}"]
 
+    def test_start_above_the_mass_guard_is_one_row(self, capsys, outdir):
+        """The start's summed mass, 5e-9, is above the guard: the shot ends
+        at r_start with that guard's reason."""
+        argv = ["shoot", "--system", "liouville", "--height", "0",
+                "--mass-guard", "1e-12", "--r-max", "1000"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[0] == "terminated: mass_overflow at r = 0.0001"
+        code, out, _ = run(capsys, *argv, "--json")
+        doc = json.loads(out)
+        assert (doc["reason"], doc["r_end"]) == ("mass_overflow", pytest.approx(1e-4))
+        assert doc["stats"] == {"nfev": 0, "n_accepted": 0, "n_rejected": 0}
+
     def test_missing_height_usage_error(self, capsys, outdir):
         code, _, _ = run(capsys, "shoot", "--system", "liouville")
         assert code == 2

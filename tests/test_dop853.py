@@ -269,3 +269,37 @@ def test_stop_is_not_consulted_on_an_event_step():
                            events=(lambda t, y: 0.0,), stop=always)
     assert sol.status == dop853.EVENT and sol.event == 0 and sol.t_event == 0.0
     assert list(sol.t) == [0.0] and seen == []
+
+
+def test_event_root_matches_scipy():
+    """sin t = -1/2 at t = 7 pi / 6: the root lies within 8 eps (1 + |t|)
+    of scipy's on the same dense output, on the side where g is still
+    positive, and the state there is the dense output's."""
+
+    def below_half(t, y):
+        return y[0] + 0.5
+
+    below_half.terminal, below_half.direction = True, -1
+    y0 = np.array([0.0, 1.0])
+    t_eval = np.linspace(0.0, 10.0, 101)
+    sol = dop853.integrate(_oscillator, 0.0, 10.0, y0, 1e-10, 1e-12, t_eval,
+                           events=(below_half,))
+    ref = solve_ivp(_oscillator, (0.0, 10.0), y0, method="DOP853", rtol=1e-10,
+                    atol=1e-12, t_eval=t_eval, events=below_half)
+    assert sol.status == dop853.EVENT and ref.status == 1
+    t_ref = ref.t_events[0][0]
+    assert abs(sol.t_event - t_ref) <= 8 * dop853.EPS * (1 + abs(t_ref))
+    assert sol.t_event == pytest.approx(7 * math.pi / 6, abs=1e-9)
+    assert below_half(sol.t_event, sol.y_event) >= 0
+    assert sol.t.tobytes() == ref.t.tobytes()
+
+
+@pytest.mark.parametrize("name", ["su3", "su4", "sinh_gordon_blow_up"])
+def test_an_event_row_lies_on_the_unfired_side(name):
+    """The last row of an event-ended shot has crossed neither guard."""
+    spec = CASES[name]()
+    prof = shot_of(spec)
+    assert prof.reason in (TerminationReason.COMPONENT_BLOW_UP,
+                           TerminationReason.MASS_OVERFLOW)
+    assert BLOWUP_GUARD - prof.values[-1].max() >= 0
+    assert spec.mass_guard - prof.masses[-1].sum() >= 0

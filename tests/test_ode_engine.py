@@ -276,6 +276,26 @@ class TestTermination:
         assert p.reason is TerminationReason.COMPONENT_BLOW_UP
         assert len(p.grid) == 1
 
+    @pytest.mark.parametrize("below", [False, True])
+    def test_start_at_or_above_the_mass_guard(self, below):
+        """A mass_guard at or below the start state's summed mass, 5e-9,
+        ends the shot at r_start with one row, as the blow-up guard does."""
+        start = shot(Variant.LIOUVILLE, (0.0,), r_max=1e3).masses[0].sum()
+        guard = 1e-12 if below else float(start)
+        p = shot(Variant.LIOUVILLE, (0.0,), mass_guard=guard, r_max=1e3)
+        assert p.reason is TerminationReason.MASS_OVERFLOW
+        assert len(p.grid) == 1
+        assert p.r_end == pytest.approx(p.spec.r_start, rel=1e-12)
+        assert p.masses[0].sum() == start
+        assert p.stats.message == "initial summed mass at or above mass_guard"
+        assert (p.stats.nfev, p.stats.n_accepted) == (0, 0)
+
+    def test_start_above_both_guards_reads_the_blow_up_first(self):
+        p = shot(Variant.LIOUVILLE, (60.0,), mass_guard=1e-12, r_max=10.0)
+        assert p.reason is TerminationReason.COMPONENT_BLOW_UP
+        assert p.stats.message == "initial state at or above the blow-up guard"
+        assert len(p.grid) == 1
+
     def test_mass_overflow_guard(self):
         # generic three-component shots leave the quantized plateaus and
         # enter unbounded mass growth; the guard must cut them off
@@ -494,7 +514,8 @@ class TestFindDecaying:
         """An endpoint at the decaying height found from (-5, 5) is returned
         at once: the first shot from lo, the second from hi.  The UNDER shot
         ending the trace summarizes its masses."""
-        heights, prof = search(SystemKind(Variant.LIMIT_PAIR), 0, LOG8, (-5.0, 5.0))
+        heights, prof = search(SystemKind(Variant.LIMIT_PAIR), 0, LOG8, (-5.0, 5.0),
+                               tol=1e-4)
         x = heights[1]
         trace = []
         got = find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, LOG8,

@@ -88,7 +88,7 @@ PROFILES = {
     "su3": lambda: shot(Variant.AFFINE_SU3, (-28.0, -28.0, 28.0), r_max=1e3),
     "su4": lambda: shot(Variant.AFFINE_SU4, (-12.0, -12.0, 24.0), r_max=1e3),
     "limitpair": lambda: search(
-        SystemKind(Variant.LIMIT_PAIR), 0, LOG8, (-5.0, 5.0))[1],
+        SystemKind(Variant.LIMIT_PAIR), 0, LOG8, (-5.0, 5.0), tol=1e-4)[1],
     "sinh-gordon": lambda: shot(Variant.SINH_GORDON, (2.0,), r_max=1e3),
     "tzitzeica": lambda: shot(Variant.TZITZEICA, (LOG8,), r_max=1e3),
     "singular-liouville": lambda: shot(
