@@ -10,12 +10,13 @@ A shot therefore takes the same steps and makes the same right-hand-side
 calls with or without scipy installed.
 
 The stepper integrates forward only (t1 > t0) and supports terminal events
-with direction -1: an event g(t, y) fires on the first step over which g
-goes from >= 0 to <= 0, and its root is bisected on the step's dense
-output to 4 machine epsilons, on the side where g has not yet fired.  An
-optional ``stop`` callable sees the samples of each accepted step and may
-end the run there; it changes neither the steps taken nor the samples
-already made.
+with direction -1, read as bounds (``solve_ivp`` reads them as crossings
+only): a start where an event g reads <= 0 is the whole run.  Otherwise g
+fires on the first step over which it goes from > 0 to <= 0; its root,
+bisected on the step's dense output to 4 machine epsilons on the side
+where g has not fired, is the run's last sample.  An optional ``stop`` callable sees the samples of each accepted
+step and may end the run there; it changes neither the steps taken nor
+the samples already made.
 """
 
 from __future__ import annotations
@@ -314,15 +315,13 @@ class Solution:
 
     ``y[:, k]`` is the state at ``t[k]``; ``t`` holds the ``t_eval`` points
     up to where the integration stopped.  When a terminal event fired,
-    ``event`` is its index and ``t_event``/``y_event`` its root and state.
+    ``event`` is its index and the last column its root and state.
     """
 
     t: np.ndarray
     y: np.ndarray
     status: str  # FINISHED | EVENT | STEP_UNDERFLOW | STOPPED
     event: Optional[int]
-    t_event: Optional[float]
-    y_event: Optional[np.ndarray]
     stats: SolverStats
 
 
@@ -397,9 +396,9 @@ class _DenseStep:
 
 
 def _bisect(f, xa: float, xb: float) -> float:
-    """The root of f(xa) >= 0 >= f(xb) that ``integrate`` documents."""
-    if f(xa) == 0:
-        return xa
+    """The root of f(xa) > 0 >= f(xb) that ``integrate`` documents (f(xa)
+    is g at the last step's end, as the dense output returns y_old bit for
+    bit, so it is > 0)."""
     while xb - xa > 4 * EPS * (1 + abs(xa)):
         xm = (xa + xb) / 2
         if f(xm) > 0:
@@ -423,9 +422,11 @@ def integrate(
     """Integrate y' = fun(t, y) from t0 to t1 > t0, sampling at ``t_eval``.
 
     ``t_eval`` is increasing and inside [t0, t1].  Every event is terminal
-    with direction -1.  Its root is the last point that bisection of the
-    step's dense output finds with g > 0, to 4 eps (1 + |t|), or the step's
-    start where g already reads 0 there; no rhs call is made to find it.
+    with direction -1.  Where some event reads <= 0 at (t0, y0), the run is
+    that one column, with the lowest such index and no rhs call.  Else an
+    event's root is the last point that bisection of the step's dense
+    output finds with g > 0, to 4 eps (1 + |t|), with no rhs call; it is
+    the last column, and a sample less than 1e-12 before it gives way.
     The interpolant's three extra stages are computed only for steps that
     hold ``t_eval`` points or an event.
 
@@ -445,16 +446,19 @@ def integrate(
     n_eval = t_eval.size
 
     t, t1 = float(t0), float(t1)
+    g = [ev(t, y) for ev in events]
+    event = next((i for i, v in enumerate(g) if v <= 0), None)
+    if event is not None:
+        stats = SolverStats(0, 0, 0, _MESSAGES[EVENT], time.perf_counter() - start)
+        return Solution(np.array([t]), y[:, None], EVENT, event, stats)
     f = fun(t, y)
     h_abs = float(_initial_step(fun, t, y, f, t1, rtol, atol))
     nfev, n_accepted, n_rejected = 2, 0, 0
     K = np.empty((N_STAGES_EXTENDED, n))
     KT = [K[:s].T for s in range(N_STAGES_EXTENDED)]  # KT[s] @ a combines stages < s
-    g = [ev(t, y) for ev in events]
     ts: list[np.ndarray] = []
     ys: list[np.ndarray] = []
     i_eval = 0
-    event = t_event = y_event = None
     status = None
 
     while status is None:
@@ -519,9 +523,8 @@ def integrate(
                     for i in active
                 ]
                 k = min(range(len(roots)), key=roots.__getitem__)
-                event, t_event = active[k], roots[k]
-                y_event = dense(t_event)
-                t, y = t_event, y_event
+                event, t = active[k], roots[k]
+                y = dense(t)
                 status = EVENT
             g = g_new
 
@@ -539,8 +542,9 @@ def integrate(
 
     stats = SolverStats(nfev, n_accepted, n_rejected, _MESSAGES[status],
                         time.perf_counter() - start)
-    if ts:
-        t_out, y_out = np.hstack(ts), np.hstack(ys)
-    else:
-        t_out, y_out = np.empty(0), np.empty((n, 0))
-    return Solution(t_out, y_out, status, event, t_event, y_event, stats)
+    t_out, y_out = np.hstack([np.empty(0), *ts]), np.hstack([np.empty((n, 0)), *ys])
+    if status == EVENT:
+        if t_out.size and t <= t_out[-1] + 1e-12:
+            t_out, y_out = t_out[:-1], y_out[:, :-1]
+        t_out, y_out = np.append(t_out, t), np.hstack([y_out, y[:, None]])
+    return Solution(t_out, y_out, status, event, stats)

@@ -214,8 +214,9 @@ class RadialProfile:
     ``grid`` and ``state`` are the arrays that a profile file stores as is.
     Every profile, however built (``shoot``, ``rescale``, a file or
     ``dataclasses.replace``), refuses with ``ValueError`` a grid that is
-    not positive, finite and strictly increasing and a state that is not
-    finite or not of shape (len(grid), 3n), which every query would misread.
+    not positive, finite and strictly increasing, a state that is not
+    finite or not of shape (len(grid), 3n), which every query would misread,
+    and a ``spec`` for another system, which no shot would reproduce.
     ``values``, ``log_derivs`` and ``masses`` are views of the column blocks
     of ``state``; sigma_i is int_0^r e^{u_i} s ds (analytic head included).
     ``witnesses`` holds the decay witnesses u_i + 2 log r at the nodes, and
@@ -252,6 +253,8 @@ class RadialProfile:
                              f"expected {shape}")
         if not np.isfinite(self.state).all():
             raise ValueError("profile state must be finite")
+        if self.spec is not None and self.spec.system != self.system:
+            raise ValueError("profile spec is for another system")
         # the nodal slopes are cached on the first query, so the rows they
         # were read from must not change
         g.setflags(write=False)
@@ -379,6 +382,16 @@ def _series_state(spec: ShootSpec) -> np.ndarray:
     return np.concatenate([u, w, m])
 
 
+# a shot's reason by the stepper's (status, event index in (blow_up, mass_overflow))
+_REASONS = {
+    (dop853.FINISHED, None): TerminationReason.REACHED_R_MAX,
+    (dop853.EVENT, 0): TerminationReason.COMPONENT_BLOW_UP,
+    (dop853.EVENT, 1): TerminationReason.MASS_OVERFLOW,
+    (dop853.STEP_UNDERFLOW, None): TerminationReason.STEP_UNDERFLOW,
+    (dop853.STOPPED, None): TerminationReason.STOPPED,
+}
+
+
 def shoot(spec: ShootSpec, *, stop=None) -> RadialProfile:
     """Integrate one radial shot and return the sampled profile.
 
@@ -409,19 +422,6 @@ def shoot(spec: ShootSpec, *, stop=None) -> RadialProfile:
         # without bound (desk-scale runs never approach the default)
         return spec.mass_guard - y[n2:].sum()
 
-    # the terminal events and their reasons; an event fires only where it
-    # crosses 0 downwards, so a start state at or beyond a guard is the shot
-    guards = (
-        (blow_up, TerminationReason.COMPONENT_BLOW_UP,
-         "initial state at or above the blow-up guard"),
-        (mass_overflow, TerminationReason.MASS_OVERFLOW,
-         "initial summed mass at or above mass_guard"),
-    )
-    for event, reason, message in guards:
-        if event(t0, y0) <= 0:
-            return _assemble(spec, np.array([t0]), y0[:, None], reason,
-                             SolverStats(0, 0, 0, message))
-
     # bound per shot, not per module: a wrapper put on the class attribute
     # SystemKind.rhs (as bench/spans.py does) sees every call
     F = sk.rhs
@@ -436,55 +436,16 @@ def shoot(spec: ShootSpec, *, stop=None) -> RadialProfile:
     with np.errstate(over="ignore", invalid="ignore"):
         sol = dop853.integrate(
             rhs, t0, t1, y0, spec.rel_tol, spec.abs_tol, t_eval,
-            events=[event for event, _, _ in guards], stop=stop,
+            events=(blow_up, mass_overflow), stop=stop,
         )
+    ts, ys = (sol.t, sol.y) if sol.t.size else (np.array([t0]), y0[:, None])
 
-    ts = sol.t
-    ys = sol.y
-    stats = sol.stats
-    if sol.status == dop853.EVENT:
-        te = sol.t_event
-        # the last row is the event state; a sample within 1e-12 of the
-        # root gives way to it
-        if ts.size and te <= ts[-1] + 1e-12:
-            ts, ys = ts[:-1], ys[:, :-1]
-        ts = np.append(ts, te)
-        ys = np.hstack([ys, sol.y_event[:, None]])
-        reason = guards[sol.event][1]
-    elif sol.status == dop853.FINISHED:
-        reason = TerminationReason.REACHED_R_MAX
-    elif sol.status == dop853.STOPPED:
-        reason = TerminationReason.STOPPED
-    else:
-        reason = TerminationReason.STEP_UNDERFLOW
-
-    if ts.size == 0:
-        ts = np.array([t0])
-        ys = y0[:, None]
-
-    return _assemble(spec, ts, ys, reason, stats)
-
-
-def _assemble(
-    spec: ShootSpec,
-    ts: np.ndarray,
-    ys: np.ndarray,
-    reason: TerminationReason,
-    stats: SolverStats,
-) -> RadialProfile:
-    n = spec.system.n_components
     state = ys.T.copy()
     # running integrals are non-decreasing; wash out interpolation-level
     # dips far below solver tolerance
-    np.maximum.accumulate(state[:, 2 * n :], axis=0, out=state[:, 2 * n :])
-    return RadialProfile(
-        system=spec.system,
-        grid=np.exp(ts),
-        state=state,
-        reason=reason,
-        spec=spec,
-        stats=stats,
-    )
+    np.maximum.accumulate(state[:, n2:], axis=0, out=state[:, n2:])
+    return RadialProfile(sk, np.exp(ts), state, _REASONS[sol.status, sol.event],
+                         spec=spec, stats=sol.stats)
 
 
 def rescale(p: RadialProfile, eps: float) -> RadialProfile:

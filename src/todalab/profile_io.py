@@ -9,7 +9,7 @@ and reads back ``==`` to the profile written.  Reading it is the boundary for
 outside files: it refuses a missing key, a null or mistyped value, a grid
 with no nodes, another format version or a document that is not an object
 with ``ValueError``, a missing key read as its quoted name, e.g. ``'grid'``;
-the grid and state that a ``RadialProfile`` refuses raise it too.
+the grid, state and spec that a ``RadialProfile`` refuses raise it too.
 """
 
 from __future__ import annotations

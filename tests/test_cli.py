@@ -133,6 +133,14 @@ class TestShootCommand:
         assert doc["final_masses"][0] == pytest.approx(5000.0, rel=1e-6)
         assert not any(doc["mass_converged"])
 
+    def test_step_underflow_prints_the_solver_message(self, capsys, outdir, monkeypatch):
+        monkeypatch.setattr(SystemKind, "rhs", lambda self, u: np.full_like(u, np.nan))
+        code, out, _ = run(capsys, "shoot", "--system", "liouville", "--height", "0",
+                           "--r-max", "10")
+        assert code == 0
+        assert "terminated: step_underflow" in out
+        assert "solver: Required step size is less than spacing between numbers.\n" in out
+
     def test_sinh_gordon_shot_has_no_mean_value_line(self, capsys, outdir):
         argv = ["shoot", "--system", "sinh-gordon", "--height", "2", "--r-max", "10"]
         code, out, _ = run(capsys, *argv, "--json")

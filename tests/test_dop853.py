@@ -162,9 +162,9 @@ def test_stats_count_every_call_and_step():
     assert sol.status == dop853.EVENT and sol.event == 1
     # y = sin t leaves y <= 0.5 at t = pi/6; the root is exact on the
     # interpolant, which is itself accurate to the tolerances
-    assert sol.t_event == pytest.approx(math.pi / 6, abs=1e-9)
-    assert sol.y_event[0] == pytest.approx(0.5, abs=1e-14)
-    assert list(sol.t) == [0.0]
+    assert sol.t[-1] == pytest.approx(math.pi / 6, abs=1e-9)
+    assert sol.y[0, -1] == pytest.approx(0.5, abs=1e-14)
+    assert list(sol.t[:-1]) == [0.0]
     assert st.message == "A termination event occurred."
     assert st.to_json_dict() == {
         "nfev": st.nfev, "n_accepted": st.n_accepted, "n_rejected": st.n_rejected
@@ -227,7 +227,7 @@ def test_stop_ends_the_run_on_a_bit_equal_prefix():
                            stop=negative)
     assert sol.status == dop853.STOPPED and full.status == dop853.FINISHED
     assert sol.stats.message == "The stop callable ended the integration at a sampled state."
-    assert sol.event is None and sol.t_event is None and sol.y_event is None
+    assert sol.event is None
     m = sol.t.size
     assert 0 < m < full.t.size
     # the hook saw every sample, and fired on the step holding the first
@@ -256,8 +256,8 @@ def test_stop_is_not_consulted_once_t1_is_reached():
 
 
 def test_stop_is_not_consulted_on_an_event_step():
-    """g = 0 fires on the first step, which also samples t0: the event
-    ends the run although the hook would stop at any sample."""
+    """g = 0 fires at the start, before the first step samples t0: the
+    event ends the run although the hook would stop at any sample."""
     seen = []
 
     def always(t, y):
@@ -267,7 +267,7 @@ def test_stop_is_not_consulted_on_an_event_step():
     sol = dop853.integrate(_oscillator, 0.0, 10.0, np.array([0.0, 1.0]), 1e-10,
                            1e-12, np.linspace(0.0, 10.0, 101),
                            events=(lambda t, y: 0.0,), stop=always)
-    assert sol.status == dop853.EVENT and sol.event == 0 and sol.t_event == 0.0
+    assert sol.status == dop853.EVENT and sol.event == 0 and sol.t[-1] == 0.0
     assert list(sol.t) == [0.0] and seen == []
 
 
@@ -288,10 +288,53 @@ def test_event_root_matches_scipy():
                     atol=1e-12, t_eval=t_eval, events=below_half)
     assert sol.status == dop853.EVENT and ref.status == 1
     t_ref = ref.t_events[0][0]
-    assert abs(sol.t_event - t_ref) <= 8 * dop853.EPS * (1 + abs(t_ref))
-    assert sol.t_event == pytest.approx(7 * math.pi / 6, abs=1e-9)
-    assert below_half(sol.t_event, sol.y_event) >= 0
-    assert sol.t.tobytes() == ref.t.tobytes()
+    assert abs(sol.t[-1] - t_ref) <= 8 * dop853.EPS * (1 + abs(t_ref))
+    assert sol.t[-1] == pytest.approx(7 * math.pi / 6, abs=1e-9)
+    assert below_half(sol.t[-1], sol.y[:, -1]) >= 0
+    assert sol.t[:-1].tobytes() == ref.t.tobytes()
+
+
+@pytest.mark.parametrize("g0", [-1.0, 0.0])
+def test_a_start_past_an_event_is_the_whole_run(g0):
+    """An event that reads <= 0 at (t0, y0) ends the run there, before any
+    rhs call, with the lowest such index and the one column (t0, y0)."""
+    calls = []
+
+    def fun(t, y):
+        calls.append(t)
+        return _oscillator(t, y)
+
+    y0 = np.array([0.0, 1.0])
+    sol = dop853.integrate(fun, 0.0, 10.0, y0, 1e-10, 1e-12,
+                           np.linspace(0.0, 10.0, 11),
+                           events=(lambda t, y: 1.0, lambda t, y: g0,
+                                   lambda t, y: -1.0))
+    assert sol.status == dop853.EVENT and sol.event == 1
+    assert sol.t.tolist() == [0.0] and sol.y.tolist() == [[0.0], [1.0]]
+    st = sol.stats
+    assert (st.nfev, st.n_accepted, st.n_rejected) == (0, 0, 0) and calls == []
+    assert st.message == "A termination event occurred."
+
+
+def test_the_event_state_replaces_a_sample_just_before_it():
+    """The event's root and state are the last column; a t_eval point less
+    than 1e-12 before the root is dropped, one farther before it is kept."""
+
+    def below_half(t, y):
+        return y[0] + 0.5
+
+    y0 = np.array([0.0, 1.0])
+    free = dop853.integrate(_oscillator, 0.0, 10.0, y0, 1e-10, 1e-12,
+                            np.linspace(0.0, 10.0, 11), events=(below_half,))
+    root = free.t[-1]
+    assert free.status == dop853.EVENT and root == pytest.approx(7 * math.pi / 6)
+    assert below_half(root, free.y[:, -1]) >= 0
+    for gap, kept in ((5e-13, False), (1e-9, True)):
+        t_eval = np.array([0.0, 1.0, root - gap])
+        sol = dop853.integrate(_oscillator, 0.0, 10.0, y0, 1e-10, 1e-12, t_eval,
+                               events=(below_half,))
+        assert sol.t[-1] == root and sol.y[:, -1].tobytes() == free.y[:, -1].tobytes()
+        assert sol.t[:-1].tolist() == t_eval[: 3 if kept else 2].tolist()
 
 
 @pytest.mark.parametrize("name", ["su3", "su4", "sinh_gordon_blow_up"])

@@ -27,6 +27,7 @@ from todalab.ode_engine import (
     TargetSearchError,
     TerminationReason,
     _reignites,
+    _series_state,
     classify_shot,
     find_decaying,
     mean_value_residuals,
@@ -287,13 +288,13 @@ class TestTermination:
         assert len(p.grid) == 1
         assert p.r_end == pytest.approx(p.spec.r_start, rel=1e-12)
         assert p.masses[0].sum() == start
-        assert p.stats.message == "initial summed mass at or above mass_guard"
+        assert p.stats.message == "A termination event occurred."
         assert (p.stats.nfev, p.stats.n_accepted) == (0, 0)
 
     def test_start_above_both_guards_reads_the_blow_up_first(self):
         p = shot(Variant.LIOUVILLE, (60.0,), mass_guard=1e-12, r_max=10.0)
         assert p.reason is TerminationReason.COMPONENT_BLOW_UP
-        assert p.stats.message == "initial state at or above the blow-up guard"
+        assert p.stats.message == "A termination event occurred."
         assert len(p.grid) == 1
 
     def test_mass_overflow_guard(self):
@@ -900,6 +901,19 @@ class TestNanStepEndsTheRun:
         status, accepted, message = res.stdout.rstrip("\n").split("|")
         assert (status, accepted) == (STEP_UNDERFLOW, "0")
         assert message == "Required step size is less than spacing between numbers."
+
+    def test_nan_rhs_shot_is_its_start_row(self, monkeypatch):
+        """A shot whose first step underflows samples nothing: its profile
+        is the start state at r_start, after the two rhs calls of the
+        initial-step rule."""
+        monkeypatch.setattr(SystemKind, "rhs", lambda self, u: np.full_like(u, np.nan))
+        spec = ShootSpec(SystemKind(Variant.LIOUVILLE), (0.0,), r_max=10.0)
+        p = shoot(spec)
+        assert p.reason is TerminationReason.STEP_UNDERFLOW
+        assert p.grid.tolist() == [math.exp(math.log(spec.r_start))]
+        assert p.state.tobytes() == _series_state(spec).tobytes()
+        assert (p.stats.nfev, p.stats.n_accepted) == (2, 0)
+        assert p.stats.message == "Required step size is less than spacing between numbers."
 
 
 class TestSearchErrors:

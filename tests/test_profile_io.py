@@ -257,3 +257,28 @@ class TestEveryProfileIsChecked:
         with pytest.raises(ValueError) as err:
             build(profile, edit(profile))
         assert str(err.value) == message
+
+
+class TestSpecIsForTheProfilesSystem:
+    """A profile's ``spec`` shoots the profile's own system.  A profile of
+    weight 2 that kept the spec of a weight-0 shot loaded silently, and a
+    file whose shoot_spec weights differed from its top-level ones read
+    back unequal to a new shot of its spec."""
+
+    OTHER = SystemKind(Variant.LIOUVILLE, (2.0,))
+    MESSAGE = "^profile spec is for another system$"
+
+    def test_replace(self, liouville_profile):
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            dataclasses.replace(liouville_profile, system=self.OTHER)
+
+    def test_constructor(self, liouville_profile):
+        p = liouville_profile
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            RadialProfile(self.OTHER, p.grid, p.state, p.reason, p.spec)
+
+    def test_reader(self, liouville_profile):
+        d = profile_to_json_dict(liouville_profile)
+        d["shoot_spec"]["singular_weights"] = [2.0]
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            profile_from_json_dict(d)
