@@ -9,6 +9,15 @@ controller and error norm, the same step floor, and the same dense output.
 A shot therefore takes the same steps and makes the same right-hand-side
 calls with or without scipy installed.
 
+The state is a coupled leading block followed by a trailing quadrature
+block of running integrals, whose derivatives read only t and the
+leading block and feed nothing back.  The leading block's right-hand side
+writes each stage's derivative in place into its row of the stage matrix;
+the quadrature block's derivatives are evaluated for all of a step's
+stages in one call after the stage loop, from the stage states kept in a
+(16, n) buffer.  A run without quadratures is the same loop with a
+zero-width block.
+
 The stepper integrates forward only (t1 > t0) and supports terminal events
 with direction -1, read as bounds (``solve_ivp`` reads them as crossings
 only): a start where an event g reads <= 0 is the whole run.  Otherwise g
@@ -363,16 +372,65 @@ def _error_norm(K: np.ndarray, h: float, scale: np.ndarray) -> float:
     return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
+def _no_quadrature(ts, ys, out) -> None:
+    """The right-hand side of a zero-width quadrature block."""
+
+
+class _Stages:
+    """The stage matrix K of one run, and the stage states its quadrature
+    block is evaluated from.
+
+    Row s of K is stage s's derivative.  Its leading m columns are written
+    by ``fun`` as the stage is formed; its trailing columns by one ``quad``
+    call per group of stages, once the group's states are in ``Z``.  While
+    a group is formed, the trailing columns of its earlier rows are those
+    of an earlier step, so only the leading block of a stage state in
+    ``Z`` is that stage's; the trailing block is never read.
+    """
+
+    def __init__(self, fun, quad, n: int, m: int):
+        self.fun, self.quad, self.m = fun, quad, m
+        # zeros, not empty: a stale trailing entry is read into a stage
+        # state's unread trailing block, and should be a number
+        self.K = K = np.zeros((N_STAGES_EXTENDED, n))
+        # KT[s] @ a combines stages < s
+        self.KT = KT = [K[:s].T for s in range(N_STAGES_EXTENDED)]
+        Z = np.zeros((N_STAGES_EXTENDED, n))
+        rows = [(a, c, KT[s], Z[s], K[s, :m]) for s, a, c in (*_STAGES, *_EXTRA_STAGES)]
+        k, e = len(_STAGES), N_STAGES + 1
+        self.step = (rows[:k], Z[1:N_STAGES], K[1:N_STAGES, m:])  # stages 1..11
+        self.dense = (rows[k:], Z[e:], K[e:, m:])  # the dense output's 13..15
+
+    def derivative(self, t: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The derivative at (t, y), written into ``out`` and returned."""
+        self.fun(t, y, out[: self.m])
+        self.quad([t], y[None], out[None, self.m :])
+        return out
+
+    def fill(self, group, t: float, h: float, y: np.ndarray) -> None:
+        """Form the stages of ``group`` (``step`` or ``dense``) from the
+        state y at t, with step h."""
+        rows, Z, KQ = group
+        fun = self.fun
+        ts = []
+        for a, c, KTs, z, out in rows:
+            # z = y + h (K^T a), formed in place with the same roundings
+            KTs.dot(a, z)
+            z *= h
+            z += y
+            tz = t + c * h
+            fun(tz, z, out)
+            ts.append(tz)
+        self.quad(ts, Z, KQ)
+
+
 class _DenseStep:
     """The 7th-order interpolant over one accepted step [t_old, t]."""
 
-    def __init__(self, fun, K, KT, t_old, t, y_old, y, f):
+    def __init__(self, stages: _Stages, t_old, t, y_old, y, f):
         h = t - t_old
-        for s, a, c in _EXTRA_STAGES:
-            z = KT[s].dot(a)
-            z *= h
-            z += y_old
-            K[s] = fun(t_old + c * h, z)
+        stages.fill(stages.dense, t_old, h, y_old)
+        K = stages.K
         f_old = K[0]
         delta_y = y - y_old
         F = np.empty((INTERPOLATOR_POWER, y.size))
@@ -387,10 +445,11 @@ class _DenseStep:
         """State at scalar t, or states (n, m) at the m points of array t;
         a scalar is evaluated as a one-point array."""
         x = ((np.atleast_1d(t) - self.t_old) / self.h)[:, None]
+        x1 = 1 - x
         y = np.zeros((len(x), len(self.y_old)))
         for i, f in enumerate(self._F):
             y += f
-            y *= x if i % 2 == 0 else 1 - x
+            y *= x if i % 2 == 0 else x1
         y += self.y_old
         return y[0] if np.ndim(t) == 0 else y.T
 
@@ -409,7 +468,7 @@ def _bisect(f, xa: float, xb: float) -> float:
 
 
 def integrate(
-    fun: Callable[[float, np.ndarray], np.ndarray],
+    fun: Callable[[float, np.ndarray, np.ndarray], None],
     t0: float,
     t1: float,
     y0: np.ndarray,
@@ -418,8 +477,21 @@ def integrate(
     t_eval: np.ndarray,
     events: Sequence[Callable[[float, np.ndarray], float]] = (),
     stop: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None,
+    quad: Callable[[list, np.ndarray, np.ndarray], None] = _no_quadrature,
+    n_quad: int = 0,
 ) -> Solution:
-    """Integrate y' = fun(t, y) from t0 to t1 > t0, sampling at ``t_eval``.
+    """Integrate y' = f(t, y) from t0 to t1 > t0, sampling at ``t_eval``.
+
+    The state y (n,) is a coupled leading block of n - ``n_quad`` entries
+    followed by a quadrature block of ``n_quad`` entries, 0 <= n_quad <= n.
+    ``fun(t, y, out)`` writes the leading block of f(t, y) into ``out``
+    (n - n_quad,), a view it must not keep, and reads only the leading
+    block of y.  ``quad(ts, ys, out)`` writes the quadrature block's
+    derivatives at k states at once: ``ts`` is a list of k times, ``ys``
+    the states (k, n), of which it reads only the leading block, and
+    ``out`` the (k, n_quad) block to write.  Nothing reads the quadrature
+    block back, so the steps are those of the same f evaluated whole, and
+    a run without quadratures passes only ``fun``.
 
     ``t_eval`` is increasing and inside [t0, t1].  Every event is terminal
     with direction -1.  Where some event reads <= 0 at (t0, y0), the run is
@@ -428,7 +500,8 @@ def integrate(
     output finds with g > 0, to 4 eps (1 + |t|), with no rhs call; it is
     the last column, and a sample less than 1e-12 before it gives way.
     The interpolant's three extra stages are computed only for steps that
-    hold ``t_eval`` points or an event.
+    hold ``t_eval`` points or an event.  ``nfev`` counts the evaluations of
+    f, each of which is one ``fun`` call and a share of a ``quad`` call.
 
     ``stop(t, y)`` is called with the times (m,) and states (n, m) sampled
     on each accepted step that samples any, but not on a step where an
@@ -441,6 +514,10 @@ def integrate(
     start = time.perf_counter()
     y = np.array(y0, dtype=float)
     n = y.size
+    if not 0 <= n_quad <= n:
+        raise ValueError(f"quadrature width {n_quad!r} is outside [0, {n}]")
+    if n_quad and quad is _no_quadrature:
+        raise ValueError(f"a quadrature block of width {n_quad} needs its quad")
     rtol = max(rtol, 100 * EPS)
     t_eval = np.asarray(t_eval, dtype=float)
     n_eval = t_eval.size
@@ -451,11 +528,12 @@ def integrate(
     if event is not None:
         stats = SolverStats(0, 0, 0, _MESSAGES[EVENT], time.perf_counter() - start)
         return Solution(np.array([t]), y[:, None], EVENT, event, stats)
-    f = fun(t, y)
-    h_abs = float(_initial_step(fun, t, y, f, t1, rtol, atol))
+    stages = _Stages(fun, quad, n, n - n_quad)
+    K, KT = stages.K, stages.KT
+    f = stages.derivative(t, y, np.empty(n))
+    h_abs = float(_initial_step(lambda s, z: stages.derivative(s, z, np.empty(n)),
+                                t, y, f, t1, rtol, atol))
     nfev, n_accepted, n_rejected = 2, 0, 0
-    K = np.empty((N_STAGES_EXTENDED, n))
-    KT = [K[:s].T for s in range(N_STAGES_EXTENDED)]  # KT[s] @ a combines stages < s
     ts: list[np.ndarray] = []
     ys: list[np.ndarray] = []
     i_eval = 0
@@ -475,17 +553,11 @@ def integrate(
             h_abs = abs(h)
 
             K[0] = f
-            # z = y + h (K^T a), formed in place with the same roundings
-            for s, a, c in _STAGES:
-                z = KT[s].dot(a)
-                z *= h
-                z += y
-                K[s] = fun(t + c * h, z)
+            stages.fill(stages.step, t, h, y)
             y_new = KT[N_STAGES].dot(B)
             y_new *= h
             y_new += y
-            f_new = fun(t_new, y_new)
-            K[N_STAGES] = f_new
+            f_new = stages.derivative(t_new, y_new, K[N_STAGES]).copy()
             nfev += N_STAGES
 
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -516,7 +588,7 @@ def integrate(
             g_new = [ev(t, y) for ev in events]
             active = [i for i, (a, b) in enumerate(zip(g, g_new)) if a >= 0 and b <= 0]
             if active:
-                dense = _DenseStep(fun, K, KT, t_old, t, y_old, y, f)
+                dense = _DenseStep(stages, t_old, t, y_old, y, f)
                 nfev += _N_EXTRA
                 roots = [
                     _bisect(lambda s, ev=events[i]: ev(s, dense(s)), t_old, t)
@@ -531,7 +603,7 @@ def integrate(
         if i_eval < n_eval and t_eval[i_eval] <= t:
             i_new = int(np.searchsorted(t_eval, t, side="right"))
             if dense is None:
-                dense = _DenseStep(fun, K, KT, t_old, t_new, y_old, y_new, f_new)
+                dense = _DenseStep(stages, t_old, t_new, y_old, y_new, f_new)
                 nfev += _N_EXTRA
             t_step = t_eval[i_eval:i_new]
             ts.append(t_step)

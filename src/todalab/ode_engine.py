@@ -13,11 +13,15 @@ method and controller of scipy's ``solve_ivp(DOP853)``, without scipy),
 and guards against component blow-up at +50.  Each profile carries the
 stepper's counts and message in ``stats``.
 
-Masses ride along in the state, so the divergence-theorem identity
-r u_i'(r) = -(signed mass combination) is a linear invariant of the
-system, which every Runge-Kutta step preserves exactly:
-``mean_value_residuals`` checks the stored-state bookkeeping, not the
-integration accuracy.  The Pohozaev balances of ``analysis`` are the
+Masses ride along in the state as the stepper's quadrature block: their
+slopes read only t and u and feed nothing back, so ``dop853`` evaluates
+them for all stages of a step in one call, while the (u, w) right-hand
+side writes each stage's derivative in place; the steps and their bits
+are those of the whole system evaluated stage by stage.  The
+divergence-theorem identity r u_i'(r) = -(signed mass combination) is a
+linear invariant of the system, which every Runge-Kutta step preserves
+exactly: ``mean_value_residuals`` checks the stored-state bookkeeping,
+not the integration accuracy.  The Pohozaev balances of ``analysis`` are the
 accuracy checks.
 """
 
@@ -426,17 +430,23 @@ def shoot(spec: ShootSpec, *, stop=None) -> RadialProfile:
     # SystemKind.rhs (as bench/spans.py does) sees every call
     F = sk.rhs
 
-    def rhs(t, y):
-        u = y[:n]
-        r2 = math.exp(2.0 * t)
-        return np.concatenate(
-            [y[n:n2], -r2 * F(u), r2 * np.exp(np.minimum(u, _MASS_EXP_CAP))])
+    def rhs(t, y, out):
+        # (u, w): du/dt = w, dw/dt = -r^2 F(u)
+        out[:n] = y[n:n2]
+        np.multiply(F(y[:n]), -math.exp(2.0 * t), out=out[n:])
+
+    def masses(ts, ys, out):
+        # dsigma/dt = r^2 e^{min(u, cap)} at every stage of a step at once
+        r2 = np.array([math.exp(2.0 * t) for t in ts])
+        e = np.minimum(ys[:, :n], _MASS_EXP_CAP)
+        np.exp(e, out=e)
+        np.multiply(r2[:, None], e, out=out)
 
     # overflow in rejected trial steps is handled by the error controller
     with np.errstate(over="ignore", invalid="ignore"):
         sol = dop853.integrate(
             rhs, t0, t1, y0, spec.rel_tol, spec.abs_tol, t_eval,
-            events=(blow_up, mass_overflow), stop=stop,
+            events=(blow_up, mass_overflow), stop=stop, quad=masses, n_quad=n,
         )
     ts, ys = (sol.t, sol.y) if sol.t.size else (np.array([t0]), y0[:, None])
 

@@ -26,8 +26,9 @@ LOG8 = math.log(8.0)
 # Only a test whose subject is the shot itself calls ``shoot`` or
 # ``find_decaying`` on its own (determinism and equality, a timed shot, a
 # profile that holds no table until queried, a search against full shots,
-# the scipy agreement side, a CLI command).  A profile's arrays are
-# read-only, so no test can change what another test reads.
+# the scipy agreement side, the mass quadrature against the whole rhs, a CLI
+# command).  A profile's arrays are read-only, so no test can change what
+# another test reads.
 shot_of = functools.cache(shoot)
 search = functools.cache(find_decaying)
 

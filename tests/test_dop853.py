@@ -23,7 +23,9 @@ from todalab.ode_engine import (
     BLOWUP_GUARD,
     ShootSpec,
     TerminationReason,
+    _reignites,
     _series_state,
+    shoot,
 )
 from todalab.systems import SystemKind, Variant
 
@@ -33,6 +35,23 @@ SU3 = SystemKind(Variant.AFFINE_SU3)
 SU4 = SystemKind(Variant.AFFINE_SU4)
 PAIR = SystemKind(Variant.LIMIT_PAIR)
 SINH = SystemKind(Variant.SINH_GORDON)
+
+
+def in_place(f):
+    """The in-place form fun(t, y, out) that ``integrate`` calls, of a
+    right-hand side f(t, y) as ``solve_ivp`` calls it."""
+
+    def fun(t, y, out):
+        out[:] = f(t, y)
+
+    return fun
+
+
+def _oscillator(t, y):
+    return np.array([y[1], -y[0]])
+
+
+oscillator = in_place(_oscillator)
 
 
 def scipy_shot(spec: ShootSpec):
@@ -112,6 +131,93 @@ def test_shot_agrees_with_scipy(name):
     assert prof.r_end == pytest.approx(float(r[-1]), rel=1e-12)
 
 
+def whole_rhs(spec: ShootSpec):
+    """The shot's right-hand side evaluated whole, all 3n columns per stage,
+    with no quadrature block: the reference of ``shoot``'s split into the
+    coupled (u, w) block and the mass quadrature."""
+    sk = spec.system
+    n = sk.n_components
+
+    def fun(t, y, out):
+        u = y[:n]
+        r2 = math.exp(2.0 * t)
+        out[:] = np.concatenate(
+            [y[n : 2 * n], -r2 * sk.rhs(u), r2 * np.exp(np.minimum(u, 600.0))]
+        )
+
+    return fun
+
+
+SPLIT_CASES = {
+    "su3": (CASES["su3"], None),
+    "su4": (CASES["su4"], None),
+    "sinh_gordon_blow_up": (CASES["sinh_gordon_blow_up"], None),
+    "limitpair_reignites": (lambda: ShootSpec(PAIR, (2.0, 5.0)), lambda: _reignites(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_CASES))
+def test_mass_quadrature_keeps_the_whole_rhs_bits(name, monkeypatch):
+    """``shoot``'s run, with the masses as the stepper's quadrature block,
+    is bit for bit the run of the whole right-hand side with a zero-width
+    block: samples, end, event and every count."""
+    make_spec, make_stop = SPLIT_CASES[name]
+    spec = make_spec()
+    runs = []
+    real = dop853.integrate
+
+    def recording(*args, **kwargs):
+        runs.append((args, kwargs, real(*args, **kwargs)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(dop853, "integrate", recording)
+    shoot(spec, stop=make_stop() if make_stop else None)
+    (args, kwargs, split), = runs
+    assert kwargs["n_quad"] == spec.system.n_components
+
+    kwargs = {k: v for k, v in kwargs.items() if k not in ("quad", "n_quad")}
+    if make_stop:
+        kwargs["stop"] = make_stop()  # the rule keeps state between calls
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = real(whole_rhs(spec), *args[1:], **kwargs)
+
+    assert split.status == whole.status and split.event == whole.event
+    if make_stop:
+        assert split.status == dop853.STOPPED
+    assert split.t.tobytes() == whole.t.tobytes()
+    assert split.y.tobytes() == whole.y.tobytes()
+    got, want = split.stats, whole.stats
+    assert (got.nfev, got.n_accepted, got.n_rejected) == \
+        (want.nfev, want.n_accepted, want.n_rejected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_mass_exp_has_the_row_bits(n):
+    """The quadrature evaluates e^{min(u, cap)} for a block of stage states
+    in one call; each row must get the bits it gets alone, as each stage
+    did.  A platform whose exp kernel depends on the array's length fails
+    here."""
+    rng = np.random.default_rng(20201103 + n)
+    k = 100_000 // n + 1
+    X = rng.uniform(-745.0, 710.0, (k, 3 * n))
+    X[:3, :n] = [[np.inf], [-np.inf], [np.nan]]
+    X[3:9, :n] = np.array([-745.0, -708.5, 0.0, 600.0, 709.78, 710.0])[:, None]
+    block = np.exp(np.minimum(X[:, :n], 600.0))
+    rows = np.array([np.exp(np.minimum(x[:n], 600.0)) for x in X])
+    assert block.view(np.uint64).tobytes() == rows.view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("n_quad, message", [
+    (-1, r"quadrature width -1 is outside \[0, 2\]"),
+    (3, r"quadrature width 3 is outside \[0, 2\]"),
+    (1, r"quadrature block of width 1 needs its quad"),
+])
+def test_a_quadrature_block_the_state_cannot_hold_is_refused(n_quad, message):
+    with pytest.raises(ValueError, match=message):
+        dop853.integrate(oscillator, 0.0, 1.0, np.array([0.0, 1.0]), 1e-10, 1e-12,
+                         np.linspace(0.0, 1.0, 3), n_quad=n_quad)
+
+
 def test_blow_up_case_fires_the_event():
     prof = shot_of(CASES["sinh_gordon_blow_up"]())
     assert prof.reason is TerminationReason.COMPONENT_BLOW_UP
@@ -144,9 +250,9 @@ def test_stats_count_every_call_and_step():
     included; accepted plus rejected steps account for the rest."""
     calls = [0]
 
-    def fun(t, y):
+    def fun(t, y, out):
         calls[0] += 1
-        return np.array([y[1], -y[0]])
+        out[:] = np.array([y[1], -y[0]])
 
     def leaves_unit_disc(t, y):
         return 0.5 - y[0]
@@ -175,7 +281,7 @@ def test_step_underflow_keeps_the_message():
     """y' = y^2, y(0) = 1 blows up at t = 1: the step floor ends the run."""
     with np.errstate(over="ignore", invalid="ignore"):
         sol = dop853.integrate(
-            lambda t, y: y * y, 0.0, 2.0, np.array([1.0]), 1e-10, 1e-12,
+            in_place(lambda t, y: y * y), 0.0, 2.0, np.array([1.0]), 1e-10, 1e-12,
             np.linspace(0.0, 2.0, 21),
         )
         ref = solve_ivp(
@@ -207,23 +313,19 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def _oscillator(t, y):
-    return np.array([y[1], -y[0]])
-
-
 def test_stop_ends_the_run_on_a_bit_equal_prefix():
     """A true ``stop`` ends the run after the samples it saw; those samples
     are the unstopped run's first ones, bit for bit, at fewer rhs calls."""
     t_eval = np.linspace(0.0, 10.0, 101)
     y0 = np.array([0.0, 1.0])
-    full = dop853.integrate(_oscillator, 0.0, 10.0, y0, 1e-10, 1e-12, t_eval)
+    full = dop853.integrate(oscillator, 0.0, 10.0, y0, 1e-10, 1e-12, t_eval)
     seen = []
 
     def negative(t, y):
         seen.append(t)
         return bool((y[0] < 0).any())
 
-    sol = dop853.integrate(_oscillator, 0.0, 10.0, y0, 1e-10, 1e-12, t_eval,
+    sol = dop853.integrate(oscillator, 0.0, 10.0, y0, 1e-10, 1e-12, t_eval,
                            stop=negative)
     assert sol.status == dop853.STOPPED and full.status == dop853.FINISHED
     assert sol.stats.message == "The stop callable ended the integration at a sampled state."
@@ -248,7 +350,7 @@ def test_stop_is_not_consulted_once_t1_is_reached():
         seen.append(t)
         return t[-1] == 10.0
 
-    sol = dop853.integrate(_oscillator, 0.0, 10.0, np.array([0.0, 1.0]), 1e-10,
+    sol = dop853.integrate(oscillator, 0.0, 10.0, np.array([0.0, 1.0]), 1e-10,
                            1e-12, t_eval, stop=at_t1)
     assert sol.status == dop853.FINISHED and sol.t[-1] == 10.0
     got = np.hstack(seen)
@@ -264,7 +366,7 @@ def test_stop_is_not_consulted_on_an_event_step():
         seen.append(t)
         return True
 
-    sol = dop853.integrate(_oscillator, 0.0, 10.0, np.array([0.0, 1.0]), 1e-10,
+    sol = dop853.integrate(oscillator, 0.0, 10.0, np.array([0.0, 1.0]), 1e-10,
                            1e-12, np.linspace(0.0, 10.0, 101),
                            events=(lambda t, y: 0.0,), stop=always)
     assert sol.status == dop853.EVENT and sol.event == 0 and sol.t[-1] == 0.0
@@ -282,7 +384,7 @@ def test_event_root_matches_scipy():
     below_half.terminal, below_half.direction = True, -1
     y0 = np.array([0.0, 1.0])
     t_eval = np.linspace(0.0, 10.0, 101)
-    sol = dop853.integrate(_oscillator, 0.0, 10.0, y0, 1e-10, 1e-12, t_eval,
+    sol = dop853.integrate(oscillator, 0.0, 10.0, y0, 1e-10, 1e-12, t_eval,
                            events=(below_half,))
     ref = solve_ivp(_oscillator, (0.0, 10.0), y0, method="DOP853", rtol=1e-10,
                     atol=1e-12, t_eval=t_eval, events=below_half)
@@ -300,9 +402,9 @@ def test_a_start_past_an_event_is_the_whole_run(g0):
     rhs call, with the lowest such index and the one column (t0, y0)."""
     calls = []
 
-    def fun(t, y):
+    def fun(t, y, out):
         calls.append(t)
-        return _oscillator(t, y)
+        oscillator(t, y, out)
 
     y0 = np.array([0.0, 1.0])
     sol = dop853.integrate(fun, 0.0, 10.0, y0, 1e-10, 1e-12,
@@ -324,14 +426,14 @@ def test_the_event_state_replaces_a_sample_just_before_it():
         return y[0] + 0.5
 
     y0 = np.array([0.0, 1.0])
-    free = dop853.integrate(_oscillator, 0.0, 10.0, y0, 1e-10, 1e-12,
+    free = dop853.integrate(oscillator, 0.0, 10.0, y0, 1e-10, 1e-12,
                             np.linspace(0.0, 10.0, 11), events=(below_half,))
     root = free.t[-1]
     assert free.status == dop853.EVENT and root == pytest.approx(7 * math.pi / 6)
     assert below_half(root, free.y[:, -1]) >= 0
     for gap, kept in ((5e-13, False), (1e-9, True)):
         t_eval = np.array([0.0, 1.0, root - gap])
-        sol = dop853.integrate(_oscillator, 0.0, 10.0, y0, 1e-10, 1e-12, t_eval,
+        sol = dop853.integrate(oscillator, 0.0, 10.0, y0, 1e-10, 1e-12, t_eval,
                                events=(below_half,))
         assert sol.t[-1] == root and sol.y[:, -1].tobytes() == free.y[:, -1].tobytes()
         assert sol.t[:-1].tolist() == t_eval[: 3 if kept else 2].tolist()

@@ -893,8 +893,8 @@ class TestNanStepEndsTheRun:
         res = isolated_python("-c", (
             "import numpy as np\n"
             "from todalab import dop853\n"
-            "sol = dop853.integrate(lambda t, y: -y, 0.0, 1.0, np.array([np.nan]),\n"
-            "                       1e-8, 1e-10, np.linspace(0.0, 1.0, 5))\n"
+            "sol = dop853.integrate(lambda t, y, out: np.negative(y, out=out), 0.0, 1.0,\n"
+            "                       np.array([np.nan]), 1e-8, 1e-10, np.linspace(0.0, 1.0, 5))\n"
             "print(sol.status, sol.stats.n_accepted, sol.stats.message, sep='|')\n"
         ))
         assert res.returncode == 0, res.stderr
