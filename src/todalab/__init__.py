@@ -16,9 +16,8 @@ __version__ = "0.1.0"
 # each submodule and the names it exports
 _MODULES = {
     "closed_forms": (
-        "BubbleSpec", "VarsThetaPhi", "VarsWEta", "bubble_mass",
-        "bubble_total_mass", "from_theta_phi", "from_w_eta",
-        "liouville_bubble", "singular_bubble", "to_theta_phi", "to_w_eta",
+        "BubbleSpec", "bubble_mass", "bubble_total_mass", "liouville_bubble",
+        "singular_bubble",
     ),
     "ode_engine": (
         "BracketError", "RadialProfile", "ShootSpec", "TargetSearchError",

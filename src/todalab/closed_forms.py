@@ -1,9 +1,7 @@
-"""Closed-form radial bubbles and exact changes of variables.
+"""Closed-form radial bubbles.
 
 The bubble family solves the radial operator u'' + u'/r = -e^u away from
-the origin, with an optional power-law singularity there.  The conversion
-helpers move between the (w, eta) and (theta, phi) formulations of the
-affine systems and their three-component forms.
+the origin, with an optional power-law singularity there.
 
 Normalization: the standalone scalar equation here is -Lap(u) = e^u, so a
 regular bubble carries total mass 4 in units of 1/(2 pi).  The variant with
@@ -111,39 +109,3 @@ def bubble_mass(spec: BubbleSpec, r: ArrayLike) -> ArrayLike:
 def bubble_total_mass(spec: BubbleSpec) -> float:
     """Total mass 4(1+b): the r -> infinity limit of bubble_mass."""
     return 4.0 * (1.0 + spec.b)
-
-
-@dataclass(frozen=True)
-class VarsWEta:
-    """Point values of the (w, eta) formulation."""
-
-    w: float
-    eta: float
-
-
-@dataclass(frozen=True)
-class VarsThetaPhi:
-    """Point values of the (theta, phi) formulation."""
-
-    theta: float
-    phi: float
-
-
-def from_w_eta(v: VarsWEta) -> tuple[float, float, float]:
-    """(u1, u2, u3) = (-w + eta, -w - eta, w); then u1 + u2 + 2 u3 = 0."""
-    return (-v.w + v.eta, -v.w - v.eta, v.w)
-
-
-def to_w_eta(u1: float, u2: float, u3: float) -> VarsWEta:
-    """Inverse of from_w_eta (exact linear bijection)."""
-    return VarsWEta(w=u3, eta=(u1 - u2) / 2)
-
-
-def from_theta_phi(v: VarsThetaPhi) -> tuple[float, float, float]:
-    """(u1, u2, u3) = (-theta + 3 phi, -theta - 3 phi, 2 theta); u1 + u2 + u3 = 0."""
-    return (-v.theta + 3 * v.phi, -v.theta - 3 * v.phi, 2 * v.theta)
-
-
-def to_theta_phi(u1: float, u2: float, u3: float) -> VarsThetaPhi:
-    """Inverse of from_theta_phi (exact linear bijection)."""
-    return VarsThetaPhi(theta=u3 / 2, phi=(u1 - u2) / 6)

@@ -18,14 +18,20 @@ stages in one call after the stage loop, from the stage states kept in a
 (16, n) buffer.  A run without quadratures is the same loop with a
 zero-width block.
 
+The leading block may itself be second order, positions x and velocities
+v with x' = v: the stepper then copies each stage's x' from that stage
+state's v, and the right-hand side reads only x and writes only v'.  The
+steps and their bits are those of the same leading block evaluated whole.
+
 The stepper integrates forward only (t1 > t0) and supports terminal events
 with direction -1, read as bounds (``solve_ivp`` reads them as crossings
-only): a start where an event g reads <= 0 is the whole run.  Otherwise g
-fires on the first step over which it goes from > 0 to <= 0; its root,
-bisected on the step's dense output to 4 machine epsilons on the side
-where g has not fired, is the run's last sample.  An optional ``stop`` callable sees the samples of each accepted
-step and may end the run there; it changes neither the steps taken nor
-the samples already made.
+only): a start where an event g reads <= 0 is the whole run.  Otherwise
+g, which then reads > 0, is read once per accepted step and fires on the
+first step at whose end it reads <= 0; its root, bisected on the step's
+dense output to 4 machine epsilons on the side where g has not fired, is
+the run's last sample.  An optional ``stop`` callable sees the samples of
+each accepted step and may end the run there; it changes neither the
+steps taken nor the samples already made.
 """
 
 from __future__ import annotations
@@ -355,11 +361,12 @@ def _initial_step(fun, t0, y0, f0, t1, rtol, atol) -> float:
     return min(100 * h0, h1, interval_length)
 
 
-def _error_norm(K: np.ndarray, h: float, scale: np.ndarray) -> float:
-    """RMS norm of the blended 5th/3rd-order error estimate, Sec. II.10."""
-    err5 = K.T.dot(E5)
+def _error_norm(KT: np.ndarray, h: float, scale: np.ndarray) -> float:
+    """RMS norm of the blended 5th/3rd-order error estimate, Sec. II.10,
+    from the transposed stages 0..12, KT (n, 13)."""
+    err5 = KT.dot(E5)
     err5 /= scale
-    err3 = K.T.dot(E3)
+    err3 = KT.dot(E3)
     err3 /= scale
     # squared through sqrt, rounding as scipy's np.linalg.norm(...)**2 does
     n5 = math.sqrt(err5.dot(err5))
@@ -381,45 +388,54 @@ class _Stages:
     block is evaluated from.
 
     Row s of K is stage s's derivative.  Its leading m columns are written
-    by ``fun`` as the stage is formed; its trailing columns by one ``quad``
-    call per group of stages, once the group's states are in ``Z``.  While
-    a group is formed, the trailing columns of its earlier rows are those
-    of an earlier step, so only the leading block of a stage state in
-    ``Z`` is that stage's; the trailing block is never read.
+    as the stage is formed: the first p (x' = v) copied from the stage
+    state's v, the rest by ``fun``.  Its trailing columns are written by
+    one ``quad`` call per group of stages, once the group's states are in
+    ``Z``.  While a group is formed, the trailing columns of its earlier
+    rows are those of an earlier step, so only the leading block of a
+    stage state in ``Z`` is that stage's; the trailing block is never read.
     """
 
-    def __init__(self, fun, quad, n: int, m: int):
-        self.fun, self.quad, self.m = fun, quad, m
+    def __init__(self, fun, quad, n: int, m: int, p: int):
+        self.fun, self.quad, self.m, self.p = fun, quad, m, p
         # zeros, not empty: a stale trailing entry is read into a stage
         # state's unread trailing block, and should be a number
         self.K = K = np.zeros((N_STAGES_EXTENDED, n))
         # KT[s] @ a combines stages < s
         self.KT = KT = [K[:s].T for s in range(N_STAGES_EXTENDED)]
         Z = np.zeros((N_STAGES_EXTENDED, n))
-        rows = [(a, c, KT[s], Z[s], K[s, :m]) for s, a, c in (*_STAGES, *_EXTRA_STAGES)]
+        # per stage: what fun reads (x, or the whole state when p = 0) and
+        # writes, and the x' columns with the v they copy
+        rows = [(a, c, KT[s], Z[s], Z[s, :p] if p else Z[s], K[s, p:m],
+                 K[s, :p], Z[s, p:2 * p])
+                for s, a, c in (*_STAGES, *_EXTRA_STAGES)]
         k, e = len(_STAGES), N_STAGES + 1
         self.step = (rows[:k], Z[1:N_STAGES], K[1:N_STAGES, m:])  # stages 1..11
         self.dense = (rows[k:], Z[e:], K[e:, m:])  # the dense output's 13..15
 
     def derivative(self, t: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The derivative at (t, y), written into ``out`` and returned."""
-        self.fun(t, y, out[: self.m])
-        self.quad([t], y[None], out[None, self.m :])
+        p, m = self.p, self.m
+        out[:p] = y[p : 2 * p]
+        self.fun(t, y[:p] if p else y, out[p:m])
+        self.quad([t], y[None], out[None, m:])
         return out
 
     def fill(self, group, t: float, h: float, y: np.ndarray) -> None:
         """Form the stages of ``group`` (``step`` or ``dense``) from the
         state y at t, with step h."""
         rows, Z, KQ = group
-        fun = self.fun
+        fun, p = self.fun, self.p
         ts = []
-        for a, c, KTs, z, out in rows:
+        for a, c, KTs, z, x, out, dx, v in rows:
             # z = y + h (K^T a), formed in place with the same roundings
             KTs.dot(a, z)
             z *= h
             z += y
             tz = t + c * h
-            fun(tz, z, out)
+            if p:
+                dx[...] = v
+            fun(tz, x, out)
             ts.append(tz)
         self.quad(ts, Z, KQ)
 
@@ -427,11 +443,11 @@ class _Stages:
 class _DenseStep:
     """The 7th-order interpolant over one accepted step [t_old, t]."""
 
-    def __init__(self, stages: _Stages, t_old, t, y_old, y, f):
+    def __init__(self, stages: _Stages, t_old, t, y_old, y):
         h = t - t_old
         stages.fill(stages.dense, t_old, h, y_old)
         K = stages.K
-        f_old = K[0]
+        f_old, f = K[0], K[N_STAGES]
         delta_y = y - y_old
         F = np.empty((INTERPOLATOR_POWER, y.size))
         F[0] = delta_y
@@ -479,6 +495,7 @@ def integrate(
     stop: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None,
     quad: Callable[[list, np.ndarray, np.ndarray], None] = _no_quadrature,
     n_quad: int = 0,
+    n_pos: int = 0,
 ) -> Solution:
     """Integrate y' = f(t, y) from t0 to t1 > t0, sampling at ``t_eval``.
 
@@ -486,19 +503,25 @@ def integrate(
     followed by a quadrature block of ``n_quad`` entries, 0 <= n_quad <= n.
     ``fun(t, y, out)`` writes the leading block of f(t, y) into ``out``
     (n - n_quad,), a view it must not keep, and reads only the leading
-    block of y.  ``quad(ts, ys, out)`` writes the quadrature block's
-    derivatives at k states at once: ``ts`` is a list of k times, ``ys``
-    the states (k, n), of which it reads only the leading block, and
-    ``out`` the (k, n_quad) block to write.  Nothing reads the quadrature
-    block back, so the steps are those of the same f evaluated whole, and
-    a run without quadratures passes only ``fun``.
+    block of y.  ``n_pos`` is 0 or (n - n_quad) / 2; when it is not 0 the
+    leading block is second order, positions x = y[:n_pos] followed by
+    velocities v with x' = v: the stepper writes x' = v itself, and
+    ``fun(t, x, out)`` reads only x (a view it must not keep) and writes
+    only v' into ``out`` (n_pos,).  ``quad(ts, ys, out)`` writes the
+    quadrature block's derivatives at k states at once: ``ts`` is a list
+    of k times, ``ys`` the states (k, n), of which it reads only the
+    leading block, and ``out`` the (k, n_quad) block to write.  Nothing
+    reads the quadrature block back, so the steps are those of the same f
+    evaluated whole, and a run without quadratures passes only ``fun``.
 
     ``t_eval`` is increasing and inside [t0, t1].  Every event is terminal
     with direction -1.  Where some event reads <= 0 at (t0, y0), the run is
-    that one column, with the lowest such index and no rhs call.  Else an
-    event's root is the last point that bisection of the step's dense
-    output finds with g > 0, to 4 eps (1 + |t|), with no rhs call; it is
-    the last column, and a sample less than 1e-12 before it gives way.
+    that one column, with the lowest such index and no rhs call.  Else
+    each event is read once at the end of each accepted step, and fires
+    on the first step at whose end it reads <= 0.  Its root is the last
+    point that bisection of the step's dense output finds with g > 0, to
+    4 eps (1 + |t|), with no rhs call; it is the last column, and a sample
+    less than 1e-12 before it gives way.
     The interpolant's three extra stages are computed only for steps that
     hold ``t_eval`` points or an event.  ``nfev`` counts the evaluations of
     f, each of which is one ``fun`` call and a share of a ``quad`` call.
@@ -518,19 +541,24 @@ def integrate(
         raise ValueError(f"quadrature width {n_quad!r} is outside [0, {n}]")
     if n_quad and quad is _no_quadrature:
         raise ValueError(f"a quadrature block of width {n_quad} needs its quad")
+    m = n - n_quad
+    if n_pos != 0 and 2 * n_pos != m:
+        raise ValueError(f"second-order width {n_pos!r} is neither 0 nor half "
+                         f"of the {m} leading entries")
     rtol = max(rtol, 100 * EPS)
     t_eval = np.asarray(t_eval, dtype=float)
     n_eval = t_eval.size
 
     t, t1 = float(t0), float(t1)
-    g = [ev(t, y) for ev in events]
-    event = next((i for i, v in enumerate(g) if v <= 0), None)
+    event = next((i for i, ev in enumerate(events) if ev(t, y) <= 0), None)
     if event is not None:
         stats = SolverStats(0, 0, 0, _MESSAGES[EVENT], time.perf_counter() - start)
         return Solution(np.array([t]), y[:, None], EVENT, event, stats)
-    stages = _Stages(fun, quad, n, n - n_quad)
+    stages = _Stages(fun, quad, n, m, n_pos)
     K, KT = stages.K, stages.KT
-    f = stages.derivative(t, y, np.empty(n))
+    # K[N_STAGES] holds f at the last accepted state; each step copies it
+    # to K[0], the first stage of every trial
+    f = stages.derivative(t, y, K[N_STAGES])
     h_abs = float(_initial_step(lambda s, z: stages.derivative(s, z, np.empty(n)),
                                 t, y, f, t1, rtol, atol))
     nfev, n_accepted, n_rejected = 2, 0, 0
@@ -538,8 +566,12 @@ def integrate(
     ys: list[np.ndarray] = []
     i_eval = 0
     status = None
+    # the error scale atol + max(|y|, |y_new|) rtol, formed in place, with
+    # |y| carried over from the last accepted step
+    abs_y, abs_new, scale = np.abs(y), np.empty(n), np.empty(n)
 
     while status is None:
+        K[0] = K[N_STAGES]
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -552,16 +584,18 @@ def integrate(
             h = t_new - t
             h_abs = abs(h)
 
-            K[0] = f
             stages.fill(stages.step, t, h, y)
             y_new = KT[N_STAGES].dot(B)
             y_new *= h
             y_new += y
-            f_new = stages.derivative(t_new, y_new, K[N_STAGES]).copy()
+            stages.derivative(t_new, y_new, K[N_STAGES])
             nfev += N_STAGES
 
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K[: N_STAGES + 1], h, scale)
+            np.abs(y_new, out=abs_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            scale *= rtol
+            scale += atol
+            error_norm = _error_norm(KT[N_STAGES + 1], h, scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -579,16 +613,16 @@ def integrate(
             break
         n_accepted += 1
         t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
+        t, y = t_new, y_new
+        abs_y, abs_new = abs_new, abs_y
         if t >= t1:
             status = FINISHED
 
         dense = None
         if events:
-            g_new = [ev(t, y) for ev in events]
-            active = [i for i, (a, b) in enumerate(zip(g, g_new)) if a >= 0 and b <= 0]
+            active = [i for i, ev in enumerate(events) if ev(t, y) <= 0]
             if active:
-                dense = _DenseStep(stages, t_old, t, y_old, y, f)
+                dense = _DenseStep(stages, t_old, t, y_old, y)
                 nfev += _N_EXTRA
                 roots = [
                     _bisect(lambda s, ev=events[i]: ev(s, dense(s)), t_old, t)
@@ -598,12 +632,11 @@ def integrate(
                 event, t = active[k], roots[k]
                 y = dense(t)
                 status = EVENT
-            g = g_new
 
         if i_eval < n_eval and t_eval[i_eval] <= t:
             i_new = int(np.searchsorted(t_eval, t, side="right"))
             if dense is None:
-                dense = _DenseStep(stages, t_old, t_new, y_old, y_new, f_new)
+                dense = _DenseStep(stages, t_old, t_new, y_old, y_new)
                 nfev += _N_EXTRA
             t_step = t_eval[i_eval:i_new]
             ts.append(t_step)

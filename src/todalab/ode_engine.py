@@ -15,13 +15,15 @@ stepper's counts and message in ``stats``.
 
 Masses ride along in the state as the stepper's quadrature block: their
 slopes read only t and u and feed nothing back, so ``dop853`` evaluates
-them for all stages of a step in one call, while the (u, w) right-hand
-side writes each stage's derivative in place; the steps and their bits
-are those of the whole system evaluated stage by stage.  The
-divergence-theorem identity r u_i'(r) = -(signed mass combination) is a
-linear invariant of the system, which every Runge-Kutta step preserves
-exactly: ``mean_value_residuals`` checks the stored-state bookkeeping,
-not the integration accuracy.  The Pohozaev balances of ``analysis`` are the
+them for all stages of a step in one call.  The (u, w) block is the
+stepper's second-order block: it copies each stage's du/dt from the
+stage's w, and the right-hand side reads only u and writes only
+dw/dt = -r^2 F(u), in place.  The steps and their bits are those of the
+whole system evaluated stage by stage.  The divergence-theorem identity
+r u_i'(r) = -(signed mass combination) is a linear invariant of the
+system, which every Runge-Kutta step preserves exactly:
+``mean_value_residuals`` checks the stored-state bookkeeping, not the
+integration accuracy.  The Pohozaev balances of ``analysis`` are the
 accuracy checks.
 """
 
@@ -430,10 +432,9 @@ def shoot(spec: ShootSpec, *, stop=None) -> RadialProfile:
     # SystemKind.rhs (as bench/spans.py does) sees every call
     F = sk.rhs
 
-    def rhs(t, y, out):
-        # (u, w): du/dt = w, dw/dt = -r^2 F(u)
-        out[:n] = y[n:n2]
-        np.multiply(F(y[:n]), -math.exp(2.0 * t), out=out[n:])
+    def rhs(t, u, out):
+        # dw/dt = -r^2 F(u); the stepper writes du/dt = w itself
+        np.multiply(F(u), -math.exp(2.0 * t), out=out)
 
     def masses(ts, ys, out):
         # dsigma/dt = r^2 e^{min(u, cap)} at every stage of a step at once
@@ -447,6 +448,7 @@ def shoot(spec: ShootSpec, *, stop=None) -> RadialProfile:
         sol = dop853.integrate(
             rhs, t0, t1, y0, spec.rel_tol, spec.abs_tol, t_eval,
             events=(blow_up, mass_overflow), stop=stop, quad=masses, n_quad=n,
+            n_pos=n,
         )
     ts, ys = (sol.t, sol.y) if sol.t.size else (np.array([t0]), y0[:, None])
 

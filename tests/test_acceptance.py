@@ -22,7 +22,7 @@ from todalab.analysis import (
     su4_radial_balance,
     DecayKind,
 )
-from todalab.closed_forms import BubbleSpec, bubble_value, from_w_eta, VarsWEta
+from todalab.closed_forms import BubbleSpec, bubble_value
 from todalab.ode_engine import (
     ShootSpec,
     mean_value_residuals,
@@ -186,14 +186,14 @@ def test_criterion_6_mean_value_identities(su3_ladder_profile):
         shoot(
             ShootSpec(
                 SystemKind(Variant.AFFINE_SU3),
-                from_w_eta(VarsWEta(5.0, 0.0)),
+                (-5.0, -5.0, 5.0),
                 r_max=1e4,
             )
         ),
         shoot(
             ShootSpec(
                 SystemKind(Variant.AFFINE_SU3),
-                from_w_eta(VarsWEta(3.0, 1.5)),
+                (-1.5, -4.5, 3.0),
                 r_max=1e4,
             )
         ),

@@ -1,4 +1,4 @@
-"""Closed-form bubble family and variable-conversion tests.
+"""Closed-form bubble family tests.
 
 The bubble values are checked against quadrature (total masses) and
 finite differences (operator residual), so the formulas are validated by
@@ -13,20 +13,14 @@ from scipy.integrate import quad
 
 from todalab.closed_forms import (
     BubbleSpec,
-    VarsThetaPhi,
-    VarsWEta,
     bubble_derivative,
     bubble_mass,
     bubble_operator_residual,
     bubble_second_derivative,
     bubble_total_mass,
     bubble_value,
-    from_theta_phi,
-    from_w_eta,
     liouville_bubble,
     singular_bubble,
-    to_theta_phi,
-    to_w_eta,
 )
 
 SPECS = [
@@ -134,38 +128,3 @@ class TestScalingAndFarField:
         limit = math.log(8 * (1 + spec.b) ** 2 / spec.mu**2)
         got = bubble_value(spec, r) + (4 + 2 * spec.b) * math.log(r)
         assert got == pytest.approx(limit, abs=1e-6)
-
-
-class TestConversions:
-    def test_w_eta_examples(self):
-        assert from_w_eta(VarsWEta(0.0, 0.0)) == (0.0, 0.0, 0.0)
-        assert from_w_eta(VarsWEta(1.0, 2.0)) == (1.0, -3.0, 1.0)
-
-    def test_w_eta_zero_eta_symmetric(self):
-        u1, u2, u3 = from_w_eta(VarsWEta(0.7, 0.0))
-        assert u1 == u2 == -0.7 and u3 == 0.7
-
-    def test_w_eta_constraint(self):
-        for w, eta in [(0.3, -1.2), (2.0, 5.0), (-4.0, 0.1)]:
-            u1, u2, u3 = from_w_eta(VarsWEta(w, eta))
-            assert abs(u1 + u2 + 2 * u3) < 1e-14 * (1 + abs(w) + abs(eta))
-
-    def test_w_eta_round_trip(self):
-        v = VarsWEta(0.37, -2.25)
-        assert to_w_eta(*from_w_eta(v)) == v
-
-    def test_theta_phi_examples(self):
-        assert from_theta_phi(VarsThetaPhi(0.0, 0.0)) == (0.0, 0.0, 0.0)
-        assert from_theta_phi(VarsThetaPhi(1.0, 1.0)) == (2.0, -4.0, 2.0)
-
-    def test_theta_phi_zero_phi_symmetric(self):
-        u1, u2, u3 = from_theta_phi(VarsThetaPhi(0.9, 0.0))
-        assert u1 == u2 == -0.9 and u3 == 1.8
-
-    def test_theta_phi_constraint_and_round_trip(self):
-        for th, ph in [(0.5, 0.25), (-1.5, 3.0)]:
-            u = from_theta_phi(VarsThetaPhi(th, ph))
-            assert abs(sum(u)) < 1e-14 * (1 + abs(th) + abs(ph))
-            back = to_theta_phi(*u)
-            assert back.theta == pytest.approx(th, abs=1e-15)
-            assert back.phi == pytest.approx(ph, abs=1e-15)

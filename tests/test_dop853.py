@@ -54,6 +54,16 @@ def _oscillator(t, y):
 oscillator = in_place(_oscillator)
 
 
+def accelerate(t, x, out):
+    """The oscillator's second-order block: v' = -x, with x' = v left to
+    the stepper."""
+    np.negative(x, out=out)
+
+
+def below_half(t, y):
+    return y[0] + 0.5
+
+
 def scipy_shot(spec: ShootSpec):
     """The shot as the engine ran it through scipy: (reason, ts, ys, nfev)."""
     sk = spec.system
@@ -158,9 +168,10 @@ SPLIT_CASES = {
 
 @pytest.mark.parametrize("name", sorted(SPLIT_CASES))
 def test_mass_quadrature_keeps_the_whole_rhs_bits(name, monkeypatch):
-    """``shoot``'s run, with the masses as the stepper's quadrature block,
-    is bit for bit the run of the whole right-hand side with a zero-width
-    block: samples, end, event and every count."""
+    """``shoot``'s run, with the masses as the stepper's quadrature block
+    and (u, w) as its second-order block, is bit for bit the run of the
+    whole right-hand side with both blocks of zero width: samples, end,
+    event and every count."""
     make_spec, make_stop = SPLIT_CASES[name]
     spec = make_spec()
     runs = []
@@ -173,9 +184,9 @@ def test_mass_quadrature_keeps_the_whole_rhs_bits(name, monkeypatch):
     monkeypatch.setattr(dop853, "integrate", recording)
     shoot(spec, stop=make_stop() if make_stop else None)
     (args, kwargs, split), = runs
-    assert kwargs["n_quad"] == spec.system.n_components
+    assert kwargs["n_quad"] == kwargs["n_pos"] == spec.system.n_components
 
-    kwargs = {k: v for k, v in kwargs.items() if k not in ("quad", "n_quad")}
+    kwargs = {k: v for k, v in kwargs.items() if k not in ("quad", "n_quad", "n_pos")}
     if make_stop:
         kwargs["stop"] = make_stop()  # the rule keeps state between calls
     with np.errstate(over="ignore", invalid="ignore"):
@@ -216,6 +227,144 @@ def test_a_quadrature_block_the_state_cannot_hold_is_refused(n_quad, message):
     with pytest.raises(ValueError, match=message):
         dop853.integrate(oscillator, 0.0, 1.0, np.array([0.0, 1.0]), 1e-10, 1e-12,
                          np.linspace(0.0, 1.0, 3), n_quad=n_quad)
+
+
+@pytest.mark.parametrize("events", [(), (below_half,)], ids=["t_eval", "event"])
+def test_a_second_order_block_keeps_the_first_order_bits(events):
+    """The oscillator as (x, v), the stepper writing x' = v and ``fun``
+    only v' = -x, is bit for bit its first-order run: samples, end, event
+    and every count."""
+    y0 = np.array([0.0, 1.0])
+    t_eval = np.linspace(0.0, 10.0, 101)
+    first, second = (
+        dop853.integrate(fun, 0.0, 10.0, y0, 1e-10, 1e-12, t_eval, events=events, **kw)
+        for fun, kw in ((oscillator, {}), (accelerate, {"n_pos": 1}))
+    )
+    assert second.status == first.status and second.event == first.event
+    assert first.status == (dop853.EVENT if events else dop853.FINISHED)
+    assert second.t.tobytes() == first.t.tobytes()
+    assert second.y.tobytes() == first.y.tobytes()
+    got, want = second.stats, first.stats
+    assert (got.nfev, got.n_accepted, got.n_rejected) == \
+        (want.nfev, want.n_accepted, want.n_rejected)
+
+
+def chain_accel(x, out):
+    """A nonlinear pendulum chain: x_i'' = -sin x_i plus springs to its
+    neighbours."""
+    np.negative(np.sin(x), out=out)
+    out[:-1] += x[1:] - x[:-1]
+    out[1:] += x[:-1] - x[1:]
+
+
+def chain_whole(k, n_quad):
+    """The chain as one first-order right-hand side (x, v, q), with
+    q_j' = x_j^2 for the first ``n_quad`` positions."""
+
+    def fun(t, y, out):
+        out[:k] = y[k : 2 * k]
+        chain_accel(y[:k], out[k : 2 * k])
+        out[2 * k :] = y[:n_quad] ** 2
+
+    return fun
+
+
+def chain_quad(ts, ys, out):
+    out[...] = ys[:, : out.shape[1]] ** 2
+
+
+def chain_stop(t, y):
+    return bool(t[-1] >= 7.0)
+
+
+@pytest.mark.parametrize("k, n_quad, events, stop", [
+    (2, 0, (), None),
+    (3, 0, (below_half,), None),
+    (2, 1, (), None),
+    (3, 2, (below_half,), None),
+    (2, 2, (), chain_stop),
+], ids=["width2", "width3-event", "width2-quad1", "width3-quad2-event", "width2-quad2-stop"])
+def test_a_wide_second_order_block_keeps_the_first_order_bits(k, n_quad, events, stop):
+    """A chain of k coupled pendulums as (x, v), with and without a
+    quadrature block behind it, is bit for bit the run of its whole
+    first-order right-hand side: samples, end, event and every count."""
+    rng = np.random.default_rng(k + 10 * n_quad)
+    y0 = np.concatenate([rng.uniform(-0.4, 0.4, 2 * k), np.zeros(n_quad)])
+    y0[0], y0[k] = 0.4, -0.8  # the first pendulum swings below -1/2
+    t_eval = np.linspace(0.0, 20.0, 81)
+    whole = dop853.integrate(chain_whole(k, n_quad), 0.0, 20.0, y0, 1e-10, 1e-12,
+                             t_eval, events=events, stop=stop)
+    split = dop853.integrate(lambda t, x, out: chain_accel(x, out), 0.0, 20.0, y0,
+                             1e-10, 1e-12, t_eval, events=events, stop=stop,
+                             n_quad=n_quad, n_pos=k,
+                             **({"quad": chain_quad} if n_quad else {}))
+    assert split.status == whole.status and split.event == whole.event
+    assert whole.status == (dop853.EVENT if events else
+                            dop853.STOPPED if stop else dop853.FINISHED)
+    assert split.t.tobytes() == whole.t.tobytes()
+    assert split.y.tobytes() == whole.y.tobytes()
+    got, want = split.stats, whole.stats
+    assert (got.nfev, got.n_accepted, got.n_rejected) == \
+        (want.nfev, want.n_accepted, want.n_rejected)
+
+
+def test_a_second_order_fun_reads_positions_and_writes_accelerations():
+    """With a second-order block of width k, ``fun`` is called once per rhs
+    evaluation with the k positions and a k-entry ``out``."""
+    shapes = []
+
+    def fun(t, x, out):
+        shapes.append((x.shape, out.shape))
+        chain_accel(x, out)
+
+    y0 = np.array([0.3, -0.2, 0.1, 0.0, 0.5, -0.5, 0.0])
+    sol = dop853.integrate(fun, 0.0, 5.0, y0, 1e-10, 1e-12, np.linspace(0.0, 5.0, 6),
+                           quad=chain_quad, n_quad=1, n_pos=3)
+    assert sol.status == dop853.FINISHED
+    assert len(shapes) == sol.stats.nfev
+    assert set(shapes) == {((3,), (3,))}
+
+
+def _zero_quad(ts, ys, out):
+    out[...] = 0.0
+
+
+@pytest.mark.parametrize("n, n_quad, n_pos, m", [
+    (3, 0, 1, 3),  # an odd leading block has no halves
+    (5, 2, 1, 3),
+    (4, 0, 1, 4),  # a nonzero width that is not half
+    (4, 0, 4, 4),
+    (4, 0, -2, 4),
+    (6, 2, 1, 4),
+])
+def test_a_second_order_block_the_state_cannot_hold_is_refused(n, n_quad, n_pos, m):
+    with pytest.raises(ValueError, match=rf"second-order width {n_pos} is neither 0 "
+                                         rf"nor half of the {m} leading entries"):
+        dop853.integrate(accelerate, 0.0, 1.0, np.zeros(n), 1e-10, 1e-12,
+                         np.linspace(0.0, 1.0, 3), quad=_zero_quad, n_quad=n_quad,
+                         n_pos=n_pos)
+
+
+def test_each_event_is_read_once_per_accepted_step():
+    """Every event is read at the start and once at the end of each
+    accepted step, never on a rejected trial: y' = y^2 from y(0) = 1
+    rejects steps on its way to the step floor at t = 1."""
+    calls = [0, 0]
+
+    def counted(i):
+        def g(t, y):
+            calls[i] += 1
+            return 1.0
+        return g
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = dop853.integrate(
+            in_place(lambda t, y: y * y), 0.0, 2.0, np.array([1.0]), 1e-10, 1e-12,
+            np.linspace(0.0, 2.0, 21), events=(counted(0), counted(1)),
+        )
+    st = sol.stats
+    assert sol.status == dop853.STEP_UNDERFLOW and st.n_rejected > 0
+    assert calls == [1 + st.n_accepted] * 2
 
 
 def test_blow_up_case_fires_the_event():
@@ -421,10 +570,6 @@ def test_a_start_past_an_event_is_the_whole_run(g0):
 def test_the_event_state_replaces_a_sample_just_before_it():
     """The event's root and state are the last column; a t_eval point less
     than 1e-12 before the root is dropped, one farther before it is kept."""
-
-    def below_half(t, y):
-        return y[0] + 0.5
-
     y0 = np.array([0.0, 1.0])
     free = dop853.integrate(oscillator, 0.0, 10.0, y0, 1e-10, 1e-12,
                             np.linspace(0.0, 10.0, 11), events=(below_half,))

@@ -15,15 +15,14 @@ EXPORTS = [
     "BracketError", "BubbleReport", "BubbleSpec", "DecayKind", "DecayVerdict",
     "IdentityBalance", "MassTriple", "ParamIndex", "RadialProfile", "ShootSpec",
     "SpectrumSet", "SpectrumVariant", "Su4Balance", "SystemKind",
-    "TargetSearchError", "TerminationReason", "Variant", "VarsThetaPhi",
-    "VarsWEta", "bubble_mass", "bubble_masses",
-    "bubble_total_mass", "decay_classify", "enumerate_su3", "enumerate_su4",
-    "fast_decay_radius_scan", "find_decaying", "from_theta_phi", "from_w_eta",
+    "TargetSearchError", "TerminationReason", "Variant", "bubble_mass",
+    "bubble_masses", "bubble_total_mass", "decay_classify", "enumerate_su3",
+    "enumerate_su4", "fast_decay_radius_scan", "find_decaying",
     "is_candidate_su4", "liouville_bubble", "mean_value_residuals",
     "membership_su3", "nearest_member", "pohozaev_check",
     "pohozaev_residual_su3", "pohozaev_residual_su4", "rescale", "shoot",
     "singular_bubble", "sinh_gordon_slice", "su4_radial_balance",
-    "to_theta_phi", "to_w_eta", "total_masses", "triple_from_params",
+    "total_masses", "triple_from_params",
 ]
 
 

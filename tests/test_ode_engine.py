@@ -14,8 +14,6 @@ from todalab.closed_forms import (
     bubble_derivative,
     bubble_mass,
     bubble_value,
-    from_w_eta,
-    VarsWEta,
 )
 from todalab import dop853
 from todalab.dop853 import STEP_UNDERFLOW
@@ -257,9 +255,8 @@ class TestConstrainedSystems:
         with pytest.raises(ValueError):
             mean_value_residuals(p)
 
-    def test_eta_zero_initial_data_builds_symmetric_triple(self):
-        u = from_w_eta(VarsWEta(6.0, 0.0))
-        p = shoot(ShootSpec(SystemKind(Variant.AFFINE_SU3), u, r_max=10.0))
+    def test_symmetric_initial_data_stays_symmetric(self):
+        p = shoot(ShootSpec(SystemKind(Variant.AFFINE_SU3), (-6.0, -6.0, 6.0), r_max=10.0))
         assert np.max(np.abs(p.values[:, 0] - p.values[:, 1])) == 0.0
 
 
