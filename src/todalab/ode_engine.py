@@ -229,14 +229,18 @@ class RadialProfile:
     ``fast_decay_onset`` is where they stay in fast decay up to ``r_end``.
     Between nodes every query is the cubic Hermite in t = log r with the
     ODE's own slopes, which does not resolve the far field past the last
-    bubble: it oscillates in t faster than the grid samples it.  Those
-    slopes are evaluated once per profile, on its first query between nodes,
-    so a profile is an immutable value: its ``grid`` and ``state`` are
-    read-only, and ``dataclasses.replace`` or ``rescale`` derive new
-    profiles.  ``stats`` records what the shot cost and why it stopped; it
-    is neither serialized nor compared.  A shot that an event ends (blow-up,
-    mass overflow) has the event state as its last row, so ``r_end`` is the
-    event radius.
+    bubble: it oscillates in t faster than the grid samples it.  One
+    bracket per radius (the node interval and the Hermite weights in it)
+    serves the three blocks: a profile keeps the bracket of its last query
+    radius, so ``value_at``, ``log_deriv_at`` and ``mass_at`` at one radius
+    bracket once.  That bracket is not a field: it is neither compared,
+    shown nor stored.  The slopes are evaluated once per profile, on its
+    first query between nodes, so a profile is an immutable value: its
+    ``grid`` and ``state`` are read-only, and ``dataclasses.replace`` or
+    ``rescale`` derive new profiles.  ``stats`` records what the shot cost
+    and why it stopped; it is neither serialized nor compared.  A shot that
+    an event ends (blow-up, mass overflow) has the event state as its last
+    row, so ``r_end`` is the event radius.
     """
 
     system: SystemKind
@@ -265,6 +269,8 @@ class RadialProfile:
         # were read from must not change
         g.setflags(write=False)
         self.state.setflags(write=False)
+        # not a field: NaN equals no radius, so the first query brackets
+        self._last_bracket = (math.nan, None)
 
     def __eq__(self, other) -> bool:
         """Value equality: the same system, reason, spec and provenance, and
@@ -308,36 +314,58 @@ class RadialProfile:
         return g[0] * (1 - 1e-12) <= a and b <= g[-1] * (1 + 1e-12)
 
     @cached_property
-    def _nodes(self) -> tuple[list, list, tuple[np.ndarray, ...]]:
-        """The grid and its log radii as float lists, and the t-slopes of the
-        three column blocks at every node: w, -r^2 F(u) and r^2 e^u (capped)."""
+    def _nodes(self) -> tuple[list, list, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        """The grid and its log radii as float lists, and for each of the
+        three column blocks its view of ``state`` and its t-slopes at every
+        node: w, -r^2 F(u) and r^2 e^u (capped)."""
         grid = self.grid.tolist()
         t = [math.log(r) for r in grid]
         tc, u = np.array(t)[:, None], self.values
-        return grid, t, (self.log_derivs, -np.exp(2.0 * tc) * self.system.rhs(u.T).T,
-                         np.exp(np.minimum(u + 2.0 * tc, _MASS_EXP_CAP)))
+        return grid, t, ((u, self.log_derivs),
+                         (self.log_derivs, -np.exp(2.0 * tc) * self.system.rhs(u.T).T),
+                         (self.masses, np.exp(np.minimum(u + 2.0 * tc, _MASS_EXP_CAP))))
+
+    def _bracket(
+        self, r: float
+    ) -> tuple[int, Optional[np.ndarray], Optional[np.ndarray]]:
+        """The row j of the node interval that holds radius r, and the cubic
+        Hermite weights there of the two node values and of the two nodal
+        slopes (None for a one-row profile).  The bracket of the last radius
+        is kept, so the three blocks at one radius share one."""
+        r = float(r)
+        last_r, bracket = self._last_bracket
+        if r == last_r:
+            return bracket
+        g = self.grid
+        if not self.covers(r, r):
+            raise ValueError(f"radius {r:g} outside profile range [{g[0]:g}, {g[-1]:g}]")
+        if len(g) < 2:
+            bracket = (0, None, None)
+        else:
+            grid, t, _ = self._nodes
+            rc = min(max(r, grid[0]), grid[-1])
+            j = min(max(bisect_right(grid, rc) - 1, 0), len(grid) - 2)
+            t0, t1 = t[j], t[j + 1]
+            dt = t1 - t0
+            x = (math.log(rc) - t0) / dt
+            s = (1.0 - x) ** 2
+            bracket = (j, np.array(((1.0 + 2.0 * x) * s, x * x * (3.0 - 2.0 * x))),
+                       np.array((x * s * dt, x * x * (x - 1.0) * dt)))
+        # one tuple, so a reader never pairs a radius with another's bracket
+        self._last_bracket = (r, bracket)
+        return bracket
 
     def _hermite(self, r: float, block: int) -> tuple[np.ndarray, np.ndarray]:
         """Column block ``block`` (0 = u, 1 = w, 2 = sigma) at radius r, and
-        the two state rows ``node`` bracketing r."""
-        g, r = self.grid, float(r)
-        if not self.covers(r, r):
-            raise ValueError(f"radius {r:g} outside profile range [{g[0]:g}, {g[-1]:g}]")
-        n = self.n_components
-        cols = slice(block * n, (block + 1) * n)
-        if len(g) < 2:
-            return self.state[0, cols].copy(), self.state[:1]
-        grid, t, slopes = self._nodes
-        r = min(max(r, grid[0]), grid[-1])
-        j = min(max(bisect_right(grid, r) - 1, 0), len(grid) - 2)
-        node = self.state[j : j + 2]
-        t0, t1 = t[j], t[j + 1]
-        dt = t1 - t0
-        x = (math.log(r) - t0) / dt
-        # Hermite basis weights of the node values and of the nodal slopes
-        wy = ((1.0 + 2.0 * x) * (1.0 - x) ** 2, x * x * (3.0 - 2.0 * x))
-        wd = (x * (1.0 - x) ** 2 * dt, x * x * (x - 1.0) * dt)
-        return wy @ node[:, cols] + wd @ slopes[block][j : j + 2], node
+        the block's rows at the nodes bracketing r."""
+        j, wy, wd = self._bracket(r)
+        if wy is None:
+            n = self.n_components
+            rows = self.state[:1, block * n : (block + 1) * n]
+            return rows[0].copy(), rows
+        y, dy = self._nodes[2][block]
+        rows = y[j : j + 2]
+        return wy @ rows + wd @ dy[j : j + 2], rows
 
     def value_at(self, r: float) -> np.ndarray:
         """u_i(r), with slopes du/dt = w."""
@@ -353,9 +381,9 @@ class RadialProfile:
         Clamped into the bracketing node values, so monotonicity of the
         running integral is preserved exactly.
         """
-        n = self.n_components
-        out, node = self._hermite(r, 2)
-        return out.clip(node[0, 2 * n :], node[-1, 2 * n :])
+        out, rows = self._hermite(r, 2)
+        np.maximum(out, rows[0], out=out)
+        return np.minimum(out, rows[-1], out=out)
 
     def witness_at(self, r: float) -> np.ndarray:
         """The decay witnesses u_i(r) + 2 log r."""

@@ -8,12 +8,18 @@ dsigma/dt) on those two rows only.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from todalab.analysis import _identity_balance
+from todalab.analysis import (
+    _identity_balance,
+    bubble_masses,
+    pohozaev_check,
+    su4_radial_balance,
+)
 from todalab.ode_engine import (
     _MASS_EXP_CAP,
     RadialProfile,
@@ -23,6 +29,7 @@ from todalab.ode_engine import (
     rescale,
     shoot,
 )
+from todalab.profile_io import write_profile_json
 from todalab.systems import SystemKind, Variant
 
 from conftest import LOG8, read_back, search, shot
@@ -201,3 +208,123 @@ def test_a_profile_refuses_writes_into_its_arrays(liouville_profile, make):
     assert not p.grid.flags.writeable and not p.state.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         p.state[:, 0] += 1
+
+
+# -- one bracket per radius -------------------------------------------------
+# value_at, log_deriv_at and mass_at at one radius share the bracket a
+# profile keeps for its last radius; none of them may read another radius's
+
+METHODS = ("value_at", "log_deriv_at", "mass_at")
+
+
+def interleaved(radii: list[float]):
+    """r1, r2, r1, r1, r2 for each consecutive pair (r1, r2) of ``radii``."""
+    for r1, r2 in zip(radii[::2], radii[1::2]):
+        yield from (r1, r2, r1, r1, r2)
+
+
+@pytest.mark.parametrize("name", list(PROFILES))
+def test_interleaved_queries_have_the_oracle_bits_in_every_order(name):
+    profile = built(name)
+    oracle = OracleProfile.of(profile)
+    orders = list(itertools.permutations(METHODS))
+    # sorted, a node and the midpoint after it make a pair in one interval
+    for k, r in enumerate(interleaved(sorted(query_radii(profile)))):
+        order = list(orders[k % len(orders)])
+        order.insert(k % 4, "witness_at")
+        for method in order:
+            got, want = getattr(profile, method)(r), getattr(oracle, method)(r)
+            assert bits(got) == bits(want), (method, r, order)
+
+
+class TestTheKeptBracket:
+    @pytest.mark.parametrize("derive", [
+        lambda p: dataclasses.replace(p, state=p.state * 1.5),
+        lambda p: rescale(p, 1.5),
+    ], ids=["dataclasses.replace", "rescale"])
+    def test_a_derived_profile_answers_from_its_own_rows(self, liouville_profile,
+                                                         derive):
+        p = liouville_profile
+        k = len(p.grid) // 2
+        r = math.sqrt(p.grid[k] * p.grid[k + 1])
+        q = derive(p)
+        oracle = OracleProfile.of(q)
+        for method in (*METHODS, "witness_at"):
+            mine = getattr(p, method)(r)
+            got = getattr(q, method)(r)
+            assert bits(got) == bits(getattr(oracle, method)(r)), method
+            assert bits(got) != bits(mine), method
+
+    @pytest.mark.parametrize("method", [*METHODS, "witness_at"])
+    def test_a_radius_outside_the_grid_raises_right_after_one_inside(
+            self, liouville_profile, method):
+        p = liouville_profile
+        oracle = OracleProfile.of(p)
+        g = p.grid
+        inside = math.sqrt(g[3] * g[4])
+        for bad in (g[0] * (1 - 1e-9), g[-1] * (1 + 1e-9), math.nan, math.nan):
+            getattr(p, method)(inside)
+            with pytest.raises(ValueError, match="outside profile range") as got:
+                getattr(p, method)(bad)
+            with pytest.raises(ValueError) as want:
+                getattr(oracle, method)(bad)
+            assert str(got.value) == str(want.value)
+            assert bits(getattr(p, method)(inside)) == bits(getattr(oracle, method)(inside))
+
+    def test_the_kept_bracket_is_not_part_of_the_value(self, liouville_profile,
+                                                        tmp_path):
+        fresh = dataclasses.replace(liouville_profile)
+        queried = dataclasses.replace(liouville_profile)
+        write_profile_json(queried, tmp_path / "before.json")
+        for r in query_radii(queried)[::7]:
+            for method in METHODS:
+                getattr(queried, method)(r)
+        assert queried == fresh
+        assert repr(queried) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(queried)] == [
+            "system", "grid", "state", "reason", "spec", "provenance", "stats"]
+        write_profile_json(queried, tmp_path / "after.json")
+        write_profile_json(fresh, tmp_path / "fresh.json")
+        after = (tmp_path / "after.json").read_bytes()
+        assert after == (tmp_path / "before.json").read_bytes()
+        assert after == (tmp_path / "fresh.json").read_bytes()
+
+
+# -- the tracing contract ---------------------------------------------------
+# a benchmark's tracer wraps the three queries as class attributes of
+# RadialProfile; a balance that bypassed them would leave its per-layer query
+# spans empty
+
+
+@pytest.fixture()
+def query_calls(monkeypatch):
+    """(method, radius) of every call of the three queries, each counted by a
+    wrapper put on the class attribute."""
+    calls = []
+    for method in METHODS:
+        def counted(self, r, *args, _method=method, _fn=getattr(RadialProfile, method)):
+            calls.append((_method, float(r)))
+            return _fn(self, r, *args)
+        monkeypatch.setattr(RadialProfile, method, counted)
+    return calls
+
+
+@pytest.mark.parametrize("check, name", [
+    (pohozaev_check, "su3"),
+    (pohozaev_check, "limitpair"),
+    (pohozaev_check, "su3-read-back"),
+    (su4_radial_balance, "su4"),
+])
+def test_each_balance_calls_each_query_once_per_radius(query_calls, check, name):
+    profile = built(name)
+    for r in query_radii(profile)[::11]:
+        query_calls.clear()
+        check(profile, r)
+        assert sorted(query_calls) == [(method, r) for method in sorted(METHODS)]
+
+
+def test_bubble_masses_reads_mass_at(query_calls, spectrum_400):
+    ladder = (0.1, 0.01, 0.001, 0.0001)
+    bubble_masses(built("limitpair"), ladder, 0.1, spectrum_400)
+    assert {r for method, r in query_calls if method == "mass_at"} >= {
+        0.1 / e for e in ladder}
