@@ -223,8 +223,9 @@ def cmd_spectrum(args, cfg: dict, given: dict) -> int:
     bound = cfg["bound"]
     if variant != "su3":
         raise ValueError("equiv applies to the su3 spectrum")
-    # the one comparison of the quadric solve with enumerate_su3's (m1, m2) sweep
-    solved = spec_mod._on_quadric(spec_mod.pohozaev_residual_su3, bound)
+    # the one comparison of the su3 quadric's closed-form solve, (c, k) =
+    # (4, 1), with enumerate_su3's (m1, m2) sweep
+    solved = spec_mod._on_quadric(4, 1, bound)
     sset = spec_mod.enumerate_su3(bound)
     param = set(sset.members)
     if solved != param:
@@ -279,7 +280,6 @@ def _run_options(command: str) -> tuple[_Option, ...]:
         _opt("mass_guard", ShootSpec.mass_guard, type=float),
         _opt("format", "csv", choices=["csv", "json"]),
         _opt("sweep", help="comma list of first-component heights"),
-        _opt("workers", 1, type=int),
     )
 
 
@@ -333,22 +333,12 @@ def cmd_shoot(args, cfg: dict, given: dict) -> int:
         sweep_vals = _as_floats(cfg["sweep"])
         given["sweep"] = list(sweep_vals)
         stem = cfg["out"] or str(_outdir() / "profile")
-        jobs = [(cfg, given, (h,) + heights[1:], f"{stem}_{i:03d}.{cfg['format']}")
-                for i, h in enumerate(sweep_vals)]
-        workers = cfg["workers"]
-        if workers < 1:
-            raise UsageError(f"--workers must be at least 1, got {workers}")
-        # the pool forks all its workers at once: never more than there are
-        # jobs or CPUs
-        workers = min(workers, len(jobs), os.cpu_count() or 1)
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                done = list(pool.map(_run_sweep_job, jobs))
-        else:
-            done = [_run_sweep_job(j) for j in jobs]
-        results = [info for info, _ in done]
+        results, stats = [], []
+        for i, h in enumerate(sweep_vals):
+            prof, info = _shoot_payload(cfg, given, (h,) + heights[1:],
+                                        f"{stem}_{i:03d}.{cfg['format']}")
+            results.append(info)
+            stats.append(prof.stats.to_json_dict())
         lines = [
             f"height {h:g}: masses {np.round(info['final_masses'], 6).tolist()} "
             f"({info['reason']})"
@@ -357,7 +347,7 @@ def cmd_shoot(args, cfg: dict, given: dict) -> int:
         _emit(
             args,
             lines,
-            {"config": given, "sweep": results, "stats": [st for _, st in done]},
+            {"config": given, "sweep": results, "stats": stats},
         )
         return 0
 
@@ -381,11 +371,6 @@ def cmd_shoot(args, cfg: dict, given: dict) -> int:
     # solver counts sit apart from the byte-reproducible numeric payload
     _emit(args, lines, {"config": given, **info, "stats": prof.stats.to_json_dict()})
     return 0
-
-
-def _run_sweep_job(job):
-    prof, info = _shoot_payload(*job)
-    return info, prof.stats.to_json_dict()
 
 
 # --------------------------------------------------------------------------
@@ -527,8 +512,9 @@ def cmd_bubble(args, cfg: dict, given: dict) -> int:
 # parser
 # --------------------------------------------------------------------------
 
-# every subcommand's output path; its key comes last in the resolved config,
-# whose key order shows where it is dumped unsorted (target's error payload)
+# every subcommand's output path (a flag of those that write a file); its key
+# comes last in the resolved config, whose key order shows where it is dumped
+# unsorted (target's error payload)
 _OUT = _opt("out", type=str, help="output path")
 
 
@@ -557,9 +543,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sp = sub.add_parser("spectrum", help="enumerate or check mass triples")
     if command in (None, "spectrum"):
         spsub = sp.add_subparsers(dest="spectrum_cmd", required=True)
-        for name in ("enumerate", "check", "equiv"):
-            _add_options(spsub.add_parser(name), cmd_spectrum, _SPECTRUM,
-                         flagless=() if name == "check" else ("triple",))
+        # check and equiv write no file, so ``out`` is not a flag of theirs
+        for name, flagless in (("enumerate", ("triple",)), ("check", ("out",)),
+                               ("equiv", ("triple", "out"))):
+            _add_options(spsub.add_parser(name), cmd_spectrum, _SPECTRUM, flagless)
     for name, help_text, func in (
         ("shoot", "integrate one radial shot", cmd_shoot),
         ("target", "bisect initial data to a decaying solution", cmd_target),

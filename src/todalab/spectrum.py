@@ -7,17 +7,17 @@ on the quadric
 
     (s1 - s3)^2 + (s2 - s3)^2 = 4 (s1 + s2 + 2 s3).
 
-``enumerate_su3`` sweeps (m1, m2).  The quadric solve below enumerates
-the three-fold symmetric analogue (the SU(4) affine candidate set), and
-``todalab spectrum equiv`` runs it on the su3 quadric to compare the two.
-``RULES`` maps each ``SpectrumVariant`` to its enumerator, residual and
-membership test.
+``enumerate_su3`` sweeps (m1, m2).  Both residuals, doubled, complete to
+one square in s3,
 
-The solve reads a residual's integer coefficients once per s1 row, so it
-calls the residual O(bound) times, does O(bound^2) integer operations
-(one ``math.isqrt`` per (s1, s2)) and keeps O(members) memory.  It
-accepts only residuals that are quadratic in (s2, s3) with integer
-coefficients and raises ``ValueError`` on any other.
+    (2 s3 - s1 - s2 - c)^2 - c^2 (s1 + s2 + 1) + k (s1 - s2)^2,
+
+with (c, k) = (4, 1) for su3 and (6, 3) for the three-fold symmetric
+analogue (the SU(4) affine candidate set).  The quadric solve below
+takes s3 from this closed form: it enumerates the SU(4) set, and
+``todalab spectrum equiv`` runs it on the su3 quadric to compare it
+with the sweep.  ``RULES`` maps each ``SpectrumVariant`` to its
+enumerator, residual and membership test.
 
 The arithmetic is exact: inputs may be ints or ``fractions.Fraction``, and
 no enumeration, residual or membership test uses floats.  The one float
@@ -209,65 +209,32 @@ def membership_su3(t: MassTriple) -> Optional[ParamIndex]:
     return p
 
 
-_NOT_QUADRATIC = (
-    "residual is not a quadratic polynomial in (s2, s3) with integer "
-    "coefficients"
-)
+def _on_quadric(c: int, k: int, bound: int) -> set[MassTriple]:
+    """Multiples of 4 in [0, bound]^3, minus the origin, on the quadric
 
+        (2 s3 - s1 - s2 - c)^2 = D,   D = c^2 (s1 + s2 + 1) - k (s1 - s2)^2,
 
-def _row_coefficients(residual, s1: int, a: int) -> tuple[int, ...]:
-    """(b0, b1, c0, c1, c2) of the row ``residual(s1, s2, s3) = a s3^2 +
-    (b0 + b1 s2) s3 + c0 + c1 s2 + c2 s2^2``, read from five values and
-    checked at a sixth; anything else raises ``ValueError``."""
-    def at(s2, s3):
-        return residual(MassTriple(s1, s2, s3))
-    c0, up, down = at(0, 0), at(1, 0), at(-1, 0)
-    c1, odd = divmod(up - down, 2)
-    c2 = up - c0 - c1
-    b0 = at(0, 1) - a - c0
-    b1 = at(1, 1) - a - b0 - up
-    s2, s3 = 2, 3  # off the five-point stencil
-    fit = a * s3 * s3 + (b0 + b1 * s2) * s3 + c0 + (c1 + c2 * s2) * s2
-    if odd or at(s2, s3) != fit:
-        raise ValueError(_NOT_QUADRATIC)
-    return b0, b1, c0, c1, c2
-
-
-def _on_quadric(residual, bound: int) -> set[MassTriple]:
-    """Multiples of 4 in [0, bound]^3, minus the origin, where ``residual``
-    vanishes.
-
-    ``residual`` must be, for each s1, a quadratic polynomial in (s2, s3)
-    with integer coefficients and a constant, non-zero s3^2 coefficient a
-    (``ValueError`` otherwise).  It is called O(bound) times: three times
-    for a, then six times per s1 row for the row's coefficients and their
-    check.  Each cell (s1, s2) then costs O(1) integer operations and one
-    ``math.isqrt`` of the discriminant: O(bound^2) time, O(members) memory.
+    which is twice the su3 residual for (c, k) = (4, 1) and twice the su4
+    residual for (6, 3).  Each cell (s1, s2) keeps
+    s3 = (s1 + s2 + c +- sqrt D) / 2 when it is a multiple of 4 in
+    [0, bound]: one ``math.isqrt`` per cell, O(bound^2) time, O(members)
+    memory.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    zero = MassTriple(0, 0, 0)
-    a, odd = divmod(residual(MassTriple(0, 0, 1)) + residual(MassTriple(0, 0, -1))
-                    - 2 * residual(zero), 2)
-    if odd:
-        raise ValueError(_NOT_QUADRATIC)
-    if a == 0:
-        raise ValueError("residual has no s3^2 term")
     found = set()
     for s1 in range(0, bound + 1, 4):
-        b0, b1, c0, c1, c2 = _row_coefficients(residual, s1, a)
         for s2 in range(0, bound + 1, 4):
-            b = b0 + b1 * s2
-            disc = b * b - 4 * a * (c0 + (c1 + c2 * s2) * s2)
+            disc = c * c * (s1 + s2 + 1) - k * (s1 - s2) ** 2
             if disc < 0:
                 continue
             root = math.isqrt(disc)
             if root * root != disc:
                 continue
-            for num in (-b - root, -b + root):
-                if num % (8 * a) == 0 and 0 <= num // (2 * a) <= bound:
-                    found.add(MassTriple(s1, s2, num // (2 * a)))
-    found.discard(zero)
+            for num in (s1 + s2 + c - root, s1 + s2 + c + root):
+                if num % 8 == 0 and 0 <= num <= 2 * bound:
+                    found.add(MassTriple(s1, s2, num // 2))
+    found.discard(MassTriple(0, 0, 0))
     return found
 
 
@@ -319,10 +286,11 @@ def enumerate_su4(bound: int) -> SpectrumSet:
     """Candidate triples for the SU(4) affine system up to a bound.
 
     Non-negative multiples of 4 (excluding the origin) on which
-    :func:`pohozaev_residual_su4` vanishes.  Whether every candidate is an
+    :func:`pohozaev_residual_su4` vanishes, with s3 solved in closed form
+    ((c, k) = (6, 3) in ``_on_quadric``).  Whether every candidate is an
     attainable local mass is an open matter, hence "candidate".
     """
-    members = tuple(sorted(_on_quadric(pohozaev_residual_su4, bound)))
+    members = tuple(sorted(_on_quadric(6, 3, bound)))
     return SpectrumSet(
         SpectrumVariant.SU4_AFFINE, bound, members, (None,) * len(members)
     )

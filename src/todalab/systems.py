@@ -171,11 +171,6 @@ class SystemKind:
         if not all(map(math.isfinite, self.singular_weights)):
             raise ValueError("singular weights must be finite")
 
-    def __reduce__(self):
-        # rebuilt from its fields, so a pickle (a sweep job, say) carries no
-        # copy of the table
-        return SystemKind, (self.variant, self.singular_weights)
-
     @property
     def n_components(self) -> int:
         return self._t.n

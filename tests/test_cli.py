@@ -102,6 +102,17 @@ class TestSpectrumCommands:
             "disagree (bound=40, only-quadric=[], only-param="
             f"[{MassTriple(*extra)!r}])")
 
+    @pytest.mark.parametrize("argv", [["equiv", "--bound", "40"],
+                                      ["check", "--triple", "4,4,12"]])
+    def test_commands_that_write_nothing_refuse_out(self, capsys, outdir,
+                                                    monkeypatch, argv):
+        monkeypatch.chdir(outdir)
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "spectrum", *argv, "--out", "x")
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
     def test_print_config(self, capsys, outdir):
         code, out, _ = run(capsys, "spectrum", "enumerate", "--print-config")
         assert code == 0
@@ -229,6 +240,24 @@ class TestShootCommand:
         # every height gives total mass 4 (scalar family)
         for entry in doc["sweep"]:
             assert entry["final_masses"][0] == pytest.approx(4.0, abs=1e-5)
+
+
+    def test_sweep_refuses_workers_flag(self, capsys, outdir):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "shoot", "--system", "liouville", "--height", "0.0",
+                "--sweep", "0.5,1.0", "--r-max", "10", "--workers", "2")
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
+    def test_sweep_refuses_workers_config_key(self, capsys, outdir):
+        cfg_path = outdir / "run.json"
+        cfg_path.write_text(json.dumps({"workers": 2, "sweep": [0.5, 1.0]}))
+        code, out, err = run(capsys, "shoot", "--config", str(cfg_path),
+                             "--height", "0.0", "--r-max", "10")
+        assert (code, out) == (1, "")
+        assert err == "error: unknown config keys: ['workers']\n"
+        assert [p.name for p in outdir.iterdir()] == ["run.json"]
 
 
 class TestTargetCommand:
@@ -418,92 +447,6 @@ class TestSolverStatsOutput:
         assert all("stats" not in entry for entry in doc["sweep"])
 
 
-class TestSweepWorkers:
-    @pytest.fixture()
-    def pools(self, monkeypatch):
-        """Replace the process pool with an in-process stand-in that records
-        the pool size it was asked for and starts no process."""
-        import concurrent.futures
-        import os
-
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        return sizes
-
-    def sweep(self, capsys, heights, workers):
-        return run(
-            capsys,
-            "shoot", "--system", "liouville", "--height", "0.0",
-            "--sweep", heights, "--r-max", "10", "--workers", workers, "--json",
-        )
-
-    def test_capped_by_jobs(self, capsys, outdir, pools):
-        code, out, _ = self.sweep(capsys, "0.5,1.0,1.5", "1000000")
-        assert code == 0 and len(json.loads(out)["sweep"]) == 3
-        assert pools == [3]
-
-    def test_capped_by_cpus(self, capsys, outdir, pools):
-        code, _, _ = self.sweep(capsys, "0.1,0.2,0.3,0.4,0.5,0.6", "64")
-        assert code == 0 and pools == [4]
-
-    def test_one_worker_runs_in_process(self, capsys, outdir, pools):
-        code, _, _ = self.sweep(capsys, "0.5,1.0", "1")
-        assert code == 0 and pools == []
-
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_below_one_is_usage_error(self, capsys, outdir, pools, workers):
-        code, _, err = self.sweep(capsys, "0.5,1.0", workers)
-        assert code == 2 and "--workers" in err
-        assert pools == []
-
-    def test_two_worker_pool_matches_one_worker(self, capsys, tmp_path,
-                                                isolated_python, monkeypatch):
-        # a real process pool in a fresh ``python -m todalab``, which loads
-        # the numeric layers only once the command is parsed (on a machine
-        # with one CPU the pool is capped to one worker and runs in process)
-        argv = ["shoot", "--system", "liouville", "--height", "0.0",
-                "--sweep", "0.5,1.0", "--r-max", "10", "--out", "prof", "--json"]
-
-        def outputs(stdout, directory, workers):
-            """The payload and the files, with the embedded worker count
-            checked and then set aside: it is the one thing that differs."""
-            doc = json.loads(stdout)
-            assert doc["config"].pop("workers") == workers
-            files = {}
-            for path in sorted(directory.glob("prof_*")):
-                head, body = path.read_text().split("\n", 1)
-                config = json.loads(head.removeprefix("# config "))
-                assert config.pop("workers") == workers
-                files[path.name] = (config, body)
-            return doc, files
-
-        res = isolated_python("-m", "todalab", *argv, "--workers", "2")
-        assert (res.returncode, res.stderr) == (0, "")
-        pooled = outputs(res.stdout, tmp_path, 2)
-        serial_dir = tmp_path / "serial"
-        serial_dir.mkdir()
-        monkeypatch.chdir(serial_dir)
-        code, out, _ = run(capsys, *argv, "--workers", "1")
-        assert code == 0
-        assert sorted(pooled[1]) == ["prof_000.csv", "prof_001.csv"]
-        assert pooled == outputs(out, serial_dir, 1)
-
-
 class TestTargetFailsFast:
     def test_su3_exits_one_before_any_shot(self, capsys, outdir, monkeypatch):
         from todalab import ode_engine
@@ -566,8 +509,8 @@ class TestConfigValueTypes:
         "argv,cfg,key",
         [
             (["spectrum", "enumerate"], {"bound": "x"}, "bound"),
-            (["shoot"], {"workers": "x", "heights": [1.0], "sweep": [0.5, 1.0],
-                         "r_max": 10.0}, "workers"),
+            (["shoot"], {"samples_per_decade": "x", "heights": [1.0],
+                         "sweep": [0.5, 1.0], "r_max": 10.0}, "samples_per_decade"),
         ],
     )
     def test_value_failing_type_exits_one(self, capsys, outdir, argv, cfg, key):
@@ -644,7 +587,7 @@ _TOLERANCES = {"abs_tol": 1e-12, "r_max": 1000000.0, "rel_tol": 1e-10,
 _SHOOT_DEFAULTS = {**_TOLERANCES, "format": "csv", "heights": None,
                    "mass_guard": 1000000.0, "out": None, "r_start": None,
                    "schema_version": 1, "sweep": None, "system": "liouville",
-                   "weights": None, "workers": 1}
+                   "weights": None}
 _TARGET_DEFAULTS = {**_TOLERANCES, "anchor": None, "anchor_component": 0,
                     "bracket": None, "out": None, "schema_version": 1,
                     "system": "limitpair", "tol": 0.001}
@@ -654,6 +597,8 @@ _BUBBLE_DEFAULTS = {"base": None, "delta": 0.1, "ladder": None, "out": None,
 _COMMON_OPTIONS = {"-h": "help", "--help": "help", "--config": "config",
                    "--json": "json", "--print-config": "print_config", "--out": "out"}
 _SPECTRUM_OPTIONS = {**_COMMON_OPTIONS, "--variant": "variant", "--bound": "bound"}
+# check and equiv write no file, so take no --out
+_SPECTRUM_WRITES_NOTHING = {k: v for k, v in _SPECTRUM_OPTIONS.items() if k != "--out"}
 _RUN_OPTIONS = {"--r-max": "r_max", "--rel-tol": "rel_tol", "--abs-tol": "abs_tol",
                 "--samples-per-decade": "samples_per_decade"}
 
@@ -716,13 +661,13 @@ class TestPrintConfig:
         "path,expected",
         [
             (["spectrum", "enumerate"], _SPECTRUM_OPTIONS),
-            (["spectrum", "check"], {**_SPECTRUM_OPTIONS, "--triple": "triple"}),
-            (["spectrum", "equiv"], _SPECTRUM_OPTIONS),
+            (["spectrum", "check"], {**_SPECTRUM_WRITES_NOTHING, "--triple": "triple"}),
+            (["spectrum", "equiv"], _SPECTRUM_WRITES_NOTHING),
             (["shoot"], {**_COMMON_OPTIONS, **_RUN_OPTIONS, "--system": "system",
                          "--height": "heights", "--heights": "heights",
                          "--weights": "weights", "--r-start": "r_start",
                          "--mass-guard": "mass_guard", "--format": "format",
-                         "--sweep": "sweep", "--workers": "workers"}),
+                         "--sweep": "sweep"}),
             (["target"], {**_COMMON_OPTIONS, **_RUN_OPTIONS, "--system": "system",
                           "--anchor": "anchor", "--anchor-component": "anchor_component",
                           "--bracket": "bracket", "--tol": "tol"}),

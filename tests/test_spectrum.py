@@ -246,10 +246,21 @@ class TestEquivalenceLemma:
                       and min(t.as_tuple()) >= 0)
             assert membership_su3(t) == (p if member else None)
 
+    @pytest.mark.parametrize("residual,c,k", [
+        (pohozaev_residual_su3, 4, 1), (pohozaev_residual_su4, 6, 3)],
+        ids=["su3", "su4"])
+    def test_residual_completes_to_the_closed_form(self, residual, c, k):
+        # twice each residual is (2 s3 - s1 - s2 - c)^2 - D with
+        # D = c^2 (s1 + s2 + 1) - k (s1 - s2)^2; both sides have degree <= 2
+        # in each of s1, s2 and s3, so agreeing on a 3x3x3 grid makes them equal
+        for s1, s2, s3 in itertools.product(range(3), repeat=3):
+            assert 2 * residual(MassTriple(s1, s2, s3)) == (
+                (2 * s3 - s1 - s2 - c) ** 2 - c * c * (s1 + s2 + 1)
+                + k * (s1 - s2) ** 2)
+
     @pytest.mark.parametrize("bound", [0, 4, 400, 1000, 1003])
     def test_productions_agree(self, bound):
-        assert set(enumerate_su3(bound).members) == spectrum._on_quadric(
-            pohozaev_residual_su3, bound)
+        assert set(enumerate_su3(bound).members) == spectrum._on_quadric(4, 1, bound)
 
     def test_enumeration_does_not_solve_the_quadric(self, monkeypatch):
         def refuse(*args):
@@ -308,7 +319,7 @@ class TestEnumerationCost:
 
 def per_cell_on_quadric(residual, bound):
     """The earlier per-cell solver, three residual calls per (s1, s2): the
-    oracle for the row-coefficient solve."""
+    oracle for the closed-form solve."""
     found = set()
     for s1 in range(0, bound + 1, 4):
         def at(s2, s3):
@@ -330,54 +341,16 @@ def per_cell_on_quadric(residual, bound):
 
 class TestQuadricSolver:
     @pytest.mark.parametrize("bound", [400, 1000, 1003])
-    @pytest.mark.parametrize(
-        "residual", [pohozaev_residual_su3, pohozaev_residual_su4])
-    def test_matches_per_cell_solve(self, residual, bound):
-        got = spectrum._on_quadric(residual, bound)
+    @pytest.mark.parametrize("residual,c,k", [
+        (pohozaev_residual_su3, 4, 1), (pohozaev_residual_su4, 6, 3)],
+        ids=["su3", "su4"])
+    def test_matches_per_cell_solve(self, residual, c, k, bound):
+        got = spectrum._on_quadric(c, k, bound)
         assert got == per_cell_on_quadric(residual, bound)
 
     def test_member_counts_at_1000(self):
         assert len(enumerate_su3(1000)) == 1474
         assert len(enumerate_su4(1000)) == 426
-
-    def test_residual_calls_linear_in_bound(self):
-        calls = 0
-
-        def counted(t):
-            nonlocal calls
-            calls += 1
-            return pohozaev_residual_su3(t)
-
-        bound = 1000
-        assert len(spectrum._on_quadric(counted, bound)) == 1474
-        # the per-cell solve made 126,755 calls at this bound
-        assert 0 < calls <= 7 * (bound // 4 + 1) + 3
-
-    @pytest.mark.parametrize(
-        "extra",
-        [
-            lambda t: t.s3 ** 3,
-            lambda t: t.s3 ** 3 - t.s3,  # vanishes where a is read
-            lambda t: t.s2 ** 3,
-            lambda t: t.s2 * t.s3 * t.s3,
-            lambda t: t.s1 * t.s3 * t.s3,
-            lambda t: t.s2 * (t.s2 - 1) // 2,  # integer-valued, half coefficients
-            lambda t: Fraction(t.s2, 2),
-            lambda t: Fraction(t.s3 * t.s3, 2),  # a half-integer s3^2 coefficient
-        ],
-        ids=["s3^3", "s3^3-s3", "s2^3", "s2*s3^2", "s1*s3^2", "half_binomial",
-             "fraction_valued", "half_s3_squared"],
-    )
-    def test_non_quadratic_residual_rejected(self, extra):
-        def residual(t):
-            return pohozaev_residual_su3(t) + extra(t)
-
-        with pytest.raises(ValueError, match="not a quadratic polynomial"):
-            spectrum._on_quadric(residual, 40)
-
-    def test_residual_without_s3_squared_rejected(self):
-        with pytest.raises(ValueError, match="no s3\\^2 term"):
-            spectrum._on_quadric(lambda t: t.s1 + t.s2 - t.s3, 40)
 
 
 class TestSpectrumSet:

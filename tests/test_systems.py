@@ -1,7 +1,6 @@
 """The per-variant identities derived from the term table, checked exactly."""
 
 import itertools
-import pickle
 import random
 from fractions import Fraction
 
@@ -47,13 +46,6 @@ def test_component_count_and_constraint(variant):
     sk = SystemKind(variant)
     assert sk.n_components == N_COMPONENTS[variant]
     assert sk.constraint_weights() == OLD_CONSTRAINT.get(variant)
-
-
-def test_pickle_rebuilds_from_the_fields():
-    sk = SystemKind(Variant.LIMIT_PAIR, (0.5, 0.0))
-    back = pickle.loads(pickle.dumps(sk))
-    assert back == sk and hash(back) == hash(sk) and repr(back) == repr(sk)
-    assert back._t is sk._t
 
 
 @pytest.mark.parametrize("variant", list(EXP_LINEAR), ids=lambda v: v.value)
