@@ -113,6 +113,17 @@ class TestSpectrumCommands:
         assert "--out" in capsys.readouterr().err
         assert list(outdir.iterdir()) == []
 
+    @pytest.mark.parametrize("argv,code", [(["equiv", "--bound", "40"], 0),
+                                           (["check", "--triple", "4,4,4"], 1)])
+    def test_commands_that_write_nothing_accept_out_key(self, capsys, outdir,
+                                                        monkeypatch, argv, code):
+        # "out" stays a config key of theirs, so a shared config still loads
+        monkeypatch.chdir(outdir)
+        (outdir / "run.json").write_text(json.dumps({"out": "x"}))
+        got, _, err = run(capsys, "spectrum", *argv, "--config", "run.json")
+        assert (got, err) == (code, "")
+        assert [p.name for p in outdir.iterdir()] == ["run.json"]
+
     def test_print_config(self, capsys, outdir):
         code, out, _ = run(capsys, "spectrum", "enumerate", "--print-config")
         assert code == 0
@@ -241,6 +252,32 @@ class TestShootCommand:
         for entry in doc["sweep"]:
             assert entry["final_masses"][0] == pytest.approx(4.0, abs=1e-5)
 
+
+    def test_sweep_matches_single_shots_in_input_order(self, capsys, outdir,
+                                                         monkeypatch):
+        monkeypatch.chdir(outdir)
+        code, out, _ = run(
+            capsys,
+            "shoot", "--system", "liouville", "--height", "0.0",
+            "--sweep", "1.0,0.5", "--r-max", "10", "--out", "sweep", "--json",
+        )
+        assert code == 0
+        sweep = json.loads(out)["sweep"]
+        assert [e["out"] for e in sweep] == ["sweep_000.csv", "sweep_001.csv"]
+        for entry, height in zip(sweep, ("1.0", "0.5")):
+            single = outdir / f"single_{height}.csv"
+            code, out, _ = run(
+                capsys,
+                "shoot", "--system", "liouville", "--height", height,
+                "--r-max", "10", "--out", str(single), "--json",
+            )
+            assert code == 0
+            doc = json.loads(out)
+            assert {k: doc[k] for k in entry if k != "out"} == {
+                k: v for k, v in entry.items() if k != "out"}
+            # the bodies agree; only the embedded config line differs
+            body = lambda path: path.read_text().split("\n", 1)[1]
+            assert body(outdir / entry["out"]) == body(single)
 
     def test_sweep_refuses_workers_flag(self, capsys, outdir):
         with pytest.raises(SystemExit) as exc:

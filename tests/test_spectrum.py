@@ -340,13 +340,19 @@ def per_cell_on_quadric(residual, bound):
 
 
 class TestQuadricSolver:
-    @pytest.mark.parametrize("bound", [400, 1000, 1003])
+    # the small bounds reach the dropped origin (0) and the bounds that are
+    # not multiples of 4 (3, 63), where the s3 range check decides
+    @pytest.mark.parametrize("bound", [0, 3, 4, 12, 63, 400, 1000, 1003])
     @pytest.mark.parametrize("residual,c,k", [
         (pohozaev_residual_su3, 4, 1), (pohozaev_residual_su4, 6, 3)],
         ids=["su3", "su4"])
     def test_matches_per_cell_solve(self, residual, c, k, bound):
         got = spectrum._on_quadric(c, k, bound)
         assert got == per_cell_on_quadric(residual, bound)
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="bound must be non-negative"):
+            spectrum._on_quadric(4, 1, -4)
 
     def test_member_counts_at_1000(self):
         assert len(enumerate_su3(1000)) == 1474
