@@ -411,10 +411,12 @@ def cmd_target(args, cfg: dict, given: dict) -> int:
     residual = analysis.pohozaev_check(prof, prof.r_end).residual
     out = cfg["out"] or str(_outdir() / f"target_{cfg['system']}.json")
     profile_io.write_profile_json(prof, out, config=_embed_cfg(given))
+    search = _search_counts(shots)
     lines = [
         "initial heights: " + ", ".join(f"{h:.12g}" for h in heights),
         "masses: " + ", ".join(f"{x:.8g}" for x in totals),
         f"pohozaev residual at r_end: {residual:.6e}",
+        f"search: {search['shots']} shots, {search['nfev']} rhs calls",
         f"wrote {out}",
     ]
     _emit(
@@ -425,7 +427,7 @@ def cmd_target(args, cfg: dict, given: dict) -> int:
             "init_heights": list(heights),
             "masses": totals.tolist(),
             "pohozaev_residual": residual,
-            "search": _search_counts(shots),
+            "search": search,
             "out": out,
         },
     )

@@ -685,6 +685,16 @@ def find_decaying(
     masses converge within ``tol``, which must be finite and positive:
     a shot settles when each tail mass is at most tol * max(total, 1).
 
+    The interval's midpoint 0.5 * (lo + hi) is shot first, then lo, then
+    hi, and the bisection goes on from the midpoint's class without
+    shooting it again.  A midpoint that decays is returned after one
+    shot.  An end that decays is returned when the midpoint does not, one
+    shot later than if the ends were shot first.  ``BracketError`` for
+    ends that re-ignite the same component is raised only after a
+    midpoint that does not decay.
+    An interval whose ends or midpoint are not finite, or whose lo is not
+    below hi, raises ``BracketError`` before any shot.
+
     A shot that re-ignites ends at the sample that shows it (reason
     ``STOPPED``); the rest of it could not change its class.  Decaying,
     marginal and blow-up shots run in full, so the heights, the returned
@@ -741,9 +751,21 @@ def find_decaying(
         )
 
     lo, hi = float(search_interval[0]), float(search_interval[1])
-    if not lo < hi:
+    if math.isfinite(lo) and math.isfinite(hi) and not lo < hi:
         raise BracketError("search interval is empty or inverted", trace)
+    mid = 0.5 * (lo + hi)
+    # a NaN or infinite end, or a sum of ends that overflows, leaves no
+    # finite midpoint to shoot
+    if not math.isfinite(mid):
+        raise BracketError(
+            f"search interval must be finite, with a finite midpoint; got "
+            f"({lo!r}, {hi!r})",
+            trace,
+        )
 
+    cls, prof = run(mid)
+    if cls.kind == "under":
+        return tuple(prof.spec.init_heights), prof
     cls_lo, prof_lo = run(lo)
     if cls_lo.kind == "under":
         return tuple(prof_lo.spec.init_heights), prof_lo
@@ -760,11 +782,12 @@ def find_decaying(
 
     side_lo = cls_lo.first_up
     side_hi = cls_hi.first_up
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        cls, prof = run(mid)
-        if cls.kind == "under":
-            return tuple(prof.spec.init_heights), prof
+    for step in range(_MAX_BISECTIONS):
+        if step:  # the first midpoint was shot before the ends
+            mid = 0.5 * (lo + hi)
+            cls, prof = run(mid)
+            if cls.kind == "under":
+                return tuple(prof.spec.init_heights), prof
         if cls.first_up == side_lo:
             lo = mid
         elif cls.first_up == side_hi:

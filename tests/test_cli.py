@@ -330,8 +330,33 @@ class TestTargetCommand:
         )
         assert code == 1
         doc = json.loads(out)
-        assert doc["search"]["shots"] == len(doc["trace"]) == 2
+        # the midpoint -4.5, then both ends
+        assert doc["search"]["shots"] == len(doc["trace"]) == 3
         assert doc["search"]["nfev"] > 0
+
+    def test_text_counts_the_search(self, capsys, outdir):
+        argv = ["target", "--system", "limitpair", "--anchor", "2.08", "--bracket=-5,5"]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        counts = json.loads(out)["search"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-2:] == [
+            f"search: {counts['shots']} shots, {counts['nfev']} rhs calls",
+            f"wrote {outdir / 'target_limitpair.json'}"]
+        # the README's bracket: its midpoint 0 decays, so the search is one shot
+        assert counts["shots"] == 1 and counts["nfev"] > 0
+
+    @pytest.mark.parametrize("bracket", ["nan,5", "-inf,5", "5,inf", "1e308,1.7e308"])
+    def test_non_finite_bracket_exit_one(self, capsys, outdir, bracket):
+        code, out, err = run(capsys, "target", "--system", "limitpair", "--anchor",
+                             "2.08", f"--bracket={bracket}")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: search interval must be finite, with a finite midpoint; got "
+            f"{tuple(float(x) for x in bracket.split(','))!r}"]
+        assert list(outdir.iterdir()) == []
 
     def test_bad_bracket_exit_one(self, capsys, outdir):
         code, _, err = run(
@@ -363,7 +388,7 @@ class TestTargetCommand:
         argv = ["target", "--anchor", "2.0", "--bracket=-5,-4"]
         code, out, _ = run(capsys, *argv, "--json")
         doc = json.loads(out)
-        assert code == 1 and len(doc["trace"]) == 2
+        assert code == 1 and len(doc["trace"]) == 3
         assert run(capsys, *argv) == (1, "", "".join(
             f"{line}\n" for line in [f"error: {doc['error']}",
                                       *(f"  {t}" for t in doc["trace"])]))

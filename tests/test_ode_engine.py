@@ -18,12 +18,15 @@ from todalab.closed_forms import (
 from todalab import dop853
 from todalab.dop853 import STEP_UNDERFLOW
 from todalab.ode_engine import (
+    _MAX_BISECTIONS,
     BLOWUP_GUARD,
+    SETTLE_TOL,
     BracketError,
     RadialProfile,
     ShootSpec,
     TargetSearchError,
     TerminationReason,
+    _fill_heights,
     _reignites,
     _series_state,
     classify_shot,
@@ -40,7 +43,7 @@ from todalab.profile_io import (
 )
 from todalab.systems import SystemKind, Variant
 
-from conftest import LOG8, search, shot
+from conftest import LOG8, shot
 
 
 class TestShootSpecValidation:
@@ -484,24 +487,25 @@ class TestFindDecaying:
         assert classify_shot(high).first_up == 0  # anchored component re-ignites
 
     def test_bisection_moves_the_upper_end(self):
-        """From (-5, 15) the midpoint 5 re-ignites on the upper end's side, so
-        the bisection takes hi = 5; the next midpoint, 0, decays."""
+        """From (-5, 15) the midpoint 5, shot first, re-ignites on the upper
+        end's side, so after the two ends the bisection takes hi = 5; the
+        next midpoint, 0, decays."""
         trace = []
         heights, _ = find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, LOG8,
                                    (-5.0, 15.0), trace=trace)
         assert heights == (LOG8, 0.0)
         assert [(c.free_value, c.first_up) for c in trace] == [
-            (-5.0, 1), (15.0, 0), (5.0, 0), (0.0, None)]
+            (5.0, 0), (-5.0, 1), (15.0, 0), (0.0, None)]
 
     def test_endpoints_that_blow_up_at_the_start(self):
-        """Anchor 60 puts the start state above the +50 guard, so both shots
-        end with COMPONENT_BLOW_UP at r_start and classify OVER on component
-        0, the largest at the last row."""
+        """Anchor 60 puts the start state above the +50 guard, so the
+        midpoint's shot and both ends' end with COMPONENT_BLOW_UP at r_start
+        and classify OVER on component 0, the largest at the last row."""
         trace = []
         with pytest.raises(BracketError, match=r"re-ignite the same component \(0\)"):
             find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, 60.0, (-5.0, 5.0),
                           trace=trace)
-        assert [c.free_value for c in trace] == [-5.0, 5.0]
+        assert [c.free_value for c in trace] == [0.0, -5.0, 5.0]
         for c in trace:
             assert c.reason is TerminationReason.COMPONENT_BLOW_UP
             assert (c.kind, c.first_up) == ("over", 0)
@@ -509,21 +513,20 @@ class TestFindDecaying:
 
     @pytest.mark.parametrize("side", ["lo", "hi"])
     def test_an_endpoint_that_already_decays(self, side):
-        """An endpoint at the decaying height found from (-5, 5) is returned
-        at once: the first shot from lo, the second from hi.  The UNDER shot
-        ending the trace summarizes its masses."""
-        heights, prof = search(SystemKind(Variant.LIMIT_PAIR), 0, LOG8, (-5.0, 5.0),
-                               tol=1e-4)
-        x = heights[1]
+        """An end at the decaying height 0 is returned once the midpoint, shot
+        first, re-ignites: the second shot from lo = 0 of (0, 20), the third
+        from hi = 0 of (-20, 0).  The UNDER shot ending the trace summarizes
+        its masses."""
+        bracket, kinds = {"lo": ((0.0, 20.0), ["over", "under"]),
+                          "hi": ((-20.0, 0.0), ["over", "over", "under"])}[side]
         trace = []
-        got = find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, LOG8,
-                            (x, x + 1.0) if side == "lo" else (x - 1.0, x),
-                            trace=trace)
-        assert got == (heights, prof)
-        assert [c.kind for c in trace] == (["under"] if side == "lo"
-                                           else ["over", "under"])
+        heights, prof = find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, LOG8,
+                                      bracket, trace=trace)
+        assert heights == (LOG8, 0.0)
+        assert prof == shot(Variant.LIMIT_PAIR, (LOG8, 0.0))
+        assert [c.kind for c in trace] == kinds
         masses = ", ".join(f"{m:.6g}" for m in total_masses(prof)[0])
-        assert trace[-1].summary() == f"height={x:.10g} under masses=({masses})"
+        assert trace[-1].summary() == f"height=0 under masses=({masses})"
 
 
 class TestSearchStopsAtTheDecidingSample:
@@ -582,7 +585,10 @@ class TestSearchStopsAtTheDecidingSample:
                 assert cls.r_up <= prof.r_end
             else:
                 assert prof == full
-        assert (stopped > 0) == (name != "tzitzeica_flat")
+        # the README search's midpoint decays: it is the one shot
+        assert (stopped > 0) == (name not in ("tzitzeica_flat", "pair_log8"))
+        if name == "pair_log8":
+            assert [(c.free_value, c.kind) for c in trace] == [(0.0, "under")]
         if found is not None:
             assert found.reason is not TerminationReason.STOPPED
             assert heights == found.spec.init_heights
@@ -594,11 +600,121 @@ class TestSearchStopsAtTheDecidingSample:
             find_decaying(self.PAIR, 0, 2.0, (-5.0, -4.0))
         lines = [c.summary() for c in err.value.trace]
         assert lines == [
+            "height=-4.5 over component=1 at r=0.631 witness=0.504",
             "height=-5 over component=1 at r=0.631 witness=0.504",
             "height=-4 over component=1 at r=0.631 witness=0.505",
         ]
         for c in err.value.trace:
             assert c.reason is TerminationReason.STOPPED and c.stats.nfev > 0
+
+
+def _ends_first_search(system, anchor_component, anchor_height, search_interval,
+                       trace, tol=SETTLE_TOL):
+    """The search as it ran before the midpoint was shot first: lo, then hi,
+    then the bisection from 0.5 * (lo + hi).  The oracle of
+    ``TestMidpointFirst``; it keeps the shot defaults and the n >= 2 path."""
+    n = system.n_components
+
+    def run(x):
+        heights = _fill_heights(system, anchor_component, anchor_height, x)
+        prof = shoot(ShootSpec(system, heights), stop=_reignites(n))
+        cls = classify_shot(prof, mass_tol=tol)
+        cls.free_value = x
+        trace.append(cls)
+        return cls, prof
+
+    lo, hi = float(search_interval[0]), float(search_interval[1])
+    if not lo < hi:
+        raise BracketError("search interval is empty or inverted", trace)
+
+    cls_lo, prof_lo = run(lo)
+    if cls_lo.kind == "under":
+        return tuple(prof_lo.spec.init_heights), prof_lo
+    cls_hi, prof_hi = run(hi)
+    if cls_hi.kind == "under":
+        return tuple(prof_hi.spec.init_heights), prof_hi
+
+    if cls_lo.first_up == cls_hi.first_up:
+        raise BracketError(
+            "interval endpoints re-ignite the same component "
+            f"({cls_lo.first_up}); no sign change to bisect",
+            trace,
+        )
+
+    side_lo = cls_lo.first_up
+    side_hi = cls_hi.first_up
+    for _ in range(_MAX_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        cls, prof = run(mid)
+        if cls.kind == "under":
+            return tuple(prof.spec.init_heights), prof
+        if cls.first_up == side_lo:
+            lo = mid
+        elif cls.first_up == side_hi:
+            hi = mid
+        else:
+            raise TargetSearchError(
+                f"ambiguous classification at height {mid!r} "
+                f"(component {cls.first_up})",
+                trace,
+            )
+        if hi - lo < 1e-14 * max(1.0, abs(lo) + abs(hi)):
+            break
+    raise TargetSearchError(f"no decaying solution found after {len(trace)} shots",
+                            trace)
+
+
+def _shot_key(c):
+    """What a trace entry says about its shot, wall time left out."""
+    totals = None if c.totals is None else c.totals.tobytes()
+    return (c.free_value, c.kind, c.first_up, c.r_up, c.witness_final, totals,
+            c.reason, c.stats.to_json_dict())
+
+
+class TestMidpointFirst:
+    """``find_decaying`` shoots the midpoint before the ends: it returns the
+    heights and profile of the ends-first search, and its trace is that
+    search's with the midpoint's shot at the front, or that one shot alone
+    when it decays."""
+
+    PAIR = SystemKind(Variant.LIMIT_PAIR)
+    # (anchor height, bracket, whether the ends-first search shot the midpoint)
+    BRACKETS = {
+        "readme": (LOG8, (-5.0, 5.0), True),
+        "four_shots": (1.83, (-4.5, 3.1), True),
+        "wide_bracket": (2.05, (-5.5, 3.4), True),
+        "upper_end_moves": (LOG8, (-5.0, 15.0), True),
+        "bracket_error": (2.0, (-5.0, -4.0), False),
+        "lo_decays": (LOG8, (0.0, 20.0), False),
+        "hi_decays": (LOG8, (-20.0, 0.0), False),
+    }
+
+    @pytest.mark.parametrize("name", list(BRACKETS))
+    def test_against_the_ends_first_search(self, name):
+        anchor, bracket, oracle_shot_mid = self.BRACKETS[name]
+        mid = 0.5 * (bracket[0] + bracket[1])
+
+        def outcome(search_fn):
+            """(heights, profile) or the BracketError's message, and the trace."""
+            trace = []
+            try:
+                found = search_fn(self.PAIR, 0, anchor, bracket, trace=trace)
+            except BracketError as exc:
+                assert exc.trace is trace
+                found = str(exc)
+            return found, [_shot_key(c) for c in trace]
+
+        (found, new), (want, old) = outcome(find_decaying), outcome(_ends_first_search)
+        assert found == want
+        mids = [k for k in old if k[0] == mid]
+        assert bool(mids) == oracle_shot_mid
+        assert new[0][0] == mid
+        if new[0][1] == "under":
+            assert new == mids
+        elif oracle_shot_mid:
+            assert new == mids + [k for k in old if k[0] != mid]
+        else:
+            assert new[1:] == old
 
 
 class TestOneReignitionRule:
@@ -935,3 +1051,23 @@ class TestSearchErrors:
             find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, LOG8, (0.0, 0.0))
         assert isinstance(err.value, BracketError)
         assert err.value.trace == []
+
+    @pytest.mark.parametrize("bracket", [
+        (math.nan, 5.0), (-5.0, math.nan), (-math.inf, 5.0), (-5.0, math.inf),
+        (math.inf, -math.inf), (1e308, 1.7e308)],
+        ids=["nan_lo", "nan_hi", "inf_lo", "inf_hi", "inverted_infs",
+             "midpoint_overflows"])
+    def test_non_finite_bracket_is_refused_before_any_shot(self, bracket, monkeypatch):
+        from todalab import ode_engine
+
+        shots = []
+        monkeypatch.setattr(ode_engine, "shoot",
+                            lambda spec, **kw: shots.append(spec) or shoot(spec, **kw))
+        trace = []
+        with pytest.raises(BracketError, match="search interval must be finite") as err:
+            find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, LOG8, bracket, trace=trace)
+        assert err.value.trace == trace == [] and shots == []
+
+    def test_finite_inverted_bracket_keeps_its_message(self):
+        with pytest.raises(BracketError, match="^search interval is empty or inverted$"):
+            find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, LOG8, (1.7e308, 1e308))
