@@ -428,6 +428,7 @@ def cmd_target(args, cfg: dict, given: dict) -> int:
             "masses": totals.tolist(),
             "pohozaev_residual": residual,
             "search": search,
+            "trace": [c.summary() for c in shots],
             "out": out,
         },
     )

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -306,13 +306,15 @@ _EXTRA_STAGES = [
 
 @dataclass(frozen=True)
 class SolverStats:
-    """What one integration cost and why it stopped."""
+    """What one integration cost and why it stopped.  Equality and hash
+    leave out ``wall_s``, which varies from run to run."""
 
     nfev: int  # right-hand-side evaluations, dense-output stages included
     n_accepted: int  # accepted steps
     n_rejected: int  # rejected trial steps
     message: str
-    wall_s: float = 0.0  # wall-clock seconds the integration took
+    # wall-clock seconds the integration took
+    wall_s: float = field(default=0.0, compare=False)
 
     def to_json_dict(self) -> dict:
         """The counts only, so payloads that embed them stay reproducible

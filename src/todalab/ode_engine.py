@@ -558,71 +558,104 @@ def total_masses(p: RadialProfile) -> tuple[np.ndarray, np.ndarray]:
     return totals, ok
 
 
-@dataclass
-class ShotClassification:
-    """Outcome of one classification shot inside the targeting search.
+# what a shot that does not decay ended in, by its termination reason
+_FATES = {
+    TerminationReason.COMPONENT_BLOW_UP: "blow-up",
+    TerminationReason.MASS_OVERFLOW: "overflow",
+    TerminationReason.REACHED_R_MAX: "unsettled at r_max",
+    TerminationReason.STEP_UNDERFLOW: "step underflow",
+    # a stop rule ended the shot before its fate showed
+    TerminationReason.STOPPED: "unknown, stopped",
+}
 
-    ``witness_final`` is the largest decay witness at the shot's last row.
-    The search ends a re-igniting shot at the sample that decides it, so
-    for such a shot that row lies at its stop radius, not at r_max.
-    ``reason`` and ``stats`` are the shot's termination reason and solver
-    counts, so a trace shows what each shot cost and where it stopped.
+
+@dataclass(frozen=True)
+class ShotClassification:
+    """What one shot of the targeting search showed, as a value.
+
+    ``kind`` is the shot's fate: "under" when it decays, "over" when it
+    does not, and ``fate`` names it (decays, blow-up, overflow or unsettled
+    at r_max).  ``first_up`` and ``r_up`` are the walk order when the shot
+    re-ignites (``reignites``): the first component whose w = r u' rises
+    _UP_JUMP above max(its start, 0), and the radius where it does.  An
+    OVER shot that does not re-ignite is put on the side of its blown-up
+    component, else of its slowest-decaying one, at r_end; an UNDER shot
+    that does not re-ignite has neither.  ``totals`` are an UNDER shot's
+    tail-corrected masses, ``witness_final`` is the largest decay witness
+    at the shot's last row, and ``reason`` and ``stats`` are the shot's
+    termination reason and solver counts.  Two classifications are equal
+    when every field is; ``SolverStats`` equality leaves out wall time.
     """
 
     kind: str  # "over" | "under"
     first_up: Optional[int]
     r_up: Optional[float]
-    totals: Optional[np.ndarray]
+    reignites: bool
+    totals: Optional[tuple[float, ...]]
     witness_final: float
-    free_value: float = math.nan
-    reason: Optional[TerminationReason] = None
-    stats: Optional[SolverStats] = None
+    free_value: float
+    reason: TerminationReason
+    stats: Optional[SolverStats]
+
+    @property
+    def fate(self) -> str:
+        return "decays" if self.kind == "under" else _FATES[self.reason]
 
     def summary(self) -> str:
+        """One line: the height, the class and its fate, and the walk order."""
+        walk = (f"component {self.first_up} re-ignites at r={self.r_up:.4g}"
+                if self.reignites else "no re-ignition")
         if self.kind == "under":
             masses = ", ".join(f"{x:.6g}" for x in self.totals)
-            return f"height={self.free_value:.10g} under masses=({masses})"
+            return (f"height={self.free_value:.10g} under ({self.fate}) "
+                    f"masses=({masses}); walk: {walk}")
         return (
-            f"height={self.free_value:.10g} over component={self.first_up}"
-            f" at r={self.r_up:.4g} witness={self.witness_final:.3g}"
+            f"height={self.free_value:.10g} over ({self.fate}) component={self.first_up}"
+            f" at r={self.r_up:.4g} witness={self.witness_final:.3g}; walk: {walk}"
         )
 
 
-def classify_shot(p: RadialProfile, mass_tol: float = SETTLE_TOL) -> ShotClassification:
-    """OVER when some component turns upward (or blows up) before r_max,
-    UNDER when ``p.fast_decay_onset`` is not None and every tail mass
-    converges to at most mass_tol * max(total, 1)."""
+def classify_shot(p: RadialProfile, mass_tol: float = SETTLE_TOL, *,
+                  free_value: float = math.nan) -> ShotClassification:
+    """Classify a shot by its fate, whatever order its walk takes.
+
+    UNDER when the shot decays: ``p.fast_decay_onset`` is not None and
+    every tail mass converges to at most mass_tol * max(total, 1).  OVER
+    otherwise: after a blow-up, a mass overflow, or no settling by r_max.
+    The walk order is ``_reignites`` run over the whole profile.  An OVER
+    shot's side is its first re-igniting component, else its blown-up one,
+    else its slowest-decaying one, so a bisection on the side keeps its
+    sign wherever one exists.  ``free_value`` is the search's free height.
+    """
     up = _reignites(p.n_components)(None, p.state.T)
     witness = p.witnesses[-1]
-    witness_max = float(np.max(witness))
-
-    def outcome(kind, comp, r_up, totals=None):
-        return ShotClassification(kind, comp, r_up, totals, witness_max,
-                                  reason=p.reason, stats=p.stats)
-
+    blown = p.reason is TerminationReason.COMPONENT_BLOW_UP
+    totals = None
+    if not blown:
+        masses, conv = total_masses(p)
+        tails = masses - p.masses[-1]
+        if (np.all(conv) and np.all(tails <= mass_tol * np.maximum(masses, 1.0))
+                and p.fast_decay_onset is not None):
+            totals = tuple(masses.tolist())
     if up is not None:
-        row, comp = up
-        return outcome("over", comp, float(p.grid[row]))
-    if p.reason is TerminationReason.COMPONENT_BLOW_UP:
-        return outcome("over", int(np.argmax(p.values[-1])), p.r_end)
-
-    totals, conv = total_masses(p)
-    tails = totals - p.masses[-1]
-    settled = bool(
-        np.all(conv) and np.all(tails <= mass_tol * np.maximum(totals, 1.0))
-    )
-    if settled and p.fast_decay_onset is not None:
-        return outcome("under", None, None, totals)
-    # marginal shot: the slowest-decaying component is the one about to
-    # re-ignite, so classify on its side
-    return outcome("over", int(np.argmax(witness)), p.r_end)
+        comp, r_up = up[1], float(p.grid[up[0]])
+    elif totals is None:
+        # the blown-up component, or the slowest-decaying one: the one about
+        # to re-ignite
+        comp, r_up = int(np.argmax(p.values[-1] if blown else witness)), p.r_end
+    else:
+        comp = r_up = None
+    return ShotClassification(
+        "over" if totals is None else "under", comp, r_up, up is not None, totals,
+        float(np.max(witness)), free_value, p.reason, p.stats)
 
 
 def _reignites(n: int):
-    """The re-ignition rule, as ``shoot``'s stop rule for the search: on
-    states y (3n, m) it returns (row, lowest component) for the first row
-    where some w_i exceeds max(w_i at the first state seen, 0) + _UP_JUMP,
-    else None.  ``classify_shot`` runs it over a whole profile."""
+    """The re-ignition rule: on states y (3n, m) it returns (row, lowest
+    component) for the first row where some w_i exceeds max(w_i at the
+    first state seen, 0) + _UP_JUMP, else None.  ``classify_shot`` runs it
+    over a whole profile for the walk order; as ``shoot``'s stop rule it
+    ends a shot at the sample that shows a re-ignition."""
     thresholds = None
 
     def stop(t, y):
@@ -642,23 +675,10 @@ def _reignites(n: int):
 def _fill_heights(
     system: SystemKind, anchor: int, anchor_height: float, x: float
 ) -> tuple[float, ...]:
-    n = system.n_components
-    h = [0.0] * n
+    """A search shot's heights: the anchor's, and x for the other component
+    of a two-component variant."""
+    h = [x] * system.n_components
     h[anchor] = anchor_height
-    if n == 1:
-        return tuple(h)
-    free = 1 if anchor == 0 else 0  # the first component that is not the anchor
-    h[free] = x
-    if n == 2:
-        return tuple(h)
-    wts = system.constraint_weights()
-    if wts is None:
-        raise ValueError(
-            "three-component targeting needs a constrained variant"
-        )
-    rest = [i for i in range(n) if i not in (anchor, free)]
-    (k,) = rest
-    h[k] = -(wts[anchor] * anchor_height + wts[free] * x) / wts[k]
     return tuple(h)
 
 
@@ -675,42 +695,45 @@ def find_decaying(
     samples_per_decade: int = ShootSpec.samples_per_decade,
     trace: Optional[list] = None,
 ) -> tuple[tuple[float, ...], RadialProfile]:
-    """Bisect the free initial height until the shot decays everywhere.
+    """Bisect the free initial height for a shot that decays.
 
     The anchor component's height is held fixed; the height of the free
     component, the first one that is not the anchor, is bisected over
-    ``search_interval``, classifying each shot by which component
-    re-ignites first.  Returns (initial heights, profile) of the first
-    fully decaying shot: its ``fast_decay_onset`` is not None and its
-    masses converge within ``tol``, which must be finite and positive:
-    a shot settles when each tail mass is at most tol * max(total, 1).
+    ``search_interval``.  Each shot runs in full and is classified by its
+    fate (``classify_shot``): UNDER when it decays, with a fast-decay onset
+    and each tail mass at most tol * max(total, 1), whatever order its walk
+    takes; OVER after a blow-up, a mass overflow or no settling by r_max.
+    tol must be finite and positive.  Returns (initial heights, profile)
+    of the first shot that decays; that profile is ``shoot`` of its spec.
+    The bisection moves the end whose side an OVER shot shares: its first
+    re-igniting component, else its blown-up one, else its slowest-decaying
+    one.
 
     The interval's midpoint 0.5 * (lo + hi) is shot first, then lo, then
     hi, and the bisection goes on from the midpoint's class without
     shooting it again.  A midpoint that decays is returned after one
-    shot.  An end that decays is returned when the midpoint does not, one
-    shot later than if the ends were shot first.  ``BracketError`` for
-    ends that re-ignite the same component is raised only after a
-    midpoint that does not decay.
-    An interval whose ends or midpoint are not finite, or whose lo is not
-    below hi, raises ``BracketError`` before any shot.
+    shot.  An end that decays is returned when the midpoint does not.
+    ``BracketError`` for ends on the same side is raised only after a
+    midpoint that does not decay.  An interval whose ends or midpoint are
+    not finite, or whose lo is not below hi, raises ``BracketError``
+    before any shot.
 
-    A shot that re-ignites ends at the sample that shows it (reason
-    ``STOPPED``); the rest of it could not change its class.  Decaying,
-    marginal and blow-up shots run in full, so the heights, the returned
-    profile and every shot's kind, first_up and r_up are those of full
-    shots.  Each shot's ``ShotClassification`` is appended to ``trace``
-    when it is given, and to the trace of any ``TargetSearchError`` raised.
-    When the bisection ends without a decaying shot, that error counts the
-    shots that ran to r_max without decaying, a sign that r_max is too small.
+    Each shot's ``ShotClassification`` is appended to ``trace`` when it is
+    given, and to the trace of any ``TargetSearchError`` raised.  When the
+    bisection ends without a decaying shot, that error counts the shots
+    that ran to r_max without settling, a sign that r_max is too small.
 
     One-component variants are degenerate (every height decays): the
     anchor shot itself is classified and returned.
 
-    Regular data of a variant whose constraint sum_i w_i u_i = 0 has
-    positive weights (su3, su4) keeps max_i u_i >= 0, so the decay witness
-    is at least 2 log r and no shot reaching r > e^{-DECAY_LEVEL/2} can be
-    UNDER; such a search raises ``TargetSearchError`` before any shot.
+    A variant whose identity has weights d > 0 with d^T A = 0 (su3, su4)
+    keeps sum_i d_i u_i = 2 (d . b) log r + d . h on every shot, for
+    singular weights b >= 0.  So some w_i stays at or above
+    2 (d . b) / sum_i d_i >= 0, and no tail converges; and with d . h = 0
+    the decay witness is at least (2 + 2 (d . b) / sum_i d_i) log r, above
+    -DECAY_LEVEL past r = exp(-DECAY_LEVEL / (2 + 2 (d . b) / sum_i d_i)).
+    No shot of such a search can decay, so it raises ``TargetSearchError``
+    before any shot.
     """
     n = system.n_components
     if not 0 <= anchor_component < n:
@@ -718,16 +741,20 @@ def find_decaying(
     # a converged tail is positive, so no shot settles under tol <= 0 or NaN
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    wts = system.constraint_weights()
-    r_witness = math.exp(-DECAY_LEVEL / 2.0)
-    if wts is not None and min(wts) > 0 and not system.is_singular \
-            and r_max > r_witness:
+    d = system.constraint_weights()
+    if d is not None:
+        b = tuple(map(float, system.singular_weights))
+        db = sum(x * y for x, y in zip(d, b))
+        slope = 2.0 + 2.0 * db / sum(d)
         raise TargetSearchError(
             f"no {system.variant.value} shot can decay: the constraint "
-            f"{wts} . u = 0 keeps max_i u_i >= 0, so the decay witness "
-            "max_i u_i + 2 log r is at least 2 log r, above the decay level "
-            f"{-DECAY_LEVEL:g} for r > e^({-DECAY_LEVEL:g}/2) = {r_witness:.3g}, "
-            f"and r_max = {r_max:g}"
+            f"d . u = 2 (d . b) log r + d . h, with d = {d} and weights "
+            f"b = {b}, keeps some w_i at or above {2.0 * db / sum(d):g}, while "
+            f"a converging tail needs every w_i below -{TAIL_ALPHA_MIN:g}, and "
+            f"for d . h = 0 keeps the decay witness max_i u_i + 2 log r at "
+            f"least {slope:g} log r, above the decay level {-DECAY_LEVEL:g} "
+            f"for r > e^({-DECAY_LEVEL:g}/{slope:g}) = "
+            f"{math.exp(-DECAY_LEVEL / slope):.3g}, and r_max = {r_max:g}"
         )
     if trace is None:
         trace = []
@@ -736,9 +763,8 @@ def find_decaying(
         heights = _fill_heights(system, anchor_component, anchor_height, x)
         spec = ShootSpec(system, heights, r_max=r_max, rel_tol=rel_tol, abs_tol=abs_tol,
                          samples_per_decade=samples_per_decade)
-        prof = shoot(spec, stop=_reignites(n))
-        cls = classify_shot(prof, mass_tol=tol)
-        cls.free_value = x
+        prof = shoot(spec)
+        cls = classify_shot(prof, mass_tol=tol, free_value=x)
         trace.append(cls)
         return cls, prof
 
@@ -800,8 +826,8 @@ def find_decaying(
             )
         if hi - lo < 1e-14 * max(1.0, abs(lo) + abs(hi)):
             break
-    # an OVER shot that ran to r_max did not re-ignite before its last step
-    # and did not decay there: the search may have run out of radius
+    # an OVER shot that ran to r_max did not decay there: the search may
+    # have run out of radius
     undecided = sum(c.kind == "over" and c.reason is TerminationReason.REACHED_R_MAX
                     for c in trace)
     raise TargetSearchError(

@@ -326,11 +326,11 @@ class TestTargetCommand:
         code, out, _ = run(
             capsys,
             "target", "--system", "limitpair", "--anchor", "2.0",
-            "--bracket=-5,-4", "--json",
+            "--bracket=-40,-20", "--json",
         )
         assert code == 1
         doc = json.loads(out)
-        # the midpoint -4.5, then both ends
+        # the midpoint -30, then both ends, none settled by r_max
         assert doc["search"]["shots"] == len(doc["trace"]) == 3
         assert doc["search"]["nfev"] > 0
 
@@ -385,13 +385,31 @@ class TestTargetCommand:
         assert code == 2
 
     def test_a_failed_search_lists_its_shots_in_text(self, capsys, outdir):
-        argv = ["target", "--anchor", "2.0", "--bracket=-5,-4"]
+        argv = ["target", "--anchor", "2.0", "--bracket=-40,-20"]
         code, out, _ = run(capsys, *argv, "--json")
         doc = json.loads(out)
         assert code == 1 and len(doc["trace"]) == 3
         assert run(capsys, *argv) == (1, "", "".join(
             f"{line}\n" for line in [f"error: {doc['error']}",
                                       *(f"  {t}" for t in doc["trace"])]))
+
+    def test_trace_lines_state_fate_and_walk(self, capsys, outdir):
+        """From (-5, 120) the midpoint 57.5 blows up at the start without
+        re-igniting, and the lower end -5 decays after component 1
+        re-ignites; a failed search's text trace names the fate too."""
+        code, out, _ = run(capsys, "target", "--anchor", "2.0794415416798357",
+                           "--bracket=-5,120", "--json")
+        assert code == 0
+        assert json.loads(out)["trace"] == [
+            "height=57.5 over (blow-up) component=1 at r=1e-13 witness=-2.39; "
+            "walk: no re-ignition",
+            "height=-5 under (decays) masses=(16, 12); "
+            "walk: component 1 re-ignites at r=0.5957"]
+        code, _, err = run(capsys, "target", "--anchor", "2.0", "--bracket=-40,-20")
+        assert code == 1
+        assert err.splitlines()[1] == (
+            "  height=-30 over (unsettled at r_max) component=1 at r=0.631 "
+            "witness=-4.57; walk: component 1 re-ignites at r=0.631")
 
 
 @pytest.fixture(scope="session")

@@ -481,21 +481,45 @@ class TestFindDecaying:
         assert err.value.trace  # classifier trace attached
 
     def test_classifier_orientation(self):
-        low = shot(Variant.LIMIT_PAIR, (LOG8, -5.0), r_max=1e6)
-        high = shot(Variant.LIMIT_PAIR, (LOG8, 5.0), r_max=1e6)
-        assert classify_shot(low).first_up == 1  # free component re-ignites
-        assert classify_shot(high).first_up == 0  # anchored component re-ignites
+        """Both shots decay in full, so both are UNDER; their walks start on
+        opposite components: below the band the free component re-ignites
+        first, above it the anchored one."""
+        low = classify_shot(shot(Variant.LIMIT_PAIR, (LOG8, -5.0), r_max=1e6))
+        high = classify_shot(shot(Variant.LIMIT_PAIR, (LOG8, 5.0), r_max=1e6))
+        assert (low.kind, low.fate, low.reignites, low.first_up) == (
+            "under", "decays", True, 1)
+        assert (high.kind, high.fate, high.reignites, high.first_up) == (
+            "under", "decays", True, 0)
+
+    def test_classifications_are_values(self):
+        """Two runs of one shot classify equal, with equal hashes: equality
+        leaves out the solver's wall time.  A classification is frozen."""
+        spec = ShootSpec(SystemKind(Variant.LIMIT_PAIR), (LOG8, -5.0))
+        a, b = (classify_shot(shoot(spec), free_value=-5.0) for _ in range(2))
+        slower = dataclasses.replace(
+            a, stats=dataclasses.replace(a.stats, wall_s=a.stats.wall_s + 1.0))
+        assert a == b == slower and hash(a) == hash(b) == hash(slower)
+        assert a != dataclasses.replace(a, free_value=-4.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.free_value = 0.0
 
     def test_bisection_moves_the_upper_end(self):
-        """From (-5, 15) the midpoint 5, shot first, re-ignites on the upper
-        end's side, so after the two ends the bisection takes hi = 5; the
-        next midpoint, 0, decays."""
+        """From (-5, 15) the midpoint 5 decays and is the one shot.  At
+        r_max = 1e3 no shot settles: the midpoint 5 falls on the upper end's
+        side, so after the two ends the bisection takes hi = 5, and the next
+        midpoint, 0, falls on the lower end's side."""
         trace = []
         heights, _ = find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, LOG8,
                                    (-5.0, 15.0), trace=trace)
-        assert heights == (LOG8, 0.0)
-        assert [(c.free_value, c.first_up) for c in trace] == [
-            (5.0, 0), (-5.0, 1), (15.0, 0), (0.0, None)]
+        assert heights == (LOG8, 5.0)
+        assert [(c.free_value, c.kind, c.first_up) for c in trace] == [
+            (5.0, "under", 0)]
+        trace = []
+        with pytest.raises(TargetSearchError, match="after 52 shots; 52 of them"):
+            find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, LOG8, (-5.0, 15.0),
+                          r_max=1e3, trace=trace)
+        assert [(c.free_value, c.first_up) for c in trace[:5]] == [
+            (5.0, 0), (-5.0, 1), (15.0, 0), (0.0, 1), (2.5, 0)]
 
     def test_endpoints_that_blow_up_at_the_start(self):
         """Anchor 60 puts the start state above the +50 guard, so the
@@ -514,44 +538,48 @@ class TestFindDecaying:
     @pytest.mark.parametrize("side", ["lo", "hi"])
     def test_an_endpoint_that_already_decays(self, side):
         """An end at the decaying height 0 is returned once the midpoint, shot
-        first, re-ignites: the second shot from lo = 0 of (0, 20), the third
-        from hi = 0 of (-20, 0).  The UNDER shot ending the trace summarizes
-        its masses."""
-        bracket, kinds = {"lo": ((0.0, 20.0), ["over", "under"]),
-                          "hi": ((-20.0, 0.0), ["over", "over", "under"])}[side]
+        first, does not decay: the second shot from lo = 0 of (0, 120), whose
+        midpoint 60 blows up at the start, the third from hi = 0 of (-40, 0),
+        whose midpoint -20 and lower end do not settle by r_max.  The UNDER
+        shot ending the trace summarizes its masses and its walk."""
+        bracket, fates = {
+            "lo": ((0.0, 120.0), ["blow-up", "decays"]),
+            "hi": ((-40.0, 0.0), ["unsettled at r_max"] * 2 + ["decays"])}[side]
         trace = []
         heights, prof = find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, LOG8,
                                       bracket, trace=trace)
         assert heights == (LOG8, 0.0)
         assert prof == shot(Variant.LIMIT_PAIR, (LOG8, 0.0))
-        assert [c.kind for c in trace] == kinds
+        assert [c.fate for c in trace] == fates
         masses = ", ".join(f"{m:.6g}" for m in total_masses(prof)[0])
-        assert trace[-1].summary() == f"height=0 under masses=({masses})"
+        assert trace[-1].summary() == (
+            f"height=0 under (decays) masses=({masses}); walk: no re-ignition")
 
 
-class TestSearchStopsAtTheDecidingSample:
-    """``find_decaying`` ends each re-igniting shot at the sample that
-    decides it; every classification, the heights and the returned profile
-    stay those of full shots."""
+class TestSearchShotsAreFullShots:
+    """``find_decaying`` runs every shot in full, since only a full shot
+    shows its fate: each shot is ``shoot`` of its spec, none is STOPPED, and
+    each classification is that of the full shot."""
 
     PAIR = SystemKind(Variant.LIMIT_PAIR)
     TZITZEICA = SystemKind(Variant.TZITZEICA)
-    # (system, anchor height, bracket, whether the search finds a solution)
+    # (system, anchor height, bracket, shots, whether the search finds a solution)
     SEARCHES = {
-        "pair_log8": (PAIR, LOG8, (-5.0, 5.0), True),
-        "pair_four_shots": (PAIR, 1.83, (-4.5, 3.1), True),
-        "pair_wide_bracket": (PAIR, 2.05, (-5.5, 3.4), True),
-        "pair_bracket_error": (PAIR, 2.0, (-5.0, -4.0), False),
-        # one re-igniting shot, and one flat shot that runs to mass_overflow
-        "tzitzeica": (TZITZEICA, LOG8, (-1.0, 1.0), False),
-        "tzitzeica_flat": (TZITZEICA, 0.0, (-1.0, 1.0), False),
+        "pair_log8": (PAIR, LOG8, (-5.0, 5.0), 1, True),
+        "pair_four_shots": (PAIR, 1.83, (-4.5, 3.1), 1, True),
+        "pair_wide_bracket": (PAIR, 2.05, (-5.5, 3.4), 1, True),
+        "pair_bracket_error": (PAIR, 2.0, (-40.0, -20.0), 3, False),
+        # one shot, which re-ignites and runs to mass_overflow, and one flat
+        # shot that runs to mass_overflow
+        "tzitzeica": (TZITZEICA, LOG8, (-1.0, 1.0), 1, False),
+        "tzitzeica_flat": (TZITZEICA, 0.0, (-1.0, 1.0), 1, False),
     }
 
     @pytest.mark.parametrize("name", sorted(SEARCHES))
     def test_search_matches_full_shots(self, name, monkeypatch):
         from todalab import ode_engine
 
-        system, anchor, bracket, solvable = self.SEARCHES[name]
+        system, anchor, bracket, shots, solvable = self.SEARCHES[name]
         made = []
 
         def recorded(spec, **kwargs):
@@ -567,59 +595,47 @@ class TestSearchStopsAtTheDecidingSample:
         except TargetSearchError as exc:
             assert exc.trace == trace and not solvable
             found = None
-        assert len(trace) == len(made) >= 1 and (found is not None) == solvable
-        stopped = 0
+        assert len(trace) == len(made) == shots and (found is not None) == solvable
         for cls, prof in zip(trace, made):
             full = shoot(prof.spec)
-            want = classify_shot(full)
-            assert (cls.kind, cls.first_up, cls.r_up) == (
-                want.kind, want.first_up, want.r_up)
+            assert prof.reason is not TerminationReason.STOPPED and prof == full
+            assert cls == classify_shot(full, free_value=cls.free_value)
             assert cls.reason is prof.reason and cls.stats is prof.stats
-            if prof.reason is TerminationReason.STOPPED:
-                stopped += 1
-                m = len(prof.grid)
-                assert m < len(full.grid) and prof.stats.nfev < full.stats.nfev
-                assert prof.grid.tobytes() == full.grid[:m].tobytes()
-                assert prof.state.tobytes() == full.state[:m].tobytes()
-                # the deciding sample lies on the stopped shot's last step
-                assert cls.r_up <= prof.r_end
-            else:
-                assert prof == full
-        # the README search's midpoint decays: it is the one shot
-        assert (stopped > 0) == (name not in ("tzitzeica_flat", "pair_log8"))
-        if name == "pair_log8":
-            assert [(c.free_value, c.kind) for c in trace] == [(0.0, "under")]
         if found is not None:
-            assert found.reason is not TerminationReason.STOPPED
+            assert [c.kind for c in trace] == ["under"]
             assert heights == found.spec.init_heights
-            assert found == shoot(found.spec)
+            assert found is made[-1]
 
-    def test_failing_search_reports_the_stop_radius(self):
-        """An over shot's witness is read at its stop radius, its last row."""
+    def test_failing_search_reports_full_shots(self):
+        """A same-side bracket's three shots run to r_max without settling;
+        each over shot's witness is read at r_max, its last row."""
         with pytest.raises(BracketError) as err:
-            find_decaying(self.PAIR, 0, 2.0, (-5.0, -4.0))
+            find_decaying(self.PAIR, 0, 2.0, (-40.0, -20.0))
         lines = [c.summary() for c in err.value.trace]
+        walk = "walk: component 1 re-ignites at r=0.631"
         assert lines == [
-            "height=-4.5 over component=1 at r=0.631 witness=0.504",
-            "height=-5 over component=1 at r=0.631 witness=0.504",
-            "height=-4 over component=1 at r=0.631 witness=0.505",
+            f"height=-30 over (unsettled at r_max) component=1 at r=0.631 "
+            f"witness=-4.57; {walk}",
+            f"height=-40 over (unsettled at r_max) component=1 at r=0.631 "
+            f"witness=-2.04; {walk}",
+            f"height=-20 over (unsettled at r_max) component=1 at r=0.631 "
+            f"witness=-1.34; {walk}",
         ]
         for c in err.value.trace:
-            assert c.reason is TerminationReason.STOPPED and c.stats.nfev > 0
+            assert c.reason is TerminationReason.REACHED_R_MAX and c.stats.nfev > 0
 
 
 def _ends_first_search(system, anchor_component, anchor_height, search_interval,
-                       trace, tol=SETTLE_TOL):
+                       trace, tol=SETTLE_TOL, r_max=ShootSpec.r_max):
     """The search as it ran before the midpoint was shot first: lo, then hi,
     then the bisection from 0.5 * (lo + hi).  The oracle of
-    ``TestMidpointFirst``; it keeps the shot defaults and the n >= 2 path."""
-    n = system.n_components
+    ``TestMidpointFirst``; it keeps the other shot defaults and the n = 2
+    path."""
 
     def run(x):
         heights = _fill_heights(system, anchor_component, anchor_height, x)
-        prof = shoot(ShootSpec(system, heights), stop=_reignites(n))
-        cls = classify_shot(prof, mass_tol=tol)
-        cls.free_value = x
+        prof = shoot(ShootSpec(system, heights, r_max=r_max))
+        cls = classify_shot(prof, mass_tol=tol, free_value=x)
         trace.append(cls)
         return cls, prof
 
@@ -660,61 +676,105 @@ def _ends_first_search(system, anchor_component, anchor_height, search_interval,
             )
         if hi - lo < 1e-14 * max(1.0, abs(lo) + abs(hi)):
             break
-    raise TargetSearchError(f"no decaying solution found after {len(trace)} shots",
-                            trace)
-
-
-def _shot_key(c):
-    """What a trace entry says about its shot, wall time left out."""
-    totals = None if c.totals is None else c.totals.tobytes()
-    return (c.free_value, c.kind, c.first_up, c.r_up, c.witness_final, totals,
-            c.reason, c.stats.to_json_dict())
+    undecided = sum(c.kind == "over" and c.reason is TerminationReason.REACHED_R_MAX
+                    for c in trace)
+    raise TargetSearchError(
+        f"no decaying solution found after {len(trace)} shots"
+        + (f"; {undecided} of them reached r_max = {r_max:g} without decaying, "
+           "so a larger r_max may let a shot decay" if undecided else ""),
+        trace,
+    )
 
 
 class TestMidpointFirst:
-    """``find_decaying`` shoots the midpoint before the ends: it returns the
-    heights and profile of the ends-first search, and its trace is that
-    search's with the midpoint's shot at the front, or that one shot alone
-    when it decays."""
+    """``find_decaying`` shoots the midpoint before the ends.  A midpoint
+    that decays is the one shot.  Otherwise the search returns the heights
+    and profile of the ends-first search, or raises its error, and its
+    trace is that search's with the midpoint's shot at the front."""
 
     PAIR = SystemKind(Variant.LIMIT_PAIR)
-    # (anchor height, bracket, whether the ends-first search shot the midpoint)
+    # (anchor height, bracket, r_max, whether the ends-first search shot the
+    # midpoint)
     BRACKETS = {
-        "readme": (LOG8, (-5.0, 5.0), True),
-        "four_shots": (1.83, (-4.5, 3.1), True),
-        "wide_bracket": (2.05, (-5.5, 3.4), True),
-        "upper_end_moves": (LOG8, (-5.0, 15.0), True),
-        "bracket_error": (2.0, (-5.0, -4.0), False),
-        "lo_decays": (LOG8, (0.0, 20.0), False),
-        "hi_decays": (LOG8, (-20.0, 0.0), False),
+        "readme": (LOG8, (-5.0, 5.0), 1e6, False),
+        "four_shots": (1.83, (-4.5, 3.1), 1e6, False),
+        "wide_bracket": (2.05, (-5.5, 3.4), 1e6, False),
+        # the midpoint 60 blows up at the start
+        "lo_decays": (LOG8, (0.0, 120.0), 1e6, False),
+        "hi_decays": (LOG8, (-40.0, 0.0), 1e6, False),
+        "bracket_error": (2.0, (-40.0, -20.0), 1e6, False),
+        # no shot settles by r_max = 1e3: both searches bisect to the end
+        "upper_end_moves": (LOG8, (-5.0, 15.0), 1e3, True),
     }
 
     @pytest.mark.parametrize("name", list(BRACKETS))
     def test_against_the_ends_first_search(self, name):
-        anchor, bracket, oracle_shot_mid = self.BRACKETS[name]
+        anchor, bracket, r_max, oracle_shot_mid = self.BRACKETS[name]
         mid = 0.5 * (bracket[0] + bracket[1])
 
         def outcome(search_fn):
-            """(heights, profile) or the BracketError's message, and the trace."""
+            """(heights, profile) or the error's type and message, and the trace."""
             trace = []
             try:
-                found = search_fn(self.PAIR, 0, anchor, bracket, trace=trace)
-            except BracketError as exc:
+                found = search_fn(self.PAIR, 0, anchor, bracket, trace=trace,
+                                  r_max=r_max)
+            except TargetSearchError as exc:
                 assert exc.trace is trace
-                found = str(exc)
-            return found, [_shot_key(c) for c in trace]
+                found = (type(exc), str(exc))
+            return found, trace
 
         (found, new), (want, old) = outcome(find_decaying), outcome(_ends_first_search)
-        assert found == want
-        mids = [k for k in old if k[0] == mid]
-        assert bool(mids) == oracle_shot_mid
-        assert new[0][0] == mid
-        if new[0][1] == "under":
-            assert new == mids
-        elif oracle_shot_mid:
-            assert new == mids + [k for k in old if k[0] != mid]
+        mids = [c for c in old if c.free_value == mid]
+        assert mids == (new[:1] if oracle_shot_mid else [])
+        assert new[0].free_value == mid
+        if new[0].kind == "under":
+            assert len(new) == 1 and found[0] == (anchor, mid)
         else:
-            assert new[1:] == old
+            assert found == want
+            assert new[1:] == [c for c in old if c.free_value != mid]
+
+
+class TestTargetSearchesAreOneShot:
+    """The 12 searches that the benchmark's ``target`` workload draws for
+    seed 1, each as (anchor, bracket, the free height that the search
+    returned while a shot's class was its walk order: OVER whenever some
+    w_i rose by _UP_JUMP).  Every limit-pair shot in these brackets decays,
+    so each search is now one full shot of its midpoint.  The six whose
+    midpoint was UNDER under the walk-order class keep their heights and
+    state bit for bit; the other six returned a bisected height or a
+    decaying end, and now return their midpoint."""
+
+    PAIR = SystemKind(Variant.LIMIT_PAIR)
+    SEED_1 = [
+        (1.9797153717134917, (-4.592237324580678, 4.520314248630155), -0.03596153797526158),
+        (2.086705995607668, (-3.4302851088963062, 4.299492556808122), 0.43460372395590796),
+        (1.873772661409138, (-4.00866647424481, 4.793682605344888), 0.39250806555003903),
+        (2.3254658748547135, (-3.4254623145555003, 4.536446683817379), 0.5554921846309395),
+        (2.0831155692538985, (-4.310720679736576, 4.513181854786968), 0.10123058752519576),
+        (2.1008218855249097, (-5.97036535749756, 4.435030930750907), 1.8336818586887902),
+        (2.076456849441203, (-5.818675356079503, 3.003189205729174), 3.003189205729174),
+        (2.222020135500512, (-5.492255470555962, 4.268514020988484), 1.8283216481023727),
+        (2.1633562226058127, (-5.726169552789685, 3.99582116972228), 1.5653234890942889),
+        (1.9747321367147037, (-5.531372904741231, 5.417048196226874), -0.057162354257178194),
+        (2.3254573988467526, (-5.767115048372978, 5.3939645093440705), 2.6036946199148083),
+        (1.9671263732473385, (-3.8496344547640224, 3.019925685704114), 1.30253565058708),
+    ]
+
+    @pytest.mark.parametrize("k", range(len(SEED_1)))
+    def test_each_search_is_its_midpoint(self, k):
+        anchor, bracket, walk_order_free = self.SEED_1[k]
+        mid = 0.5 * (bracket[0] + bracket[1])
+        trace = []
+        heights, prof = find_decaying(self.PAIR, 0, anchor, bracket, trace=trace)
+        assert heights == (anchor, mid)
+        assert prof == shoot(ShootSpec(self.PAIR, (anchor, mid)))
+        assert [(c.free_value, c.kind) for c in trace] == [(mid, "under")]
+        # the workload's own checks
+        totals, _ = total_masses(prof)
+        assert np.all(np.abs(totals - (16.0, 12.0)) <= 0.01 * np.array((16.0, 12.0)))
+        assert max(prof.values[-1] + 2.0 * math.log(prof.r_end)) <= -10.0
+        # the six walk-order UNDER midpoints returned this very shot
+        assert (walk_order_free == mid) == (k in (0, 1, 2, 3, 4, 9))
 
 
 class TestOneReignitionRule:
@@ -904,13 +964,38 @@ class TestConstrainedTargetingFailsFast:
             "above the decay level -10 for r > e^(-10/2) = 0.00674, "
             "and r_max = 1e+06")
 
-    def test_witness_radius_is_the_threshold(self):
+    def test_below_the_witness_radius_no_tail_converges(self):
+        """Below e^{-DECAY_LEVEL/2} the witness bound does not bind, but
+        sum_i d_i w_i = 0 keeps some w_i >= 0, so no su3 shot's tail
+        converges: the search is refused before any shot."""
         sk = SystemKind(Variant.AFFINE_SU3)
-        # below e^{-DECAY_LEVEL/2} an UNDER verdict stays possible: the search
-        # runs (and fails for other reasons) instead of refusing up front
-        with pytest.raises((TargetSearchError, BracketError)) as err:
-            find_decaying(sk, 0, 0.0, (-1.0, 1.0), r_max=math.exp(-6.0))
-        assert err.value.trace
+        r_max = math.exp(-6.0)
+        for heights in [(0.0, -1.0, 0.5), (0.0, 1.0, -0.5)]:
+            assert not total_masses(shot(Variant.AFFINE_SU3, heights, r_max=r_max))[1].all()
+        with pytest.raises(TargetSearchError, match="a converging tail needs") as err:
+            find_decaying(sk, 0, 0.0, (-1.0, 1.0), r_max=r_max)
+        assert err.value.trace == []
+
+    @pytest.mark.parametrize("variant, weights, slope, r_witness", [
+        (Variant.AFFINE_SU3, (1.0, 0.0, 0.0), "2.5", "0.0183"),
+        (Variant.AFFINE_SU3, (0.0, 0.0, 2.0), "4", "0.0821"),
+        (Variant.AFFINE_SU4, (1.0, 0.0, 0.0), "2.66667", "0.0235"),
+    ])
+    def test_singular_searches_are_refused_before_any_shot(
+            self, variant, weights, slope, r_witness, monkeypatch):
+        """With d > 0 and d^T A = 0, sum_i d_i u_i = 2 (d . b) log r + d . h,
+        so the witness is at least (2 + 2 (d . b) / sum_i d_i) log r."""
+        from todalab import ode_engine
+
+        shots = []
+        monkeypatch.setattr(ode_engine, "shoot",
+                            lambda spec, **kw: shots.append(spec) or shoot(spec, **kw))
+        with pytest.raises(TargetSearchError, match="constraint") as err:
+            find_decaying(SystemKind(variant, weights), 0, 0.0, (-5.0, 5.0))
+        assert err.value.trace == [] and shots == []
+        assert (f"the decay witness max_i u_i + 2 log r at least {slope} log r, above "
+                f"the decay level -10 for r > e^(-10/{slope}) = {r_witness}, "
+                "and r_max = 1e+06") in str(err.value)
 
 
 # floats from every region that has tripped ShootSpec's validation:
@@ -1031,19 +1116,25 @@ class TestNanStepEndsTheRun:
 
 class TestSearchErrors:
     def test_search_that_runs_out_of_radius_names_r_max(self):
-        """At r_max = 10 the bisection alternates between shots that re-ignite
-        at r = 0.944 and marginal shots that end at r = 10 with witness
-        1.04, far above -10; the error counts the latter and names r_max."""
+        """At r_max = 10 no shot settles: all 52 shots run to r = 10 with
+        witnesses between -0.05 and 2.6, far above -10.  The bisection
+        alternates between shots that re-ignite and 18 that do not, put on
+        the side of their slowest-decaying component at r = 10; the error
+        counts all 52 and names r_max."""
         with pytest.raises(TargetSearchError) as err:
             find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, 2.0794415417,
                           (-5.0, 5.0), r_max=10.0)
         trace = err.value.trace
-        at_r_max = [c for c in trace if c.reason is TerminationReason.REACHED_R_MAX]
-        assert len(trace) == 52 and len(at_r_max) == 18
-        assert all(c.kind == "over" and c.r_up == pytest.approx(10.0, rel=1e-12)
-                   for c in at_r_max)
+        assert len(trace) == 52
+        assert all(c.reason is TerminationReason.REACHED_R_MAX
+                   and c.fate == "unsettled at r_max" and c.witness_final > -0.05
+                   for c in trace)
+        flat = [c for c in trace if not c.reignites]
+        assert len(flat) == 18
+        assert all((c.first_up, c.r_up) == (0, pytest.approx(10.0, rel=1e-12))
+                   for c in flat)
         assert str(err.value) == (
-            "no decaying solution found after 52 shots; 18 of them reached "
+            "no decaying solution found after 52 shots; 52 of them reached "
             "r_max = 10 without decaying, so a larger r_max may let a shot decay")
 
     def test_bracket_error_is_a_target_search_error(self):
