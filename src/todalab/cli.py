@@ -552,7 +552,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             _add_options(spsub.add_parser(name), cmd_spectrum, _SPECTRUM, flagless)
     for name, help_text, func in (
         ("shoot", "integrate one radial shot", cmd_shoot),
-        ("target", "bisect initial data to a decaying solution", cmd_target),
+        ("target", "shoot a bracket's midpoint, then its ends, until one decays",
+         cmd_target),
         ("bubble", "double-limit bubble mass report", cmd_bubble),
     ):
         p = sub.add_parser(name, help=help_text)

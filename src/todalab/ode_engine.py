@@ -63,8 +63,6 @@ SETTLE_TOL = 1e-3
 
 # a component re-ignites once w = r u' rises this far above max(w(r_start), 0)
 _UP_JUMP = 0.5
-# bisection steps after which find_decaying gives up
-_MAX_BISECTIONS = 200
 
 
 class TerminationReason(Enum):
@@ -88,7 +86,7 @@ class TargetSearchError(RuntimeError):
 
 
 class BracketError(TargetSearchError):
-    """The search interval does not bracket a decaying solution."""
+    """The search interval is not finite, or its lo is not below its hi."""
 
 
 @dataclass(frozen=True)
@@ -575,22 +573,19 @@ class ShotClassification:
 
     ``kind`` is the shot's fate: "under" when it decays, "over" when it
     does not, and ``fate`` names it (decays, blow-up, overflow or unsettled
-    at r_max).  ``first_up`` and ``r_up`` are the walk order when the shot
-    re-ignites (``reignites``): the first component whose w = r u' rises
-    _UP_JUMP above max(its start, 0), and the radius where it does.  An
-    OVER shot that does not re-ignite is put on the side of its blown-up
-    component, else of its slowest-decaying one, at r_end; an UNDER shot
-    that does not re-ignite has neither.  ``totals`` are an UNDER shot's
-    tail-corrected masses, ``witness_final`` is the largest decay witness
-    at the shot's last row, and ``reason`` and ``stats`` are the shot's
-    termination reason and solver counts.  Two classifications are equal
-    when every field is; ``SolverStats`` equality leaves out wall time.
+    at r_max).  ``first_up`` and ``r_up`` are the walk order: the first
+    component whose w = r u' rises _UP_JUMP above max(its start, 0), and
+    the radius where it does, or None when no component re-ignites.
+    ``totals`` are an UNDER shot's tail-corrected masses, ``witness_final``
+    is the largest decay witness at the shot's last row, and ``reason`` and
+    ``stats`` are the shot's termination reason and solver counts.  Two
+    classifications are equal when every field is; ``SolverStats``
+    equality leaves out wall time.
     """
 
     kind: str  # "over" | "under"
     first_up: Optional[int]
     r_up: Optional[float]
-    reignites: bool
     totals: Optional[tuple[float, ...]]
     witness_final: float
     free_value: float
@@ -603,16 +598,14 @@ class ShotClassification:
 
     def summary(self) -> str:
         """One line: the height, the class and its fate, and the walk order."""
-        walk = (f"component {self.first_up} re-ignites at r={self.r_up:.4g}"
-                if self.reignites else "no re-ignition")
+        walk = ("no re-ignition" if self.first_up is None else
+                f"component {self.first_up} re-ignites at r={self.r_up:.4g}")
         if self.kind == "under":
             masses = ", ".join(f"{x:.6g}" for x in self.totals)
             return (f"height={self.free_value:.10g} under ({self.fate}) "
                     f"masses=({masses}); walk: {walk}")
-        return (
-            f"height={self.free_value:.10g} over ({self.fate}) component={self.first_up}"
-            f" at r={self.r_up:.4g} witness={self.witness_final:.3g}; walk: {walk}"
-        )
+        return (f"height={self.free_value:.10g} over ({self.fate}) "
+                f"witness={self.witness_final:.3g}; walk: {walk}")
 
 
 def classify_shot(p: RadialProfile, mass_tol: float = SETTLE_TOL, *,
@@ -622,54 +615,32 @@ def classify_shot(p: RadialProfile, mass_tol: float = SETTLE_TOL, *,
     UNDER when the shot decays: ``p.fast_decay_onset`` is not None and
     every tail mass converges to at most mass_tol * max(total, 1).  OVER
     otherwise: after a blow-up, a mass overflow, or no settling by r_max.
-    The walk order is ``_reignites`` run over the whole profile.  An OVER
-    shot's side is its first re-igniting component, else its blown-up one,
-    else its slowest-decaying one, so a bisection on the side keeps its
-    sign wherever one exists.  ``free_value`` is the search's free height.
+    The walk order is ``_reignites`` of the whole profile.  ``free_value``
+    is the search's free height.
     """
-    up = _reignites(p.n_components)(None, p.state.T)
-    witness = p.witnesses[-1]
-    blown = p.reason is TerminationReason.COMPONENT_BLOW_UP
     totals = None
-    if not blown:
+    if p.reason is not TerminationReason.COMPONENT_BLOW_UP:
         masses, conv = total_masses(p)
         tails = masses - p.masses[-1]
         if (np.all(conv) and np.all(tails <= mass_tol * np.maximum(masses, 1.0))
                 and p.fast_decay_onset is not None):
             totals = tuple(masses.tolist())
-    if up is not None:
-        comp, r_up = up[1], float(p.grid[up[0]])
-    elif totals is None:
-        # the blown-up component, or the slowest-decaying one: the one about
-        # to re-ignite
-        comp, r_up = int(np.argmax(p.values[-1] if blown else witness)), p.r_end
-    else:
-        comp = r_up = None
+    first_up, r_up = _reignites(p)
     return ShotClassification(
-        "over" if totals is None else "under", comp, r_up, up is not None, totals,
-        float(np.max(witness)), free_value, p.reason, p.stats)
+        "over" if totals is None else "under", first_up, r_up, totals,
+        float(np.max(p.witnesses[-1])), free_value, p.reason, p.stats)
 
 
-def _reignites(n: int):
-    """The re-ignition rule: on states y (3n, m) it returns (row, lowest
-    component) for the first row where some w_i exceeds max(w_i at the
-    first state seen, 0) + _UP_JUMP, else None.  ``classify_shot`` runs it
-    over a whole profile for the walk order; as ``shoot``'s stop rule it
-    ends a shot at the sample that shows a re-ignition."""
-    thresholds = None
-
-    def stop(t, y):
-        nonlocal thresholds
-        w = y[n : 2 * n]
-        if thresholds is None:
-            thresholds = (np.maximum(w[:, 0], 0.0) + _UP_JUMP)[:, None]
-        up = w > thresholds
-        if not up.any():
-            return None
-        row = int(up.any(axis=0).argmax())
-        return row, int(up[:, row].argmax())
-
-    return stop
+def _reignites(p: RadialProfile) -> tuple[Optional[int], Optional[float]]:
+    """The walk order of a profile: at the first row where some w_i exceeds
+    max(w_i at the first row, 0) + _UP_JUMP, the lowest such component and
+    the row's radius; (None, None) when no row does."""
+    w = p.log_derivs
+    up = w > np.maximum(w[0], 0.0) + _UP_JUMP
+    if not up.any():
+        return None, None
+    row = int(up.any(axis=1).argmax())
+    return int(up[row].argmax()), float(p.grid[row])
 
 
 def _fill_heights(
@@ -695,36 +666,29 @@ def find_decaying(
     samples_per_decade: int = ShootSpec.samples_per_decade,
     trace: Optional[list] = None,
 ) -> tuple[tuple[float, ...], RadialProfile]:
-    """Bisect the free initial height for a shot that decays.
+    """Shoot the search interval's midpoint, then its ends, for a shot that
+    decays.
 
-    The anchor component's height is held fixed; the height of the free
-    component, the first one that is not the anchor, is bisected over
-    ``search_interval``.  Each shot runs in full and is classified by its
-    fate (``classify_shot``): UNDER when it decays, with a fast-decay onset
-    and each tail mass at most tol * max(total, 1), whatever order its walk
+    The anchor component's height is held fixed; the free component, the
+    first one that is not the anchor, takes the height 0.5 * (lo + hi),
+    then lo, then hi.  Each shot runs in full and is classified by its fate
+    (``classify_shot``): UNDER when it decays, with a fast-decay onset and
+    each tail mass at most tol * max(total, 1), whatever order its walk
     takes; OVER after a blow-up, a mass overflow or no settling by r_max.
-    tol must be finite and positive.  Returns (initial heights, profile)
-    of the first shot that decays; that profile is ``shoot`` of its spec.
-    The bisection moves the end whose side an OVER shot shares: its first
-    re-igniting component, else its blown-up one, else its slowest-decaying
-    one.
+    tol must be finite and positive.  Returns (initial heights, profile) of
+    the first shot that decays; that profile is ``shoot`` of its spec.
 
-    The interval's midpoint 0.5 * (lo + hi) is shot first, then lo, then
-    hi, and the bisection goes on from the midpoint's class without
-    shooting it again.  A midpoint that decays is returned after one
-    shot.  An end that decays is returned when the midpoint does not.
-    ``BracketError`` for ends on the same side is raised only after a
-    midpoint that does not decay.  An interval whose ends or midpoint are
-    not finite, or whose lo is not below hi, raises ``BracketError``
-    before any shot.
+    A one-component variant has no free height: its one shot is the
+    anchor's, with the anchor height as the trace entry's free value, and
+    it is returned only if it decays (Tzitzeica shots at heights 0 and
+    log 8 end in mass overflow).
 
-    Each shot's ``ShotClassification`` is appended to ``trace`` when it is
-    given, and to the trace of any ``TargetSearchError`` raised.  When the
-    bisection ends without a decaying shot, that error counts the shots
-    that ran to r_max without settling, a sign that r_max is too small.
-
-    One-component variants are degenerate (every height decays): the
-    anchor shot itself is classified and returned.
+    An interval whose ends or midpoint are not finite, or whose lo is not
+    below hi, raises ``BracketError`` before any shot, for every variant.
+    When no shot decays, ``TargetSearchError`` is raised; it counts the
+    shots that ran to r_max without settling, a sign that r_max is too
+    small.  Each shot's ``ShotClassification`` is appended to ``trace``
+    when it is given, and to the trace of any ``TargetSearchError`` raised.
 
     A variant whose identity has weights d > 0 with d^T A = 0 (su3, su4)
     keeps sum_i d_i u_i = 2 (d . b) log r + d . h on every shot, for
@@ -756,82 +720,35 @@ def find_decaying(
             f"for r > e^({-DECAY_LEVEL:g}/{slope:g}) = "
             f"{math.exp(-DECAY_LEVEL / slope):.3g}, and r_max = {r_max:g}"
         )
-    if trace is None:
-        trace = []
-
-    def run(x: float) -> tuple[ShotClassification, RadialProfile]:
-        heights = _fill_heights(system, anchor_component, anchor_height, x)
-        spec = ShootSpec(system, heights, r_max=r_max, rel_tol=rel_tol, abs_tol=abs_tol,
-                         samples_per_decade=samples_per_decade)
-        prof = shoot(spec)
-        cls = classify_shot(prof, mass_tol=tol, free_value=x)
-        trace.append(cls)
-        return cls, prof
-
-    if n == 1:
-        cls, prof = run(anchor_height)
-        if cls.kind == "under":
-            return tuple(prof.spec.init_heights), prof
-        raise TargetSearchError(
-            "single-component shot did not decay", trace
-        )
-
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if math.isfinite(lo) and math.isfinite(hi) and not lo < hi:
-        raise BracketError("search interval is empty or inverted", trace)
+        raise BracketError("search interval is empty or inverted")
     mid = 0.5 * (lo + hi)
     # a NaN or infinite end, or a sum of ends that overflows, leaves no
     # finite midpoint to shoot
     if not math.isfinite(mid):
         raise BracketError(
             f"search interval must be finite, with a finite midpoint; got "
-            f"({lo!r}, {hi!r})",
-            trace,
+            f"({lo!r}, {hi!r})"
         )
+    if trace is None:
+        trace = []
 
-    cls, prof = run(mid)
-    if cls.kind == "under":
-        return tuple(prof.spec.init_heights), prof
-    cls_lo, prof_lo = run(lo)
-    if cls_lo.kind == "under":
-        return tuple(prof_lo.spec.init_heights), prof_lo
-    cls_hi, prof_hi = run(hi)
-    if cls_hi.kind == "under":
-        return tuple(prof_hi.spec.init_heights), prof_hi
-
-    if cls_lo.first_up == cls_hi.first_up:
-        raise BracketError(
-            "interval endpoints re-ignite the same component "
-            f"({cls_lo.first_up}); no sign change to bisect",
-            trace,
-        )
-
-    side_lo = cls_lo.first_up
-    side_hi = cls_hi.first_up
-    for step in range(_MAX_BISECTIONS):
-        if step:  # the first midpoint was shot before the ends
-            mid = 0.5 * (lo + hi)
-            cls, prof = run(mid)
-            if cls.kind == "under":
-                return tuple(prof.spec.init_heights), prof
-        if cls.first_up == side_lo:
-            lo = mid
-        elif cls.first_up == side_hi:
-            hi = mid
-        else:
-            raise TargetSearchError(
-                f"ambiguous classification at height {mid!r} "
-                f"(component {cls.first_up})",
-                trace,
-            )
-        if hi - lo < 1e-14 * max(1.0, abs(lo) + abs(hi)):
-            break
+    for x in ((anchor_height,) if n == 1 else (mid, lo, hi)):
+        heights = _fill_heights(system, anchor_component, anchor_height, x)
+        prof = shoot(ShootSpec(system, heights, r_max=r_max, rel_tol=rel_tol,
+                               abs_tol=abs_tol, samples_per_decade=samples_per_decade))
+        cls = classify_shot(prof, mass_tol=tol, free_value=x)
+        trace.append(cls)
+        if cls.kind == "under":
+            return heights, prof
     # an OVER shot that ran to r_max did not decay there: the search may
     # have run out of radius
     undecided = sum(c.kind == "over" and c.reason is TerminationReason.REACHED_R_MAX
                     for c in trace)
     raise TargetSearchError(
-        f"no decaying solution found after {len(trace)} shots"
+        f"no decaying solution found after {len(trace)} "
+        f"shot{'' if len(trace) == 1 else 's'}"
         + (f"; {undecided} of them reached r_max = {r_max:g} without decaying, "
            "so a larger r_max may let a shot decay" if undecided else ""),
         trace,

@@ -333,6 +333,15 @@ class TestTargetCommand:
         # the midpoint -30, then both ends, none settled by r_max
         assert doc["search"]["shots"] == len(doc["trace"]) == 3
         assert doc["search"]["nfev"] > 0
+        # no shot settles by r_max = 1e3: the search stops after its
+        # midpoint and two ends
+        code, out, _ = run(
+            capsys,
+            "target", "--system", "limitpair", "--anchor", "2.0794415416798357",
+            "--bracket=-5,15", "--r-max", "1000", "--json",
+        )
+        assert code == 1
+        assert json.loads(out)["search"] == {"shots": 3, "nfev": 4695}
 
     def test_text_counts_the_search(self, capsys, outdir):
         argv = ["target", "--system", "limitpair", "--anchor", "2.08", "--bracket=-5,5"]
@@ -356,6 +365,17 @@ class TestTargetCommand:
         assert err.splitlines() == [
             f"error: search interval must be finite, with a finite midpoint; got "
             f"{tuple(float(x) for x in bracket.split(','))!r}"]
+        assert list(outdir.iterdir()) == []
+
+    def test_one_component_bracket_is_checked(self, capsys, outdir):
+        """A Liouville search shoots only its anchor, but refuses the same
+        bracket the limit pair refuses, before that shot."""
+        code, out, err = run(capsys, "target", "--system", "liouville", "--anchor",
+                             "2.08", "--bracket=nan,5")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: search interval must be finite, with a finite midpoint; got "
+            "(nan, 5.0)"]
         assert list(outdir.iterdir()) == []
 
     def test_bad_bracket_exit_one(self, capsys, outdir):
@@ -401,15 +421,17 @@ class TestTargetCommand:
                            "--bracket=-5,120", "--json")
         assert code == 0
         assert json.loads(out)["trace"] == [
-            "height=57.5 over (blow-up) component=1 at r=1e-13 witness=-2.39; "
-            "walk: no re-ignition",
+            "height=57.5 over (blow-up) witness=-2.39; walk: no re-ignition",
             "height=-5 under (decays) masses=(16, 12); "
             "walk: component 1 re-ignites at r=0.5957"]
         code, _, err = run(capsys, "target", "--anchor", "2.0", "--bracket=-40,-20")
         assert code == 1
-        assert err.splitlines()[1] == (
-            "  height=-30 over (unsettled at r_max) component=1 at r=0.631 "
-            "witness=-4.57; walk: component 1 re-ignites at r=0.631")
+        assert err.splitlines() == [
+            "error: no decaying solution found after 3 shots; 3 of them reached "
+            "r_max = 1e+06 without decaying, so a larger r_max may let a shot decay",
+            *(f"  height={h} over (unsettled at r_max) witness={w}; "
+              "walk: component 1 re-ignites at r=0.631"
+              for h, w in (("-30", "-4.57"), ("-40", "-2.04"), ("-20", "-1.34")))]
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,6 @@ from todalab.closed_forms import (
 from todalab import dop853
 from todalab.dop853 import STEP_UNDERFLOW
 from todalab.ode_engine import (
-    _MAX_BISECTIONS,
     BLOWUP_GUARD,
     SETTLE_TOL,
     BracketError,
@@ -27,7 +26,6 @@ from todalab.ode_engine import (
     TargetSearchError,
     TerminationReason,
     _fill_heights,
-    _reignites,
     _series_state,
     classify_shot,
     find_decaying,
@@ -473,12 +471,24 @@ class TestFindDecaying:
                 SystemKind(Variant.LIMIT_PAIR), 0, LOG8, (0.0, 0.0), r_max=1e4
             )
 
-    def test_same_side_bracket(self):
-        with pytest.raises(BracketError) as err:
+    def test_three_shots_that_do_not_settle(self):
+        """No shot of (-9, -8) settles by r_max = 1e5: the search fails
+        after the midpoint and the two ends, and names r_max."""
+        with pytest.raises(TargetSearchError) as err:
             find_decaying(
                 SystemKind(Variant.LIMIT_PAIR), 0, LOG8, (-9.0, -8.0), r_max=1e5
             )
-        assert err.value.trace  # classifier trace attached
+        assert type(err.value) is TargetSearchError
+        assert str(err.value) == (
+            "no decaying solution found after 3 shots; 3 of them reached "
+            "r_max = 100000 without decaying, so a larger r_max may let a shot "
+            "decay")
+        walk = "walk: component 1 re-ignites at r=0.5957"
+        assert [c.summary() for c in err.value.trace] == [
+            f"height=-8.5 over (unsettled at r_max) witness=-8.17; {walk}",
+            f"height=-9 over (unsettled at r_max) witness=-7.67; {walk}",
+            f"height=-8 over (unsettled at r_max) witness=-8.67; {walk}",
+        ]
 
     def test_classifier_orientation(self):
         """Both shots decay in full, so both are UNDER; their walks start on
@@ -486,10 +496,8 @@ class TestFindDecaying:
         first, above it the anchored one."""
         low = classify_shot(shot(Variant.LIMIT_PAIR, (LOG8, -5.0), r_max=1e6))
         high = classify_shot(shot(Variant.LIMIT_PAIR, (LOG8, 5.0), r_max=1e6))
-        assert (low.kind, low.fate, low.reignites, low.first_up) == (
-            "under", "decays", True, 1)
-        assert (high.kind, high.fate, high.reignites, high.first_up) == (
-            "under", "decays", True, 0)
+        assert (low.kind, low.fate, low.first_up) == ("under", "decays", 1)
+        assert (high.kind, high.fate, high.first_up) == ("under", "decays", 0)
 
     def test_classifications_are_values(self):
         """Two runs of one shot classify equal, with equal hashes: equality
@@ -503,11 +511,10 @@ class TestFindDecaying:
         with pytest.raises(dataclasses.FrozenInstanceError):
             a.free_value = 0.0
 
-    def test_bisection_moves_the_upper_end(self):
+    def test_the_midpoint_then_the_ends(self):
         """From (-5, 15) the midpoint 5 decays and is the one shot.  At
-        r_max = 1e3 no shot settles: the midpoint 5 falls on the upper end's
-        side, so after the two ends the bisection takes hi = 5, and the next
-        midpoint, 0, falls on the lower end's side."""
+        r_max = 1e3 no shot settles: the search fails after the midpoint 5,
+        the lower end and the upper end, 4,695 rhs calls in all."""
         trace = []
         heights, _ = find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, LOG8,
                                    (-5.0, 15.0), trace=trace)
@@ -515,25 +522,29 @@ class TestFindDecaying:
         assert [(c.free_value, c.kind, c.first_up) for c in trace] == [
             (5.0, "under", 0)]
         trace = []
-        with pytest.raises(TargetSearchError, match="after 52 shots; 52 of them"):
+        with pytest.raises(TargetSearchError, match="after 3 shots; 3 of them"):
             find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, LOG8, (-5.0, 15.0),
                           r_max=1e3, trace=trace)
-        assert [(c.free_value, c.first_up) for c in trace[:5]] == [
-            (5.0, 0), (-5.0, 1), (15.0, 0), (0.0, 1), (2.5, 0)]
+        assert [(c.free_value, c.first_up) for c in trace] == [
+            (5.0, 0), (-5.0, 1), (15.0, 0)]
+        assert sum(c.stats.nfev for c in trace) == 4695
 
     def test_endpoints_that_blow_up_at_the_start(self):
         """Anchor 60 puts the start state above the +50 guard, so the
         midpoint's shot and both ends' end with COMPONENT_BLOW_UP at r_start
-        and classify OVER on component 0, the largest at the last row."""
+        and classify OVER with no re-ignition; none reached r_max, so the
+        error gives no r_max hint."""
         trace = []
-        with pytest.raises(BracketError, match=r"re-ignite the same component \(0\)"):
+        with pytest.raises(TargetSearchError) as err:
             find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, 60.0, (-5.0, 5.0),
                           trace=trace)
+        assert str(err.value) == "no decaying solution found after 3 shots"
         assert [c.free_value for c in trace] == [0.0, -5.0, 5.0]
         for c in trace:
             assert c.reason is TerminationReason.COMPONENT_BLOW_UP
-            assert (c.kind, c.first_up) == ("over", 0)
-            assert c.r_up == pytest.approx(1e-14, rel=1e-12)
+            assert (c.kind, c.first_up, c.r_up) == ("over", None, None)
+            assert c.summary() == (f"height={c.free_value:g} over (blow-up) "
+                                   "witness=-4.48; walk: no re-ignition")
 
     @pytest.mark.parametrize("side", ["lo", "hi"])
     def test_an_endpoint_that_already_decays(self, side):
@@ -568,7 +579,7 @@ class TestSearchShotsAreFullShots:
         "pair_log8": (PAIR, LOG8, (-5.0, 5.0), 1, True),
         "pair_four_shots": (PAIR, 1.83, (-4.5, 3.1), 1, True),
         "pair_wide_bracket": (PAIR, 2.05, (-5.5, 3.4), 1, True),
-        "pair_bracket_error": (PAIR, 2.0, (-40.0, -20.0), 3, False),
+        "pair_no_shot_decays": (PAIR, 2.0, (-40.0, -20.0), 3, False),
         # one shot, which re-ignites and runs to mass_overflow, and one flat
         # shot that runs to mass_overflow
         "tzitzeica": (TZITZEICA, LOG8, (-1.0, 1.0), 1, False),
@@ -607,19 +618,20 @@ class TestSearchShotsAreFullShots:
             assert found is made[-1]
 
     def test_failing_search_reports_full_shots(self):
-        """A same-side bracket's three shots run to r_max without settling;
-        each over shot's witness is read at r_max, its last row."""
-        with pytest.raises(BracketError) as err:
+        """The bracket's three shots run to r_max without settling; each
+        over shot's witness is read at r_max, its last row."""
+        with pytest.raises(TargetSearchError) as err:
             find_decaying(self.PAIR, 0, 2.0, (-40.0, -20.0))
+        assert str(err.value) == (
+            "no decaying solution found after 3 shots; 3 of them reached "
+            "r_max = 1e+06 without decaying, so a larger r_max may let a shot "
+            "decay")
         lines = [c.summary() for c in err.value.trace]
         walk = "walk: component 1 re-ignites at r=0.631"
         assert lines == [
-            f"height=-30 over (unsettled at r_max) component=1 at r=0.631 "
-            f"witness=-4.57; {walk}",
-            f"height=-40 over (unsettled at r_max) component=1 at r=0.631 "
-            f"witness=-2.04; {walk}",
-            f"height=-20 over (unsettled at r_max) component=1 at r=0.631 "
-            f"witness=-1.34; {walk}",
+            f"height=-30 over (unsettled at r_max) witness=-4.57; {walk}",
+            f"height=-40 over (unsettled at r_max) witness=-2.04; {walk}",
+            f"height=-20 over (unsettled at r_max) witness=-1.34; {walk}",
         ]
         for c in err.value.trace:
             assert c.reason is TerminationReason.REACHED_R_MAX and c.stats.nfev > 0
@@ -628,50 +640,52 @@ class TestSearchShotsAreFullShots:
 def _ends_first_search(system, anchor_component, anchor_height, search_interval,
                        trace, tol=SETTLE_TOL, r_max=ShootSpec.r_max):
     """The search as it ran before the midpoint was shot first: lo, then hi,
-    then the bisection from 0.5 * (lo + hi).  The oracle of
-    ``TestMidpointFirst``; it keeps the other shot defaults and the n = 2
-    path."""
+    then a bisection from 0.5 * (lo + hi) of up to 200 midpoints.  An OVER
+    shot's side was its first re-igniting component, else its blown-up one,
+    else its slowest-decaying one.  The oracle of ``TestMidpointFirst``; it
+    keeps the other shot defaults and the n = 2 path."""
 
     def run(x):
         heights = _fill_heights(system, anchor_component, anchor_height, x)
         prof = shoot(ShootSpec(system, heights, r_max=r_max))
         cls = classify_shot(prof, mass_tol=tol, free_value=x)
         trace.append(cls)
-        return cls, prof
+        if cls.first_up is not None or cls.kind == "under":
+            return cls, prof, cls.first_up
+        blown = prof.reason is TerminationReason.COMPONENT_BLOW_UP
+        return cls, prof, int(np.argmax(prof.values[-1] if blown
+                                        else prof.witnesses[-1]))
 
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not lo < hi:
         raise BracketError("search interval is empty or inverted", trace)
 
-    cls_lo, prof_lo = run(lo)
+    cls_lo, prof_lo, side_lo = run(lo)
     if cls_lo.kind == "under":
         return tuple(prof_lo.spec.init_heights), prof_lo
-    cls_hi, prof_hi = run(hi)
+    cls_hi, prof_hi, side_hi = run(hi)
     if cls_hi.kind == "under":
         return tuple(prof_hi.spec.init_heights), prof_hi
 
-    if cls_lo.first_up == cls_hi.first_up:
+    if side_lo == side_hi:
         raise BracketError(
             "interval endpoints re-ignite the same component "
-            f"({cls_lo.first_up}); no sign change to bisect",
+            f"({side_lo}); no sign change to bisect",
             trace,
         )
 
-    side_lo = cls_lo.first_up
-    side_hi = cls_hi.first_up
-    for _ in range(_MAX_BISECTIONS):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        cls, prof = run(mid)
+        cls, prof, side = run(mid)
         if cls.kind == "under":
             return tuple(prof.spec.init_heights), prof
-        if cls.first_up == side_lo:
+        if side == side_lo:
             lo = mid
-        elif cls.first_up == side_hi:
+        elif side == side_hi:
             hi = mid
         else:
             raise TargetSearchError(
-                f"ambiguous classification at height {mid!r} "
-                f"(component {cls.first_up})",
+                f"ambiguous classification at height {mid!r} (component {side})",
                 trace,
             )
         if hi - lo < 1e-14 * max(1.0, abs(lo) + abs(hi)):
@@ -687,51 +701,86 @@ def _ends_first_search(system, anchor_component, anchor_height, search_interval,
 
 
 class TestMidpointFirst:
-    """``find_decaying`` shoots the midpoint before the ends.  A midpoint
-    that decays is the one shot.  Otherwise the search returns the heights
-    and profile of the ends-first search, or raises its error, and its
-    trace is that search's with the midpoint's shot at the front."""
+    """``find_decaying`` shoots the midpoint, then lo, then hi.  A midpoint
+    that decays is the one shot.  Otherwise, where the ends-first search
+    with its bisection finds a decaying shot, the search returns its heights
+    and profile, and its trace is that search's with the midpoint's shot at
+    the front; where it finds none, the search fails with
+    ``TargetSearchError`` after the midpoint, lo and hi."""
 
     PAIR = SystemKind(Variant.LIMIT_PAIR)
-    # (anchor height, bracket, r_max, whether the ends-first search shot the
-    # midpoint)
+    SINGULAR = SystemKind(Variant.LIMIT_PAIR, (1.0, 0.0))
+    # (system, anchor component, anchor height, bracket, r_max)
     BRACKETS = {
-        "readme": (LOG8, (-5.0, 5.0), 1e6, False),
-        "four_shots": (1.83, (-4.5, 3.1), 1e6, False),
-        "wide_bracket": (2.05, (-5.5, 3.4), 1e6, False),
+        "readme": (PAIR, 0, LOG8, (-5.0, 5.0), 1e6),
+        "four_shots": (PAIR, 0, 1.83, (-4.5, 3.1), 1e6),
+        "wide_bracket": (PAIR, 0, 2.05, (-5.5, 3.4), 1e6),
         # the midpoint 60 blows up at the start
-        "lo_decays": (LOG8, (0.0, 120.0), 1e6, False),
-        "hi_decays": (LOG8, (-40.0, 0.0), 1e6, False),
-        "bracket_error": (2.0, (-40.0, -20.0), 1e6, False),
-        # no shot settles by r_max = 1e3: both searches bisect to the end
-        "upper_end_moves": (LOG8, (-5.0, 15.0), 1e3, True),
+        "lo_decays": (PAIR, 0, LOG8, (0.0, 120.0), 1e6),
+        "hi_decays": (PAIR, 0, LOG8, (-40.0, 0.0), 1e6),
+        "ends_on_one_side": (PAIR, 0, 2.0, (-40.0, -20.0), 1e6),
+        # no shot settles by r_max: the ends-first search bisects for 47-51
+        # shots and finds none
+        "settles_nowhere_by_1e3": (PAIR, 0, LOG8, (-5.0, 15.0), 1e3),
+        "bisects_at_r_max_1e2": (PAIR, 0, 6.0, (5.0, 7.0), 1e2),
+        "bisects_at_r_max_1.7e3": (PAIR, 1, 1.2000000000000002,
+                                   (0.20000000000000018, 2.2), 1.7e3),
+        "bisects_singular": (SINGULAR, 1, -0.3999999999999999,
+                             (-0.3999999999999999, 119.6), 1e2),
     }
+
+    @staticmethod
+    def outcome(search_fn, system, comp, anchor, bracket, r_max):
+        """(heights, profile) or the error, and the trace."""
+        trace = []
+        try:
+            found = search_fn(system, comp, anchor, bracket, trace=trace, r_max=r_max)
+        except TargetSearchError as exc:
+            assert exc.trace is trace
+            found = exc
+        return found, trace
 
     @pytest.mark.parametrize("name", list(BRACKETS))
     def test_against_the_ends_first_search(self, name):
-        anchor, bracket, r_max, oracle_shot_mid = self.BRACKETS[name]
-        mid = 0.5 * (bracket[0] + bracket[1])
-
-        def outcome(search_fn):
-            """(heights, profile) or the error's type and message, and the trace."""
-            trace = []
-            try:
-                found = search_fn(self.PAIR, 0, anchor, bracket, trace=trace,
-                                  r_max=r_max)
-            except TargetSearchError as exc:
-                assert exc.trace is trace
-                found = (type(exc), str(exc))
-            return found, trace
-
-        (found, new), (want, old) = outcome(find_decaying), outcome(_ends_first_search)
-        mids = [c for c in old if c.free_value == mid]
-        assert mids == (new[:1] if oracle_shot_mid else [])
-        assert new[0].free_value == mid
+        system, comp, anchor, bracket, r_max = self.BRACKETS[name]
+        lo, hi = bracket
+        mid = 0.5 * (lo + hi)
+        found, new = self.outcome(find_decaying, *self.BRACKETS[name])
+        want, old = self.outcome(_ends_first_search, *self.BRACKETS[name])
+        assert [c.free_value for c in new] == [mid, lo, hi][:len(new)]
         if new[0].kind == "under":
-            assert len(new) == 1 and found[0] == (anchor, mid)
-        else:
+            assert len(new) == 1
+            assert found[0] == _fill_heights(system, comp, anchor, mid)
+        elif isinstance(want, tuple):
             assert found == want
-            assert new[1:] == [c for c in old if c.free_value != mid]
+            assert new[1:] == old
+        else:
+            assert type(found) is TargetSearchError and len(new) == 3
+            assert all(c.kind == "over" for c in new)
+            # the oracle shot the same two ends first
+            assert new[1:] == old[:2]
+
+    def test_a_success_only_the_bisection_found(self):
+        """A bracket whose upper half blows up: the singular pair's midpoint
+        62.8 and upper end 122.8 blow up at the start, and its lower end 2.8
+        does not settle by r_max = 300.  The ends-first search's first
+        bisection step moves hi to 62.8 and its next midpoint, 32.8, decays
+        to the masses (24, 16); the midpoint-and-ends search fails after its
+        three shots.  A narrower bracket whose midpoint decays finds it."""
+        system, anchor = SystemKind(Variant.LIMIT_PAIR, (1.0, 0.0)), 2.8000000000000007
+        bracket = (anchor, anchor + 120.0)
+        want, old = self.outcome(_ends_first_search, system, 0, anchor, bracket, 300.0)
+        found, new = self.outcome(find_decaying, system, 0, anchor, bracket, 300.0)
+        mid = 0.5 * (bracket[0] + bracket[1])
+        assert want[0] == (anchor, 0.5 * (anchor + mid)) and len(old) == 4
+        assert want[0][1] == pytest.approx(32.8, abs=1e-12)
+        assert type(found) is TargetSearchError
+        assert [(c.free_value, c.fate) for c in new] == [
+            (mid, "blow-up"), (anchor, "unsettled at r_max"), (bracket[1], "blow-up")]
+        assert str(found) == (
+            "no decaying solution found after 3 shots; 1 of them reached "
+            "r_max = 300 without decaying, so a larger r_max may let a shot decay")
+        assert find_decaying(system, 0, anchor, (anchor, mid), r_max=300.0) == want
 
 
 class TestTargetSearchesAreOneShot:
@@ -778,9 +827,9 @@ class TestTargetSearchesAreOneShot:
 
 
 class TestOneReignitionRule:
-    """``classify_shot`` and the search's stop rule read first_up and r_up
-    by one rule: the first row where some w_i passes its threshold, and the
-    lowest component that passes there."""
+    """``classify_shot`` reads first_up and r_up by one rule: the first row
+    where some w_i passes its threshold, and the lowest component that
+    passes there; neither when no row does."""
 
     @staticmethod
     def tied_profile():
@@ -823,22 +872,9 @@ class TestOneReignitionRule:
                     want = (int(hits[0]), i)
             cls = classify_shot(p)
             if want[0] is None:
-                assert cls.r_up is None or cls.r_up == p.r_end
+                assert (cls.first_up, cls.r_up) == (None, None)
             else:
                 assert (cls.first_up, cls.r_up) == (want[1], float(p.grid[want[0]]))
-
-    @pytest.mark.parametrize("chunks", [(2, 4, 6), (1, 2, 3, 4, 6), (3, 6)])
-    def test_stop_rule_fires_on_the_chunk_holding_the_row(self, chunks):
-        p = self.tied_profile()
-        stop = _reignites(p.n_components)
-        t, y = np.log(p.grid), p.state.T
-        start = 0
-        for end in chunks:
-            fired = bool(stop(t[start:end], y[:, start:end]))
-            assert fired == (start <= 3 < end)
-            if fired:
-                break
-            start = end
 
 
 class TestDenseOutputScalarIsOnePointArray:
@@ -1116,25 +1152,26 @@ class TestNanStepEndsTheRun:
 
 class TestSearchErrors:
     def test_search_that_runs_out_of_radius_names_r_max(self):
-        """At r_max = 10 no shot settles: all 52 shots run to r = 10 with
-        witnesses between -0.05 and 2.6, far above -10.  The bisection
-        alternates between shots that re-ignite and 18 that do not, put on
-        the side of their slowest-decaying component at r = 10; the error
-        counts all 52 and names r_max."""
+        """At r_max = 10 no shot settles: the midpoint and both ends run to
+        r = 10 with witnesses between -0.05 and 1.93, far above -10.  The
+        midpoint 0 does not re-ignite; the error counts all 3 shots and
+        names r_max."""
         with pytest.raises(TargetSearchError) as err:
             find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, 2.0794415417,
                           (-5.0, 5.0), r_max=10.0)
         trace = err.value.trace
-        assert len(trace) == 52
         assert all(c.reason is TerminationReason.REACHED_R_MAX
                    and c.fate == "unsettled at r_max" and c.witness_final > -0.05
                    for c in trace)
-        flat = [c for c in trace if not c.reignites]
-        assert len(flat) == 18
-        assert all((c.first_up, c.r_up) == (0, pytest.approx(10.0, rel=1e-12))
-                   for c in flat)
+        assert [c.summary() for c in trace] == [
+            "height=0 over (unsettled at r_max) witness=0.958; walk: no re-ignition",
+            "height=-5 over (unsettled at r_max) witness=1.93; "
+            "walk: component 1 re-ignites at r=0.5957",
+            "height=5 over (unsettled at r_max) witness=-0.0406; "
+            "walk: component 0 re-ignites at r=0.09441"]
+        assert (trace[0].first_up, trace[0].r_up) == (None, None)
         assert str(err.value) == (
-            "no decaying solution found after 52 shots; 52 of them reached "
+            "no decaying solution found after 3 shots; 3 of them reached "
             "r_max = 10 without decaying, so a larger r_max may let a shot decay")
 
     def test_bracket_error_is_a_target_search_error(self):
@@ -1158,6 +1195,32 @@ class TestSearchErrors:
         with pytest.raises(BracketError, match="search interval must be finite") as err:
             find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, LOG8, bracket, trace=trace)
         assert err.value.trace == trace == [] and shots == []
+
+    @pytest.mark.parametrize("variant", [Variant.LIOUVILLE, Variant.TZITZEICA],
+                             ids=["liouville", "tzitzeica"])
+    def test_one_component_bracket_is_checked_too(self, variant, monkeypatch):
+        """A one-component search shoots only its anchor, but its interval
+        is checked as the limit pair's is, before that shot."""
+        from todalab import ode_engine
+
+        shots = []
+        monkeypatch.setattr(ode_engine, "shoot",
+                            lambda spec, **kw: shots.append(spec) or shoot(spec, **kw))
+        for bracket, message in (((math.nan, 5.0), "search interval must be finite"),
+                                 ((1.0, 1.0), "^search interval is empty or inverted$")):
+            with pytest.raises(BracketError, match=message):
+                find_decaying(SystemKind(variant), 0, 2.08, bracket)
+        assert shots == []
+
+    def test_one_component_search_that_does_not_decay(self):
+        """A Tzitzeica shot at log 8 ends in mass overflow: the search fails
+        after that one shot, whose free value is the anchor height."""
+        trace = []
+        with pytest.raises(TargetSearchError) as err:
+            find_decaying(SystemKind(Variant.TZITZEICA), 0, LOG8, (-1.0, 1.0),
+                          trace=trace)
+        assert str(err.value) == "no decaying solution found after 1 shot"
+        assert [(c.free_value, c.fate) for c in trace] == [(LOG8, "overflow")]
 
     def test_finite_inverted_bracket_keeps_its_message(self):
         with pytest.raises(BracketError, match="^search interval is empty or inverted$"):

@@ -15,7 +15,6 @@ from todalab.ode_engine import (
     RadialProfile,
     ShootSpec,
     TerminationReason,
-    _reignites,
     rescale,
     shoot,
 )
@@ -32,6 +31,12 @@ from todalab.systems import SystemKind, Variant
 from conftest import LOG8, read_back, shot
 
 
+def w_rises(t, y):
+    """A stop rule for the limit pair's states (6, m): some w_i = r u_i'
+    above 1/2 at a sampled row, as when a component re-ignites."""
+    return bool((y[2:4] > 0.5).any())
+
+
 # every variant, a singular start, the three ways a shot ends early and a
 # rescaled profile, which has no spec; the session fixtures are the tall shots
 ZOO = {
@@ -45,7 +50,7 @@ ZOO = {
     "one_row_blow_up": lambda rq: shot(Variant.LIOUVILLE, (60.0,), r_max=10.0),
     "event_ended": lambda rq: shot(Variant.SINH_GORDON, (-160.0,), r_max=1e3),
     "stopped_search_shot": lambda rq: shoot(
-        ShootSpec(SystemKind(Variant.LIMIT_PAIR), (LOG8, 5.0)), stop=_reignites(2)),
+        ShootSpec(SystemKind(Variant.LIMIT_PAIR), (LOG8, 5.0)), stop=w_rises),
     "rescaled": lambda rq: rescale(rq.getfixturevalue("liouville_profile"), 7.3),
 }
 
