@@ -29,9 +29,7 @@ only): a start where an event g reads <= 0 is the whole run.  Otherwise
 g, which then reads > 0, is read once per accepted step and fires on the
 first step at whose end it reads <= 0; its root, bisected on the step's
 dense output to 4 machine epsilons on the side where g has not fired, is
-the run's last sample.  An optional ``stop`` callable sees the samples of
-each accepted step and may end the run there; it changes neither the
-steps taken nor the samples already made.
+the run's last sample.
 """
 
 from __future__ import annotations
@@ -286,13 +284,11 @@ ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order 7 + 1)
 FINISHED = "finished"
 EVENT = "event"
 STEP_UNDERFLOW = "step_underflow"
-STOPPED = "stopped"
 
 _MESSAGES = {
     FINISHED: "The solver successfully reached the end of the integration interval.",
     EVENT: "A termination event occurred.",
     STEP_UNDERFLOW: "Required step size is less than spacing between numbers.",
-    STOPPED: "The stop callable ended the integration at a sampled state.",
 }
 
 _N_EXTRA = N_STAGES_EXTENDED - N_STAGES - 1  # rhs calls a dense output adds
@@ -337,7 +333,7 @@ class Solution:
 
     t: np.ndarray
     y: np.ndarray
-    status: str  # FINISHED | EVENT | STEP_UNDERFLOW | STOPPED
+    status: str  # FINISHED | EVENT | STEP_UNDERFLOW
     event: Optional[int]
     stats: SolverStats
 
@@ -494,7 +490,6 @@ def integrate(
     atol: float,
     t_eval: np.ndarray,
     events: Sequence[Callable[[float, np.ndarray], float]] = (),
-    stop: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None,
     quad: Callable[[list, np.ndarray, np.ndarray], None] = _no_quadrature,
     n_quad: int = 0,
     n_pos: int = 0,
@@ -527,12 +522,6 @@ def integrate(
     The interpolant's three extra stages are computed only for steps that
     hold ``t_eval`` points or an event.  ``nfev`` counts the evaluations of
     f, each of which is one ``fun`` call and a share of a ``quad`` call.
-
-    ``stop(t, y)`` is called with the times (m,) and states (n, m) sampled
-    on each accepted step that samples any, but not on a step where an
-    event fired or t1 was reached.  When it returns true the run ends
-    with status ``STOPPED`` after that step's samples, which are bit-equal
-    to those of the same run without ``stop``.
     """
     if not t1 > t0:
         raise ValueError("integrate needs t1 > t0")
@@ -644,8 +633,6 @@ def integrate(
             ts.append(t_step)
             ys.append(dense(t_step))
             i_eval = i_new
-            if stop is not None and status is None and stop(t_step, ys[-1]):
-                status = STOPPED
 
     stats = SolverStats(nfev, n_accepted, n_rejected, _MESSAGES[status],
                         time.perf_counter() - start)

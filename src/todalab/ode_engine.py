@@ -73,8 +73,6 @@ class TerminationReason(Enum):
     # log r to 4 machine epsilons, so the last row sits below the guard,
     # well below where the mass grows steeply
     MASS_OVERFLOW = "mass_overflow"
-    # the caller's ``stop`` rule ended the shot at a sampled row
-    STOPPED = "stopped"
 
 
 class TargetSearchError(RuntimeError):
@@ -420,18 +418,11 @@ _REASONS = {
     (dop853.EVENT, 0): TerminationReason.COMPONENT_BLOW_UP,
     (dop853.EVENT, 1): TerminationReason.MASS_OVERFLOW,
     (dop853.STEP_UNDERFLOW, None): TerminationReason.STEP_UNDERFLOW,
-    (dop853.STOPPED, None): TerminationReason.STOPPED,
 }
 
 
-def shoot(spec: ShootSpec, *, stop=None) -> RadialProfile:
-    """Integrate one radial shot and return the sampled profile.
-
-    ``stop(t, y)``, when given, is passed to ``dop853.integrate``: it sees
-    the log radii and states (3n, m) sampled on each accepted step, and a
-    true return ends the shot after those samples with reason ``STOPPED``.
-    The rows kept are bit-equal to the first rows of the shot without it.
-    """
+def shoot(spec: ShootSpec) -> RadialProfile:
+    """Integrate one radial shot and return the sampled profile."""
     sk = spec.system
     n = sk.n_components
     t0 = math.log(spec.r_start)
@@ -473,8 +464,7 @@ def shoot(spec: ShootSpec, *, stop=None) -> RadialProfile:
     with np.errstate(over="ignore", invalid="ignore"):
         sol = dop853.integrate(
             rhs, t0, t1, y0, spec.rel_tol, spec.abs_tol, t_eval,
-            events=(blow_up, mass_overflow), stop=stop, quad=masses, n_quad=n,
-            n_pos=n,
+            events=(blow_up, mass_overflow), quad=masses, n_quad=n, n_pos=n,
         )
     ts, ys = (sol.t, sol.y) if sol.t.size else (np.array([t0]), y0[:, None])
 
@@ -562,8 +552,6 @@ _FATES = {
     TerminationReason.MASS_OVERFLOW: "overflow",
     TerminationReason.REACHED_R_MAX: "unsettled at r_max",
     TerminationReason.STEP_UNDERFLOW: "step underflow",
-    # a stop rule ended the shot before its fate showed
-    TerminationReason.STOPPED: "unknown, stopped",
 }
 
 
@@ -571,19 +559,19 @@ _FATES = {
 class ShotClassification:
     """What one shot of the targeting search showed, as a value.
 
-    ``kind`` is the shot's fate: "under" when it decays, "over" when it
-    does not, and ``fate`` names it (decays, blow-up, overflow or unsettled
-    at r_max).  ``first_up`` and ``r_up`` are the walk order: the first
-    component whose w = r u' rises _UP_JUMP above max(its start, 0), and
-    the radius where it does, or None when no component re-ignites.
-    ``totals`` are an UNDER shot's tail-corrected masses, ``witness_final``
-    is the largest decay witness at the shot's last row, and ``reason`` and
-    ``stats`` are the shot's termination reason and solver counts.  Two
-    classifications are equal when every field is; ``SolverStats``
-    equality leaves out wall time.
+    ``totals`` are the tail-corrected masses of a shot that decays, and
+    None for one that does not; ``kind`` is read off them: "under" when
+    the shot decays, "over" when it does not, and ``fate`` names it
+    (decays, blow-up, overflow, unsettled at r_max or step underflow).
+    ``first_up`` and ``r_up`` are the walk order: the first component
+    whose w = r u' rises _UP_JUMP above max(its start, 0), and the radius
+    where it does, or None when no component re-ignites.
+    ``witness_final`` is the largest decay witness at the shot's last row,
+    and ``reason`` and ``stats`` are the shot's termination reason and
+    solver counts.  Two classifications are equal when every field is;
+    ``SolverStats`` equality leaves out wall time.
     """
 
-    kind: str  # "over" | "under"
     first_up: Optional[int]
     r_up: Optional[float]
     totals: Optional[tuple[float, ...]]
@@ -591,6 +579,10 @@ class ShotClassification:
     free_value: float
     reason: TerminationReason
     stats: Optional[SolverStats]
+
+    @property
+    def kind(self) -> str:
+        return "over" if self.totals is None else "under"
 
     @property
     def fate(self) -> str:
@@ -626,9 +618,8 @@ def classify_shot(p: RadialProfile, mass_tol: float = SETTLE_TOL, *,
                 and p.fast_decay_onset is not None):
             totals = tuple(masses.tolist())
     first_up, r_up = _reignites(p)
-    return ShotClassification(
-        "over" if totals is None else "under", first_up, r_up, totals,
-        float(np.max(p.witnesses[-1])), free_value, p.reason, p.stats)
+    return ShotClassification(first_up, r_up, totals, float(np.max(p.witnesses[-1])),
+                              free_value, p.reason, p.stats)
 
 
 def _reignites(p: RadialProfile) -> tuple[Optional[int], Optional[float]]:

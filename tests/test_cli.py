@@ -947,7 +947,10 @@ class TestMalformedInputFiles:
          "profile format_version None: this reader reads format 2 only"),
         (lambda doc: doc.update(state=[row[1:] for row in doc["state"]]),
          "profile state has shape (401, 5), expected (401, 6)"),
-    ], ids=["version_99", "no_version", "state_missing_a_column"])
+        # no shot ends "stopped", so the reader knows no such reason
+        (lambda doc: doc.update(reason="stopped"),
+         "'stopped' is not a valid TerminationReason"),
+    ], ids=["version_99", "no_version", "state_missing_a_column", "reason_stopped"])
     def test_base_profile_of_another_layout(self, capsys, outdir, monkeypatch,
                                             limitpair_target, edit, reason):
         monkeypatch.chdir(outdir)
@@ -955,8 +958,11 @@ class TestMalformedInputFiles:
         assert len(doc["grid"]) == 401
         edit(doc)
         (outdir / "other.json").write_text(json.dumps(doc))
-        got = run(capsys, "bubble", "--base", "other.json", "--ladder", "0.1")
+        with pytest.raises(ValueError):
+            read_profile_json("other.json")
+        got = run(capsys, "bubble", "--base", "other.json", "--ladder", "0.1,0.01")
         assert got == (1, "", f"error: cannot read base profile other.json: {reason}\n")
+        assert [p.name for p in outdir.iterdir()] == ["other.json"]
 
 
 class TestInputsWithoutACorrectShot:

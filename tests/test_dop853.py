@@ -157,17 +157,11 @@ def whole_rhs(spec: ShootSpec):
     return fun
 
 
-def w_rises(t, y):
-    """A stop rule for the limit pair's states (6, m): some w_i = r u_i'
-    above 1/2 at a sampled row, as when a component re-ignites."""
-    return bool((y[2:4] > 0.5).any())
-
-
 SPLIT_CASES = {
-    "su3": (CASES["su3"], None),
-    "su4": (CASES["su4"], None),
-    "sinh_gordon_blow_up": (CASES["sinh_gordon_blow_up"], None),
-    "limitpair_reignites": (lambda: ShootSpec(PAIR, (2.0, 5.0)), w_rises),
+    "su3": CASES["su3"],
+    "su4": CASES["su4"],
+    "sinh_gordon_blow_up": CASES["sinh_gordon_blow_up"],
+    "limitpair": lambda: ShootSpec(PAIR, (2.0, 5.0)),
 }
 
 
@@ -177,8 +171,7 @@ def test_mass_quadrature_keeps_the_whole_rhs_bits(name, monkeypatch):
     and (u, w) as its second-order block, is bit for bit the run of the
     whole right-hand side with both blocks of zero width: samples, end,
     event and every count."""
-    make_spec, stop = SPLIT_CASES[name]
-    spec = make_spec()
+    spec = SPLIT_CASES[name]()
     runs = []
     real = dop853.integrate
 
@@ -187,7 +180,7 @@ def test_mass_quadrature_keeps_the_whole_rhs_bits(name, monkeypatch):
         return runs[-1][2]
 
     monkeypatch.setattr(dop853, "integrate", recording)
-    shoot(spec, stop=stop)
+    shoot(spec)
     (args, kwargs, split), = runs
     assert kwargs["n_quad"] == kwargs["n_pos"] == spec.system.n_components
 
@@ -196,8 +189,6 @@ def test_mass_quadrature_keeps_the_whole_rhs_bits(name, monkeypatch):
         whole = real(whole_rhs(spec), *args[1:], **kwargs)
 
     assert split.status == whole.status and split.event == whole.event
-    if stop:
-        assert split.status == dop853.STOPPED
     assert split.t.tobytes() == whole.t.tobytes()
     assert split.y.tobytes() == whole.y.tobytes()
     got, want = split.stats, whole.stats
@@ -276,18 +267,14 @@ def chain_quad(ts, ys, out):
     out[...] = ys[:, : out.shape[1]] ** 2
 
 
-def chain_stop(t, y):
-    return bool(t[-1] >= 7.0)
-
-
-@pytest.mark.parametrize("k, n_quad, events, stop", [
-    (2, 0, (), None),
-    (3, 0, (below_half,), None),
-    (2, 1, (), None),
-    (3, 2, (below_half,), None),
-    (2, 2, (), chain_stop),
-], ids=["width2", "width3-event", "width2-quad1", "width3-quad2-event", "width2-quad2-stop"])
-def test_a_wide_second_order_block_keeps_the_first_order_bits(k, n_quad, events, stop):
+@pytest.mark.parametrize("k, n_quad, events", [
+    (2, 0, ()),
+    (3, 0, (below_half,)),
+    (2, 1, ()),
+    (3, 2, (below_half,)),
+    (2, 2, ()),
+], ids=["width2", "width3-event", "width2-quad1", "width3-quad2-event", "width2-quad2"])
+def test_a_wide_second_order_block_keeps_the_first_order_bits(k, n_quad, events):
     """A chain of k coupled pendulums as (x, v), with and without a
     quadrature block behind it, is bit for bit the run of its whole
     first-order right-hand side: samples, end, event and every count."""
@@ -296,14 +283,13 @@ def test_a_wide_second_order_block_keeps_the_first_order_bits(k, n_quad, events,
     y0[0], y0[k] = 0.4, -0.8  # the first pendulum swings below -1/2
     t_eval = np.linspace(0.0, 20.0, 81)
     whole = dop853.integrate(chain_whole(k, n_quad), 0.0, 20.0, y0, 1e-10, 1e-12,
-                             t_eval, events=events, stop=stop)
+                             t_eval, events=events)
     split = dop853.integrate(lambda t, x, out: chain_accel(x, out), 0.0, 20.0, y0,
-                             1e-10, 1e-12, t_eval, events=events, stop=stop,
+                             1e-10, 1e-12, t_eval, events=events,
                              n_quad=n_quad, n_pos=k,
                              **({"quad": chain_quad} if n_quad else {}))
     assert split.status == whole.status and split.event == whole.event
-    assert whole.status == (dop853.EVENT if events else
-                            dop853.STOPPED if stop else dop853.FINISHED)
+    assert whole.status == (dop853.EVENT if events else dop853.FINISHED)
     assert split.t.tobytes() == whole.t.tobytes()
     assert split.y.tobytes() == whole.y.tobytes()
     got, want = split.stats, whole.stats
@@ -465,64 +451,44 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_stop_ends_the_run_on_a_bit_equal_prefix():
-    """A true ``stop`` ends the run after the samples it saw; those samples
-    are the unstopped run's first ones, bit for bit, at fewer rhs calls."""
+def test_an_event_ends_the_run_on_a_bit_equal_prefix():
+    """An event ends the run after the samples before its root; those are
+    the run without events' first samples, bit for bit, at fewer rhs calls."""
     t_eval = np.linspace(0.0, 10.0, 101)
     y0 = np.array([0.0, 1.0])
     full = dop853.integrate(oscillator, 0.0, 10.0, y0, 1e-10, 1e-12, t_eval)
-    seen = []
-
-    def negative(t, y):
-        seen.append(t)
-        return bool((y[0] < 0).any())
-
     sol = dop853.integrate(oscillator, 0.0, 10.0, y0, 1e-10, 1e-12, t_eval,
-                           stop=negative)
-    assert sol.status == dop853.STOPPED and full.status == dop853.FINISHED
-    assert sol.stats.message == "The stop callable ended the integration at a sampled state."
-    assert sol.event is None
-    m = sol.t.size
-    assert 0 < m < full.t.size
-    # the hook saw every sample, and fired on the step holding the first
-    # sample past t = pi, where sin t turns negative
-    assert np.hstack(seen).tobytes() == sol.t.tobytes()
-    assert not (sol.y[0, : m - seen[-1].size] < 0).any() and (seen[-1] > math.pi).any()
-    assert sol.t.tobytes() == full.t[:m].tobytes()
-    assert sol.y.tobytes() == np.ascontiguousarray(full.y[:, :m]).tobytes()
+                           events=(below_half,))
+    assert sol.status == dop853.EVENT and full.status == dop853.FINISHED
+    m = sol.t.size - 1
+    assert 0 < m < full.t.size and sol.t[m] == pytest.approx(7 * math.pi / 6)
+    assert sol.t[:m].tobytes() == full.t[:m].tobytes()
+    assert sol.y[:, :m].tobytes() == np.ascontiguousarray(full.y[:, :m]).tobytes()
     assert sol.stats.nfev < full.stats.nfev
     assert sol.stats.n_accepted < full.stats.n_accepted
 
 
-def test_stop_is_not_consulted_once_t1_is_reached():
-    t_eval = np.linspace(0.0, 10.0, 101)
-    seen = []
-
-    def at_t1(t, y):
-        seen.append(t)
-        return t[-1] == 10.0
-
-    sol = dop853.integrate(oscillator, 0.0, 10.0, np.array([0.0, 1.0]), 1e-10,
-                           1e-12, t_eval, stop=at_t1)
-    assert sol.status == dop853.FINISHED and sol.t[-1] == 10.0
-    got = np.hstack(seen)
-    assert 0 < got.size < sol.t.size and got.tobytes() == sol.t[: got.size].tobytes()
-
-
-def test_stop_is_not_consulted_on_an_event_step():
-    """g = 0 fires at the start, before the first step samples t0: the
-    event ends the run although the hook would stop at any sample."""
-    seen = []
-
-    def always(t, y):
-        seen.append(t)
-        return True
-
-    sol = dop853.integrate(oscillator, 0.0, 10.0, np.array([0.0, 1.0]), 1e-10,
-                           1e-12, np.linspace(0.0, 10.0, 101),
-                           events=(lambda t, y: 0.0,), stop=always)
-    assert sol.status == dop853.EVENT and sol.event == 0 and sol.t[-1] == 0.0
-    assert list(sol.t) == [0.0] and seen == []
+@pytest.mark.parametrize("events", [(), (below_half,)], ids=["t1", "event"])
+def test_the_samples_do_not_steer_the_steps(events):
+    """A finer t_eval takes the same steps to the same end: the samples the
+    two grids share are bit-equal, and the finer grid pays only for the
+    three extra stages of each further step it samples on."""
+    y0 = np.array([0.0, 1.0])
+    coarse = np.linspace(0.0, 10.0, 11)
+    fine = np.union1d(coarse, np.linspace(0.05, 9.95, 100))
+    a = dop853.integrate(oscillator, 0.0, 10.0, y0, 1e-10, 1e-12, coarse,
+                         events=events)
+    b = dop853.integrate(oscillator, 0.0, 10.0, y0, 1e-10, 1e-12, fine,
+                         events=events)
+    assert a.status == b.status and a.event == b.event
+    assert (a.stats.n_accepted, a.stats.n_rejected) == (b.stats.n_accepted,
+                                                         b.stats.n_rejected)
+    assert a.t[-1] == b.t[-1] and a.y[:, -1].tobytes() == b.y[:, -1].tobytes()
+    shared = np.isin(b.t, a.t)
+    assert b.t[shared].tobytes() == a.t.tobytes()
+    assert np.ascontiguousarray(b.y[:, shared]).tobytes() == a.y.tobytes()
+    extra = b.stats.nfev - a.stats.nfev
+    assert extra > 0 and extra % 3 == 0
 
 
 def test_event_root_matches_scipy():

@@ -569,8 +569,8 @@ class TestFindDecaying:
 
 class TestSearchShotsAreFullShots:
     """``find_decaying`` runs every shot in full, since only a full shot
-    shows its fate: each shot is ``shoot`` of its spec, none is STOPPED, and
-    each classification is that of the full shot."""
+    shows its fate: each shot is ``shoot`` of its spec, and each
+    classification is that of the full shot."""
 
     PAIR = SystemKind(Variant.LIMIT_PAIR)
     TZITZEICA = SystemKind(Variant.TZITZEICA)
@@ -593,8 +593,8 @@ class TestSearchShotsAreFullShots:
         system, anchor, bracket, shots, solvable = self.SEARCHES[name]
         made = []
 
-        def recorded(spec, **kwargs):
-            prof = shoot(spec, **kwargs)
+        def recorded(spec):
+            prof = shoot(spec)
             made.append(prof)
             return prof
 
@@ -609,7 +609,7 @@ class TestSearchShotsAreFullShots:
         assert len(trace) == len(made) == shots and (found is not None) == solvable
         for cls, prof in zip(trace, made):
             full = shoot(prof.spec)
-            assert prof.reason is not TerminationReason.STOPPED and prof == full
+            assert prof == full
             assert cls == classify_shot(full, free_value=cls.free_value)
             assert cls.reason is prof.reason and cls.stats is prof.stats
         if found is not None:
@@ -1025,7 +1025,7 @@ class TestConstrainedTargetingFailsFast:
 
         shots = []
         monkeypatch.setattr(ode_engine, "shoot",
-                            lambda spec, **kw: shots.append(spec) or shoot(spec, **kw))
+                            lambda spec: shots.append(spec) or shoot(spec))
         with pytest.raises(TargetSearchError, match="constraint") as err:
             find_decaying(SystemKind(variant, weights), 0, 0.0, (-5.0, 5.0))
         assert err.value.trace == [] and shots == []
@@ -1190,7 +1190,7 @@ class TestSearchErrors:
 
         shots = []
         monkeypatch.setattr(ode_engine, "shoot",
-                            lambda spec, **kw: shots.append(spec) or shoot(spec, **kw))
+                            lambda spec: shots.append(spec) or shoot(spec))
         trace = []
         with pytest.raises(BracketError, match="search interval must be finite") as err:
             find_decaying(SystemKind(Variant.LIMIT_PAIR), 0, LOG8, bracket, trace=trace)
@@ -1205,7 +1205,7 @@ class TestSearchErrors:
 
         shots = []
         monkeypatch.setattr(ode_engine, "shoot",
-                            lambda spec, **kw: shots.append(spec) or shoot(spec, **kw))
+                            lambda spec: shots.append(spec) or shoot(spec))
         for bracket, message in (((math.nan, 5.0), "search interval must be finite"),
                                  ((1.0, 1.0), "^search interval is empty or inverted$")):
             with pytest.raises(BracketError, match=message):

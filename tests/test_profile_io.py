@@ -13,10 +13,9 @@ from todalab.analysis import pohozaev_check
 from todalab.ode_engine import (
     DECAY_LEVEL,
     RadialProfile,
-    ShootSpec,
     TerminationReason,
+    classify_shot,
     rescale,
-    shoot,
 )
 from todalab.profile_io import (
     FORMAT_VERSION,
@@ -31,13 +30,7 @@ from todalab.systems import SystemKind, Variant
 from conftest import LOG8, read_back, shot
 
 
-def w_rises(t, y):
-    """A stop rule for the limit pair's states (6, m): some w_i = r u_i'
-    above 1/2 at a sampled row, as when a component re-ignites."""
-    return bool((y[2:4] > 0.5).any())
-
-
-# every variant, a singular start, the three ways a shot ends early and a
+# every variant, a singular start, the two ways a shot ends early and a
 # rescaled profile, which has no spec; the session fixtures are the tall shots
 ZOO = {
     "liouville": lambda rq: rq.getfixturevalue("liouville_profile"),
@@ -49,8 +42,8 @@ ZOO = {
     "su4": lambda rq: rq.getfixturevalue("su4_bubble_profile"),
     "one_row_blow_up": lambda rq: shot(Variant.LIOUVILLE, (60.0,), r_max=10.0),
     "event_ended": lambda rq: shot(Variant.SINH_GORDON, (-160.0,), r_max=1e3),
-    "stopped_search_shot": lambda rq: shoot(
-        ShootSpec(SystemKind(Variant.LIMIT_PAIR), (LOG8, 5.0)), stop=w_rises),
+    # the search's upper end, whose component 0 re-ignites before it decays
+    "reignited_search_shot": lambda rq: shot(Variant.LIMIT_PAIR, (LOG8, 5.0)),
     "rescaled": lambda rq: rescale(rq.getfixturevalue("liouville_profile"), 7.3),
 }
 
@@ -63,7 +56,7 @@ class TestRoundTrip:
         assert p["one_row_blow_up"].state.shape == (1, 3)
         assert p["event_ended"].reason is TerminationReason.COMPONENT_BLOW_UP
         assert p["su3"].reason is TerminationReason.MASS_OVERFLOW
-        assert p["stopped_search_shot"].reason is TerminationReason.STOPPED
+        assert classify_shot(p["reignited_search_shot"]).first_up == 0
         assert p["rescaled"].spec is None
         # the onset oracle below meets both outcomes
         assert p["liouville"].fast_decay_onset is not None
