@@ -30,6 +30,12 @@ g, which then reads > 0, is read once per accepted step and fires on the
 first step at whose end it reads <= 0; its root, bisected on the step's
 dense output to 4 machine epsilons on the side where g has not fired, is
 the run's last sample.
+
+The step loop evaluates no interpolant.  A step that holds samples or
+an event forms the three extra stages of its 7th-order interpolant (Sec.
+II.6) as it goes and records what the interpolant reads; after the run
+every sample is evaluated in one elementwise batch, with the bits of its
+own step's interpolant evaluated alone.
 """
 
 from __future__ import annotations
@@ -327,8 +333,10 @@ class Solution:
     """Samples at the requested times plus how the integration ended.
 
     ``y[:, k]`` is the state at ``t[k]``; ``t`` holds the ``t_eval`` points
-    up to where the integration stopped.  When a terminal event fired,
-    ``event`` is its index and the last column its root and state.
+    up to where the integration stopped, in an array of its own; the
+    samples are evaluated after the run, in one batch.  When a terminal
+    event fired, ``event`` is its index and the last column its root and
+    state.
     """
 
     t: np.ndarray
@@ -438,39 +446,48 @@ class _Stages:
         self.quad(ts, Z, KQ)
 
 
-class _DenseStep:
-    """The 7th-order interpolant over one accepted step [t_old, t]."""
+def _dense_step(stages: _Stages, t_old, t, y_old, y):
+    """What the 7th-order interpolant over the accepted step [t_old, t]
+    reads: (t_old, h, y_old, y, f at both ends (2, n), D K (4, n)).  The
+    step's three extra stages are formed here, in K."""
+    h = t - t_old
+    stages.fill(stages.dense, t_old, h, y_old)
+    K = stages.K
+    return t_old, h, y_old, y, K[[0, N_STAGES]], np.dot(D, K)
 
-    def __init__(self, stages: _Stages, t_old, t, y_old, y):
-        h = t - t_old
-        stages.fill(stages.dense, t_old, h, y_old)
-        K = stages.K
-        f_old, f = K[0], K[N_STAGES]
-        delta_y = y - y_old
-        F = np.empty((INTERPOLATOR_POWER, y.size))
-        F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (f + f_old)
-        F[3:] = h * np.dot(D, K)
-        self.t_old, self.h, self.y_old = t_old, h, y_old
-        self._F = F[::-1]
 
-    def __call__(self, t):
-        """State at scalar t, or states (n, m) at the m points of array t;
-        a scalar is evaluated as a one-point array."""
-        x = ((np.atleast_1d(t) - self.t_old) / self.h)[:, None]
-        x1 = 1 - x
-        y = np.zeros((len(x), len(self.y_old)))
-        for i, f in enumerate(self._F):
-            y += f
-            y *= x if i % 2 == 0 else x1
-        y += self.y_old
-        return y[0] if np.ndim(t) == 0 else y.T
+def _interpolant(steps: list):
+    """The interpolants of the recorded steps, as (t_old, h, y_old, F):
+    step k's coefficient rows F[k] (7, n) in evaluation order."""
+    t_old, h, y_old, y, f, DK = map(np.array, zip(*steps))
+    hc = h[:, None]
+    delta_y = y - y_old
+    F = np.empty((len(h), INTERPOLATOR_POWER, y.shape[1]))
+    F[:, 0] = delta_y
+    F[:, 1] = hc * f[:, 0] - delta_y
+    F[:, 2] = 2 * delta_y - hc * (f[:, 1] + f[:, 0])
+    F[:, 3:] = hc[:, :, None] * DK
+    return t_old, h, y_old, F[:, ::-1]
+
+
+def _evaluate(dense, k: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """States (len(t), n) at the times t, t[j] on recorded step k[j].  Each
+    state is formed elementwise, with the bits of its own step's
+    interpolant evaluated alone."""
+    t_old, h, y_old, F = dense
+    x = ((t - t_old[k]) / h[k])[:, None]
+    x1 = 1 - x
+    y = np.zeros((len(t), y_old.shape[1]))
+    for i in range(INTERPOLATOR_POWER):
+        y += F[k, i]
+        y *= x if i % 2 == 0 else x1
+    y += y_old[k]
+    return y
 
 
 def _bisect(f, xa: float, xb: float) -> float:
     """The root of f(xa) > 0 >= f(xb) that ``integrate`` documents (f(xa)
-    is g at the last step's end, as the dense output returns y_old bit for
+    is g at the last step's end, as the interpolant returns y_old bit for
     bit, so it is > 0)."""
     while xb - xa > 4 * EPS * (1 + abs(xa)):
         xm = (xa + xb) / 2
@@ -520,8 +537,10 @@ def integrate(
     4 eps (1 + |t|), with no rhs call; it is the last column, and a sample
     less than 1e-12 before it gives way.
     The interpolant's three extra stages are computed only for steps that
-    hold ``t_eval`` points or an event.  ``nfev`` counts the evaluations of
-    f, each of which is one ``fun`` call and a share of a ``quad`` call.
+    hold ``t_eval`` points or an event, in the step loop; the samples are
+    evaluated after the run, in one batch, each with the bits of its own
+    step's interpolant.  ``nfev`` counts the evaluations of f, each of
+    which is one ``fun`` call and a share of a ``quad`` call.
     """
     if not t1 > t0:
         raise ValueError("integrate needs t1 > t0")
@@ -553,8 +572,9 @@ def integrate(
     h_abs = float(_initial_step(lambda s, z: stages.derivative(s, z, np.empty(n)),
                                 t, y, f, t1, rtol, atol))
     nfev, n_accepted, n_rejected = 2, 0, 0
-    ts: list[np.ndarray] = []
-    ys: list[np.ndarray] = []
+    # the steps that hold samples, and their sample counts
+    steps: list[tuple] = []
+    counts: list[int] = []
     i_eval = 0
     status = None
     # the error scale atol + max(|y|, |y_new|) rtol, formed in place, with
@@ -609,36 +629,41 @@ def integrate(
         if t >= t1:
             status = FINISHED
 
-        dense = None
+        step = None
         if events:
             active = [i for i, ev in enumerate(events) if ev(t, y) <= 0]
             if active:
-                dense = _DenseStep(stages, t_old, t, y_old, y)
+                step = _dense_step(stages, t_old, t, y_old, y)
                 nfev += _N_EXTRA
-                roots = [
-                    _bisect(lambda s, ev=events[i]: ev(s, dense(s)), t_old, t)
-                    for i in active
-                ]
+                dense, k0 = _interpolant([step]), np.zeros(1, dtype=int)
+
+                def at(s):
+                    return _evaluate(dense, k0, np.array([s]))[0]
+
+                roots = [_bisect(lambda s, ev=events[i]: ev(s, at(s)), t_old, t)
+                         for i in active]
                 k = min(range(len(roots)), key=roots.__getitem__)
                 event, t = active[k], roots[k]
-                y = dense(t)
+                y = at(t)
                 status = EVENT
 
         if i_eval < n_eval and t_eval[i_eval] <= t:
             i_new = int(np.searchsorted(t_eval, t, side="right"))
-            if dense is None:
-                dense = _DenseStep(stages, t_old, t_new, y_old, y_new)
+            if step is None:
+                step = _dense_step(stages, t_old, t_new, y_old, y_new)
                 nfev += _N_EXTRA
-            t_step = t_eval[i_eval:i_new]
-            ts.append(t_step)
-            ys.append(dense(t_step))
+            steps.append(step)
+            counts.append(i_new - i_eval)
             i_eval = i_new
 
-    stats = SolverStats(nfev, n_accepted, n_rejected, _MESSAGES[status],
-                        time.perf_counter() - start)
-    t_out, y_out = np.hstack([np.empty(0), *ts]), np.hstack([np.empty((n, 0)), *ys])
+    # a copy: the caller's t_eval may change after the run
+    t_out = t_eval[:i_eval].copy()
+    k = np.repeat(np.arange(len(steps)), counts)
+    y_out = _evaluate(_interpolant(steps), k, t_out) if steps else np.empty((0, n))
     if status == EVENT:
         if t_out.size and t <= t_out[-1] + 1e-12:
-            t_out, y_out = t_out[:-1], y_out[:, :-1]
-        t_out, y_out = np.append(t_out, t), np.hstack([y_out, y[:, None]])
-    return Solution(t_out, y_out, status, event, stats)
+            t_out, y_out = t_out[:-1], y_out[:-1]
+        t_out, y_out = np.append(t_out, t), np.vstack([y_out, y])
+    stats = SolverStats(nfev, n_accepted, n_rejected, _MESSAGES[status],
+                        time.perf_counter() - start)
+    return Solution(t_out, y_out.T, status, event, stats)

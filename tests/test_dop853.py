@@ -140,6 +140,30 @@ def test_shot_agrees_with_scipy(name):
     assert prof.r_end == pytest.approx(float(r[-1]), rel=1e-12)
 
 
+# the shots whose last row is scipy's too, and the one whose masses are not
+WHOLE_STATE = {"limitpair_low", "limitpair_high", "su3", "su4"}
+OWN_MASSES = {"sinh_gordon_blow_up"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_samples_carry_scipys_bits(name):
+    """Every sample before the last row has the bits of scipy's dense
+    output: grid, (u, w) and, but for the blow-up, masses.  Where scipy's
+    last row is the same event or end, it is bit-equal too."""
+    spec = CASES[name]()
+    prof = shot_of(spec)
+    _, ts, ys, _ = scipy_shot(spec)
+    n = spec.system.n_components
+    want = ys.T
+    assert prof.grid[:-1].tobytes() == np.exp(ts[:-1]).tobytes()
+    assert prof.state[:-1, : 2 * n].tobytes() == want[:-1, : 2 * n].tobytes()
+    if name not in OWN_MASSES:
+        assert prof.masses[:-1].tobytes() == want[:-1, 2 * n :].tobytes()
+    if name in WHOLE_STATE:
+        assert prof.grid.tobytes() == np.exp(ts).tobytes()
+        assert prof.state.tobytes() == want.tobytes()
+
+
 def whole_rhs(spec: ShootSpec):
     """The shot's right-hand side evaluated whole, all 3n columns per stage,
     with no quadrature block: the reference of ``shoot``'s split into the
@@ -381,6 +405,18 @@ def test_mass_at_matches_cubic_hermite_spline(fixture, request):
         k = int(np.clip(np.searchsorted(tg, t), 1, len(tg) - 1))
         want = np.clip([float(f(t)) for f in splines], p.masses[k - 1], p.masses[k])
         np.testing.assert_allclose(p.mass_at(r), want, rtol=1e-12, atol=0)
+
+
+def test_the_samples_own_their_times():
+    """``Solution.t`` is not a view of the caller's ``t_eval``: writing the
+    caller's array after the run leaves the solution as it was."""
+    t_eval = np.linspace(0.0, 10.0, 11)
+    sol = dop853.integrate(oscillator, 0.0, 10.0, np.array([0.0, 1.0]),
+                           1e-10, 1e-12, t_eval)
+    assert sol.status == dop853.FINISHED and sol.t.size == t_eval.size
+    t = sol.t.copy()
+    t_eval[:] = -1.0
+    assert sol.t.tobytes() == t.tobytes()
 
 
 def test_stats_count_every_call_and_step():

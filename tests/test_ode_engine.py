@@ -877,26 +877,32 @@ class TestOneReignitionRule:
                 assert (cls.first_up, cls.r_up) == (want[1], float(p.grid[want[0]]))
 
 
-class TestDenseOutputScalarIsOnePointArray:
-    def test_scalar_equals_one_point_array(self, monkeypatch):
-        """A scalar evaluation of a real step's interpolant has the bits of
-        the one-point array evaluation, at both step ends and inside."""
-        made = []
+class TestBatchedDenseOutputIsEachStepAlone:
+    def test_batch_has_the_bits_of_each_step_alone(self, monkeypatch):
+        """Evaluated in one batch over all of a real shot's sampled steps,
+        each state has the bits of its own step's interpolant evaluated
+        alone, at both step ends and inside."""
+        made, record = [], dop853._dense_step
 
-        class Recorded(dop853._DenseStep):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
+        def recorded(*args):
+            made.append(record(*args))
+            return made[-1]
 
-        monkeypatch.setattr(dop853, "_DenseStep", Recorded)
+        monkeypatch.setattr(dop853, "_dense_step", recorded)
         shoot(ShootSpec(SystemKind(Variant.LIMIT_PAIR), (LOG8, 1.0), r_max=10.0))
         assert len(made) > 10
-        for dense in (made[0], made[len(made) // 2], made[-1]):
-            t0, h = dense.t_old, dense.h
+        ks, ts = [], []
+        for k in (0, len(made) // 2, len(made) - 1):
+            t0, h = made[k][:2]
             for t in (t0, t0 + h / 3.0, t0 + 0.5 * h, t0 + h):
-                one = dense(np.array([t]))
-                assert one.shape == (dense.y_old.size, 1)
-                assert dense(t).tobytes() == one[:, 0].tobytes()
+                ks.append(k)
+                ts.append(t)
+        batch = dop853._evaluate(dop853._interpolant(made), np.array(ks), np.array(ts))
+        assert batch.shape == (len(ts), made[0][2].size)
+        for row, k, t in zip(batch, ks, ts):
+            alone = dop853._evaluate(dop853._interpolant([made[k]]),
+                                     np.zeros(1, dtype=int), np.array([t]))
+            assert row.tobytes() == alone[0].tobytes()
 
 
 class TestProfileQueries:
