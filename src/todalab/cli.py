@@ -324,6 +324,8 @@ def _shoot_payload(cfg: dict, given: dict, heights: tuple[float, ...], out_path:
 def cmd_shoot(args, cfg: dict, given: dict) -> int:
     import numpy as np
 
+    from .ode_engine import TerminationReason
+
     if cfg["heights"] is None:
         raise UsageError("shoot needs --height/--heights")
     heights = _as_floats(cfg["heights"])
@@ -365,7 +367,7 @@ def cmd_shoot(args, cfg: dict, given: dict) -> int:
         lines.append(
             f"max mean-value identity residual: {info['max_mean_value_residual']:.3e}"
         )
-    if info["reason"] == "step_underflow":
+    if prof.reason is TerminationReason.STEP_UNDERFLOW:
         lines.append(f"solver: {prof.stats.message}")
     lines.append(f"wrote {out}")
     # solver counts sit apart from the byte-reproducible numeric payload

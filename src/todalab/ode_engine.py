@@ -520,11 +520,11 @@ def mean_value_residuals(p: RadialProfile) -> np.ndarray:
 def total_masses(p: RadialProfile) -> tuple[np.ndarray, np.ndarray]:
     """Tail-corrected total masses and per-component convergence flags.
 
-    Each component is fit as u ~ -alpha log r + beta over the last decade
-    of the grid (at least its last 4 rows; a shorter grid converges
-    nothing).  A component whose alpha exceeds TAIL_ALPHA_MIN converges,
-    and its total gains the analytic remainder int_R^inf e^beta
-    s^(1-alpha) ds, R = r_end.
+    Each component is fit as u ~ -alpha log r + beta over a suffix of the
+    increasing grid: its last decade, or its last 4 rows when the decade
+    holds fewer (a shorter grid converges nothing).  A component whose
+    alpha exceeds TAIL_ALPHA_MIN converges, and its total gains the
+    analytic remainder int_R^inf e^beta s^(1-alpha) ds, R = r_end.
     """
     n = p.n_components
     totals = p.masses[-1].copy()
@@ -532,13 +532,10 @@ def total_masses(p: RadialProfile) -> tuple[np.ndarray, np.ndarray]:
     if len(p.grid) < 4:
         return totals, ok
     t = np.log(p.grid)
-    mask = t >= t[-1] - _TAIL_DECADES * math.log(10.0)
-    if mask.sum() < 4:
-        mask[:-4] = False
-        mask[-4:] = True
+    k = min(np.searchsorted(t, t[-1] - _TAIL_DECADES * math.log(10.0)), len(t) - 4)
     for i in range(n):
         # one fit per component: a 2-D fit takes another LAPACK path
-        slope, beta = np.polyfit(t[mask], p.values[mask, i], 1)
+        slope, beta = np.polyfit(t[k:], p.values[k:, i], 1)
         alpha = -slope
         if alpha > TAIL_ALPHA_MIN:
             totals[i] += math.exp(beta) * p.r_end ** (2.0 - alpha) / (alpha - 2.0)
@@ -634,16 +631,6 @@ def _reignites(p: RadialProfile) -> tuple[Optional[int], Optional[float]]:
     return int(up[row].argmax()), float(p.grid[row])
 
 
-def _fill_heights(
-    system: SystemKind, anchor: int, anchor_height: float, x: float
-) -> tuple[float, ...]:
-    """A search shot's heights: the anchor's, and x for the other component
-    of a two-component variant."""
-    h = [x] * system.n_components
-    h[anchor] = anchor_height
-    return tuple(h)
-
-
 def find_decaying(
     system: SystemKind,
     anchor_component: int,
@@ -726,7 +713,7 @@ def find_decaying(
         trace = []
 
     for x in ((anchor_height,) if n == 1 else (mid, lo, hi)):
-        heights = _fill_heights(system, anchor_component, anchor_height, x)
+        heights = tuple(anchor_height if i == anchor_component else x for i in range(n))
         prof = shoot(ShootSpec(system, heights, r_max=r_max, rel_tol=rel_tol,
                                abs_tol=abs_tol, samples_per_decade=samples_per_decade))
         cls = classify_shot(prof, mass_tol=tol, free_value=x)

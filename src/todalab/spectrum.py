@@ -2,10 +2,13 @@
 
 The admissible triples for the three-component affine system are the
 theorem's sigma(m1, m2) over index pairs with m1, m2 both 0 or 1 or both
-2 or 3 mod 4, minus the origin: exactly the non-negative multiples of 4
-on the quadric
+2 or 3 mod 4 (``_residue_ok``), minus the origin: exactly the
+non-negative multiples of 4 on the quadric
 
     (s1 - s3)^2 + (s2 - s3)^2 = 4 (s1 + s2 + 2 s3).
+
+Both membership tests read one gate, ``_lattice_point``: every
+admissible triple is a non-negative multiple of 4 other than the origin.
 
 ``enumerate_su3`` sweeps (m1, m2).  Both residuals, doubled, complete to
 one square in s3,
@@ -63,21 +66,18 @@ class MassTriple:
 
 @dataclass(frozen=True, order=True)
 class ParamIndex:
-    """Integer index pair (m1, m2) of the quadric parametrization."""
+    """Index pair (m1, m2) of the quadric parametrization; see ``_residue_ok``."""
 
     m1: int
     m2: int
 
-    def residue_ok(self) -> bool:
-        """Both indices in {0,1} mod 4, or both in {2,3} mod 4.
-
-        This is exactly the condition that the third component of the
-        generated triple is divisible by 4.
-        """
-        return _residue_ok(self.m1, self.m2)
-
 
 def _residue_ok(m1: int, m2: int) -> bool:
+    """Both indices in {0,1} mod 4, or both in {2,3} mod 4.
+
+    This is exactly the condition that the third component of the
+    generated triple is divisible by 4.
+    """
     return (m1 % 4 < 2) == (m2 % 4 < 2)
 
 
@@ -178,35 +178,31 @@ def _sigma(m1: int, m2: int) -> tuple[int, int, int]:
     )
 
 
-def _is_nonneg_multiple_of_4(x: Exact) -> bool:
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            return False
-        x = x.numerator
-    if not isinstance(x, numbers.Integral):
-        return False
-    return x >= 0 and x % 4 == 0
+def _lattice_point(t: MassTriple) -> Optional[tuple[int, int, int]]:
+    """``t`` as ints when it is a lattice point, else None: every component
+    an int or an integral Fraction (never a float) that is a non-negative
+    multiple of 4, and not the origin."""
+    s = tuple(x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+              for x in t.as_tuple())
+    if all(isinstance(x, numbers.Integral) and x >= 0 and x % 4 == 0
+           for x in s) and any(s):
+        return tuple(int(x) for x in s)
+    return None
 
 
 def membership_su3(t: MassTriple) -> Optional[ParamIndex]:
     """Index pair of ``t`` when it belongs to the quantization set, else None.
 
-    Membership requires all components to be non-negative integers divisible
-    by 4, the quadric residual to vanish, and the triple to differ from the
-    origin.  The recovered indices are m1 = (s1-s3)/4, m2 = (s2-s3)/4, and
-    the third-component formula is verified rather than assumed; it gives
-    s3 = m1(m1-1) + m2(m2-1), which is divisible by 4 exactly when the
-    residue condition holds, so that holds too.
+    ``t`` must be a lattice point (``_lattice_point``) that its recovered
+    indices m1 = (s1-s3)/4, m2 = (s2-s3)/4 give back as sigma(m1, m2), so
+    it lies on the quadric; s3 = m1(m1-1) + m2(m2-1) is then divisible by
+    4, which holds exactly when the residue condition does.
     """
-    if not all(_is_nonneg_multiple_of_4(s) for s in t.as_tuple()):
+    s = _lattice_point(t)
+    if s is None:
         return None
-    s1, s2, s3 = (int(s) for s in t.as_tuple())
-    if (s1, s2, s3) == (0, 0, 0):
-        return None
-    p = ParamIndex((s1 - s3) // 4, (s2 - s3) // 4)
-    if triple_from_params(p) != MassTriple(s1, s2, s3):
-        return None
-    return p
+    m1, m2 = (s[0] - s[2]) // 4, (s[1] - s[2]) // 4
+    return ParamIndex(m1, m2) if _sigma(m1, m2) == s else None
 
 
 def _on_quadric(c: int, k: int, bound: int) -> set[MassTriple]:
@@ -270,16 +266,9 @@ def enumerate_su3(bound: int) -> SpectrumSet:
 
 
 def is_candidate_su4(t: MassTriple) -> bool:
-    """Candidate-set membership for the SU(4) variant.
-
-    Non-negative multiples of 4, not the origin, with vanishing symmetric
-    residual.
-    """
-    return (
-        all(_is_nonneg_multiple_of_4(s) for s in t.as_tuple())
-        and tuple(int(s) for s in t.as_tuple()) != (0, 0, 0)
-        and pohozaev_residual_su4(t) == 0
-    )
+    """Candidate-set membership for the SU(4) variant: a lattice point
+    (``_lattice_point``) with vanishing symmetric residual."""
+    return _lattice_point(t) is not None and pohozaev_residual_su4(t) == 0
 
 
 def enumerate_su4(bound: int) -> SpectrumSet:

@@ -24,8 +24,8 @@ from todalab.ode_engine import (
     RadialProfile,
     ShootSpec,
     TargetSearchError,
+    TAIL_ALPHA_MIN,
     TerminationReason,
-    _fill_heights,
     _series_state,
     classify_shot,
     find_decaying,
@@ -354,6 +354,38 @@ class TestTotalMasses:
         assert totals.tobytes() == p.masses[-1].tobytes()
         assert converged.tolist() == [False]
 
+    def test_a_three_row_profile_converges_nothing(self):
+        p = shot(Variant.LIOUVILLE, (0.0,), r_max=1e-2, samples_per_decade=1)
+        assert len(p.grid) == 3
+        totals, converged = total_masses(p)
+        assert totals.tobytes() == p.masses[-1].tobytes()
+        assert converged.tolist() == [False]
+
+    @pytest.mark.parametrize("samples_per_decade", [1, 3, 40])
+    @pytest.mark.parametrize("variant,heights", [
+        (Variant.LIOUVILLE, (0.0,)), (Variant.LIMIT_PAIR, (LOG8, 0.0))],
+        ids=["liouville", "limitpair"])
+    def test_the_fit_window_is_the_last_decade(self, variant, heights,
+                                               samples_per_decade):
+        """Each total is the last mass plus the remainder of a line fit to
+        u over the rows with log r >= log r_end - log 10, or over the last
+        4 rows when fewer lie there, as they do at one sample per decade."""
+        p = shot(variant, heights, samples_per_decade=samples_per_decade)
+        t = np.log(p.grid)
+        rows = t >= t[-1] - math.log(10.0)
+        assert (rows.sum() < 4) == (samples_per_decade == 1)
+        if rows.sum() < 4:
+            rows = np.arange(len(t)) >= len(t) - 4
+        want = p.masses[-1].copy()
+        for i in range(p.n_components):
+            slope, beta = np.polyfit(t[rows], p.values[rows, i], 1)
+            alpha = -slope
+            assert alpha > TAIL_ALPHA_MIN
+            want[i] += math.exp(beta) * p.r_end ** (2.0 - alpha) / (alpha - 2.0)
+        totals, converged = total_masses(p)
+        assert totals.tobytes() == want.tobytes()
+        assert converged.all()
+
 
 class TestRescale:
     def test_identity(self, liouville_profile):
@@ -646,7 +678,7 @@ def _ends_first_search(system, anchor_component, anchor_height, search_interval,
     keeps the other shot defaults and the n = 2 path."""
 
     def run(x):
-        heights = _fill_heights(system, anchor_component, anchor_height, x)
+        heights = (x, anchor_height) if anchor_component else (anchor_height, x)
         prof = shoot(ShootSpec(system, heights, r_max=r_max))
         cls = classify_shot(prof, mass_tol=tol, free_value=x)
         trace.append(cls)
@@ -750,7 +782,7 @@ class TestMidpointFirst:
         assert [c.free_value for c in new] == [mid, lo, hi][:len(new)]
         if new[0].kind == "under":
             assert len(new) == 1
-            assert found[0] == _fill_heights(system, comp, anchor, mid)
+            assert found[0] == ((mid, anchor) if comp else (anchor, mid))
         elif isinstance(want, tuple):
             assert found == want
             assert new[1:] == old

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import numbers
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from todalab import spectrum
@@ -90,11 +92,11 @@ class TestParametrization:
         assert triple_from_params(ParamIndex(m1, m2)).as_tuple() == expected
 
     def test_residue_condition(self):
-        assert ParamIndex(1, -3).residue_ok()  # residues 1, 1
-        assert ParamIndex(-1, -1).residue_ok()  # residues 3, 3
-        assert ParamIndex(2, 3).residue_ok()
-        assert not ParamIndex(1, 2).residue_ok()
-        assert not ParamIndex(0, 3).residue_ok()
+        assert spectrum._residue_ok(1, -3)  # residues 1, 1
+        assert spectrum._residue_ok(-1, -1)  # residues 3, 3
+        assert spectrum._residue_ok(2, 3)
+        assert not spectrum._residue_ok(1, 2)
+        assert not spectrum._residue_ok(0, 3)
 
     def test_valid_indices_generate_members(self):
         # exhaustive over the index window: residue-valid non-negative
@@ -102,9 +104,9 @@ class TestParametrization:
         count = 0
         for m1 in range(-50, 51):
             for m2 in range(-50, 51):
-                p = ParamIndex(m1, m2)
-                if not p.residue_ok():
+                if (m1 % 4 < 2) != (m2 % 4 < 2):
                     continue
+                p = ParamIndex(m1, m2)
                 t = triple_from_params(p)
                 if t.as_tuple() == (0, 0, 0):
                     continue
@@ -145,6 +147,44 @@ class TestMembership:
         for t in itertools.product(range(0, 121, 4), repeat=3):
             t = MassTriple(*t)
             assert membership_su3(t) == index.get(t), t
+
+
+# ints, numpy ints, bools, integral and non-integral Fractions, floats,
+# negatives, non-multiples of 4, zeros and values that are not numbers
+GATE_ZOO = [0, 4, 8, 12, 16, 24, 400, -4, 2, 3, np.int64(12), np.int32(0),
+            True, False, Fraction(16), Fraction(0), Fraction(12), Fraction(1, 2),
+            Fraction(-4), 16.0, 12.0, 0.0, math.nan, np.float64(4.0), "4", None]
+
+
+def paper_lattice_point(t):
+    """The theorem's wording: every sigma_i a non-negative integer divisible
+    by 4, and sigma not the origin.  Exact numbers only: a rational with
+    denominator 1 is an integer, a float never is."""
+    s = t.as_tuple()
+    if not all(isinstance(x, numbers.Rational) for x in s):
+        return False
+    q = [Fraction(x) for x in s]
+    return (all(x.denominator == 1 and x >= 0 and x.numerator % 4 == 0 for x in q)
+            and q != [0, 0, 0])
+
+
+class TestLatticeGate:
+    """Off the lattice both membership tests refuse; on it the su3 test is
+    the quadric residual, with the index pair ((s1-s3)/4, (s2-s3)/4), and
+    the su4 test the symmetric residual."""
+
+    @pytest.mark.parametrize("s1", GATE_ZOO, ids=[repr(x) for x in GATE_ZOO])
+    def test_both_membership_tests_read_the_lattice_gate(self, s1):
+        for s2, s3 in itertools.product(GATE_ZOO, repeat=2):
+            t = MassTriple(s1, s2, s3)
+            gate = paper_lattice_point(t)
+            su3 = gate and pohozaev_residual_su3(t) == 0
+            su4 = gate and pohozaev_residual_su4(t) == 0
+            index = membership_su3(t)
+            assert (index is not None) == su3, t
+            assert bool(is_candidate_su4(t)) == su4, t
+            if su3:
+                assert index == ParamIndex((s1 - s3) // 4, (s2 - s3) // 4), t
 
 
 class TestRules:
@@ -242,7 +282,7 @@ class TestEquivalenceLemma:
         for m1, m2 in itertools.product(range(-12, 13), repeat=2):
             p = ParamIndex(m1, m2)
             t = triple_from_params(p)
-            member = (p.residue_ok() and t.as_tuple() != (0, 0, 0)
+            member = ((m1 % 4 < 2) == (m2 % 4 < 2) and t.as_tuple() != (0, 0, 0)
                       and min(t.as_tuple()) >= 0)
             assert membership_su3(t) == (p if member else None)
 
