@@ -490,7 +490,8 @@ def cmd_bubble(args, cfg: dict, given: dict) -> int:
         base.grid,
         base.witnesses,
         "r",
-        [f"w{i + 1}" for i in range(base.n_components)],
+        # u_i + 2 log r; the profile CSV's w_i are r u_i'
+        [f"witness{i + 1}" for i in range(base.n_components)],
     )
 
     near = report.nearest

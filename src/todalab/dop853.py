@@ -15,8 +15,12 @@ leading block and feed nothing back.  The leading block's right-hand side
 writes each stage's derivative in place into its row of the stage matrix;
 the quadrature block's derivatives are evaluated for all of a step's
 stages in one call after the stage loop, from the stage states kept in a
-(16, n) buffer.  A run without quadratures is the same loop with a
-zero-width block.
+(16, n) buffer.  A trial's end, f at the new state (stage 12), gets only
+its leading block there: neither the new state nor the error estimate
+reads stage 12 (B has no stage-12 term, and E5[12] = E3[12] = 0), so its
+quadrature columns are evaluated with the next group of stages, as row 0
+of the next step's or as row 12 of the dense output's, which reads them.
+A run without quadratures is the same loop with a zero-width block.
 
 The leading block may itself be second order, positions x and velocities
 v with x' = v: the stepper then copies each stage's x' from that stage
@@ -397,9 +401,13 @@ class _Stages:
     as the stage is formed: the first p (x' = v) copied from the stage
     state's v, the rest by ``fun``.  Its trailing columns are written by
     one ``quad`` call per group of stages, once the group's states are in
-    ``Z``.  While a group is formed, the trailing columns of its earlier
-    rows are those of an earlier step, so only the leading block of a
-    stage state in ``Z`` is that stage's; the trailing block is never read.
+    ``Z``.  A group's first row is a state whose leading block of K is
+    already written: the step's start (row 0, stages 0..11) or its end
+    (row 12, with the dense output's 13..15), so the step-end derivative's
+    quadrature columns wait for the next group.  While a group is formed,
+    the trailing columns of its earlier rows are those of an earlier step,
+    so only the leading block of a stage state in ``Z`` is that stage's;
+    the trailing block is never read.
     """
 
     def __init__(self, fun, quad, n: int, m: int, p: int):
@@ -410,33 +418,45 @@ class _Stages:
         # KT[s] @ a combines stages < s
         self.KT = KT = [K[:s].T for s in range(N_STAGES_EXTENDED)]
         Z = np.zeros((N_STAGES_EXTENDED, n))
+        # the step h of the stages last formed, as a 0-d array: numpy
+        # multiplies by it faster than by a float, with the same bits
+        self.h = np.zeros(())
         # per stage: what fun reads (x, or the whole state when p = 0) and
         # writes, and the x' columns with the v they copy
         rows = [(a, c, KT[s], Z[s], Z[s, :p] if p else Z[s], K[s, p:m],
                  K[s, :p], Z[s, p:2 * p])
                 for s, a, c in (*_STAGES, *_EXTRA_STAGES)]
-        k, e = len(_STAGES), N_STAGES + 1
-        self.step = (rows[:k], Z[1:N_STAGES], K[1:N_STAGES, m:])  # stages 1..11
-        self.dense = (rows[k:], Z[e:], K[e:, m:])  # the dense output's 13..15
+        k, e = len(_STAGES), N_STAGES
+        self.step = (rows[:k], Z[0], Z[:e], K[:e, m:])  # stages 0..11
+        self.dense = (rows[k:], Z[e], Z[e:], K[e:, m:])  # 12, and the dense 13..15
+
+    def leading(self, t: float, y: np.ndarray, out: np.ndarray) -> None:
+        """The leading block of the derivative at (t, y), written into
+        ``out``'s leading block."""
+        p = self.p
+        out[:p] = y[p : 2 * p]
+        self.fun(t, y[:p] if p else y, out[p:self.m])
 
     def derivative(self, t: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The derivative at (t, y), written into ``out`` and returned."""
-        p, m = self.p, self.m
-        out[:p] = y[p : 2 * p]
-        self.fun(t, y[:p] if p else y, out[p:m])
-        self.quad([t], y[None], out[None, m:])
+        self.leading(t, y, out)
+        self.quad([t], y[None], out[None, self.m:])
         return out
 
-    def fill(self, group, t: float, h: float, y: np.ndarray) -> None:
+    def fill(self, group, t_head: float, y_head: np.ndarray, t: float, h: float,
+             y: np.ndarray) -> None:
         """Form the stages of ``group`` (``step`` or ``dense``) from the
-        state y at t, with step h."""
-        rows, Z, KQ = group
-        fun, p = self.fun, self.p
-        ts = []
+        state y at t, with step h, and the quadrature columns of all its
+        rows; its first row is the state y_head at t_head."""
+        rows, z_head, Z, KQ = group
+        fun, p, h0 = self.fun, self.p, self.h
+        z_head[...] = y_head
+        ts = [t_head]
+        h0[()] = h
         for a, c, KTs, z, x, out, dx, v in rows:
             # z = y + h (K^T a), formed in place with the same roundings
             KTs.dot(a, z)
-            z *= h
+            np.multiply(z, h0, out=z)
             z += y
             tz = t + c * h
             if p:
@@ -451,7 +471,7 @@ def _dense_step(stages: _Stages, t_old, t, y_old, y):
     reads: (t_old, h, y_old, y, f at both ends (2, n), D K (4, n)).  The
     step's three extra stages are formed here, in K."""
     h = t - t_old
-    stages.fill(stages.dense, t_old, h, y_old)
+    stages.fill(stages.dense, t, y, t_old, h, y_old)
     K = stages.K
     return t_old, h, y_old, y, K[[0, N_STAGES]], np.dot(D, K)
 
@@ -524,9 +544,15 @@ def integrate(
     only v' into ``out`` (n_pos,).  ``quad(ts, ys, out)`` writes the
     quadrature block's derivatives at k states at once: ``ts`` is a list
     of k times, ``ys`` the states (k, n), of which it reads only the
-    leading block, and ``out`` the (k, n_quad) block to write.  Nothing
-    reads the quadrature block back, so the steps are those of the same f
-    evaluated whole, and a run without quadratures passes only ``fun``.
+    leading block, and ``out`` the (k, n_quad) block to write.  It is
+    called once per group of stages: stages 0..11 of a trial step, whose
+    stage 0 is the step's start, and, on a step that holds samples or an
+    event, the step's end with its three dense-output stages; a trial's
+    end is otherwise evaluated by ``fun`` alone, as no step or error
+    estimate reads its quadrature columns.  Nothing reads the quadrature
+    block back, so where ``quad`` is finite the steps are those of the
+    same f evaluated whole, and a run without quadratures passes only
+    ``fun``.
 
     ``t_eval`` is increasing and inside [t0, t1].  Every event is terminal
     with direction -1.  Where some event reads <= 0 at (t0, y0), the run is
@@ -580,6 +606,8 @@ def integrate(
     # the error scale atol + max(|y|, |y_new|) rtol, formed in place, with
     # |y| carried over from the last accepted step
     abs_y, abs_new, scale = np.abs(y), np.empty(n), np.empty(n)
+    # scalar operands as 0-d arrays, which numpy reads faster than floats
+    h0, rtol0, atol0 = stages.h, np.array(rtol, dtype=float), np.array(atol, dtype=float)
 
     while status is None:
         K[0] = K[N_STAGES]
@@ -595,17 +623,18 @@ def integrate(
             h = t_new - t
             h_abs = abs(h)
 
-            stages.fill(stages.step, t, h, y)
+            stages.fill(stages.step, t, y, t, h, y)
             y_new = KT[N_STAGES].dot(B)
-            y_new *= h
+            np.multiply(y_new, h0, out=y_new)  # fill wrote h into h0
             y_new += y
-            stages.derivative(t_new, y_new, K[N_STAGES])
+            # its quadrature columns are evaluated in the next group
+            stages.leading(t_new, y_new, K[N_STAGES])
             nfev += N_STAGES
 
             np.abs(y_new, out=abs_new)
             np.maximum(abs_y, abs_new, out=scale)
-            scale *= rtol
-            scale += atol
+            np.multiply(scale, rtol0, out=scale)
+            np.add(scale, atol0, out=scale)
             error_norm = _error_norm(KT[N_STAGES + 1], h, scale)
             if error_norm < 1:
                 if error_norm == 0:

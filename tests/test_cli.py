@@ -462,6 +462,7 @@ class TestBubbleCommand:
         assert sigma[0].startswith("#") and len(sigma) >= 2
         assert len(sigma[1].split()) == 4
         witness = (outdir / "bubble_witness.dat").read_text().splitlines()
+        assert witness[0] == "# r witness1 witness2"
         assert len(witness[1].split()) == 3
 
     def test_trivial_ladder_matches_totals(self, capsys, outdir, base_profile):

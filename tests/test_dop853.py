@@ -186,7 +186,12 @@ SPLIT_CASES = {
     "su4": CASES["su4"],
     "sinh_gordon_blow_up": CASES["sinh_gordon_blow_up"],
     "limitpair": lambda: ShootSpec(PAIR, (2.0, 5.0)),
+    # sampled only at r_max, which its mass_guard event keeps it from
+    # reaching: no step forms a dense output but the event's, whose group
+    # evaluates the step end's quadrature columns
+    "su3_event_unsampled": CASES["su3"],
 }
+UNSAMPLED = {"su3_event_unsampled"}
 
 
 @pytest.mark.parametrize("name", sorted(SPLIT_CASES))
@@ -207,6 +212,11 @@ def test_mass_quadrature_keeps_the_whole_rhs_bits(name, monkeypatch):
     shoot(spec)
     (args, kwargs, split), = runs
     assert kwargs["n_quad"] == kwargs["n_pos"] == spec.system.n_components
+    if name in UNSAMPLED:
+        args = (*args[:6], np.array([args[2]]))  # t_eval = [t1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            split = real(*args, **kwargs)
+        assert split.status == dop853.EVENT and split.t.size == 1
 
     kwargs = {k: v for k, v in kwargs.items() if k not in ("quad", "n_quad", "n_pos")}
     with np.errstate(over="ignore", invalid="ignore"):
@@ -218,6 +228,18 @@ def test_mass_quadrature_keeps_the_whole_rhs_bits(name, monkeypatch):
     got, want = split.stats, whole.stats
     assert (got.nfev, got.n_accepted, got.n_rejected) == \
         (want.nfev, want.n_accepted, want.n_rejected)
+
+
+def test_only_the_dense_output_reads_stage_12():
+    """The stepper evaluates the quadrature columns of f at a trial's end
+    (stage 12) only with the next group of stages.  That keeps the bits
+    because neither the step's new state (B, stages 0..11) nor its error
+    estimate reads stage 12, while the dense output does."""
+    s = dop853.N_STAGES
+    assert dop853.E5[s] == dop853.E3[s] == 0
+    assert dop853.B.size == s
+    assert dop853.B.tobytes() == dop853.A[s, :s].tobytes()
+    assert np.all(dop853.D[:, s] != 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
