@@ -15,7 +15,7 @@ leading block and feed nothing back.  The leading block's right-hand side
 writes each stage's derivative in place into its row of the stage matrix;
 the quadrature block's derivatives are evaluated for all of a step's
 stages in one call after the stage loop, from the stage states kept in a
-(16, n) buffer.  A trial's end, f at the new state (stage 12), gets only
+(12, n) buffer.  A trial's end, f at the new state (stage 12), gets only
 its leading block there: neither the new state nor the error estimate
 reads stage 12 (B has no stage-12 term, and E5[12] = E3[12] = 0), so its
 quadrature columns are evaluated with the next group of stages, as row 0
@@ -35,17 +35,21 @@ first step at whose end it reads <= 0; its root, bisected on the step's
 dense output to 4 machine epsilons on the side where g has not fired, is
 the run's last sample.
 
-The step loop evaluates no interpolant.  A step that holds samples or
-an event forms the three extra stages of its 7th-order interpolant (Sec.
-II.6) as it goes and records what the interpolant reads; after the run
-every sample is evaluated in one elementwise batch, with the bits of its
-own step's interpolant evaluated alone.
+The step loop forms no dense output for a step that only holds samples.
+It records the step's ends, states and stages 0..12; after the run the
+three extra stages of the 7th-order interpolant (Sec. II.6) are formed
+for all recorded steps in one batch, and every sample is evaluated in
+one elementwise batch, each with the bits of its own step formed and
+evaluated alone.  The event step is formed at once, as a batch of one,
+for the bisection of its root, and that dense output serves its samples
+too.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -394,30 +398,30 @@ def _no_quadrature(ts, ys, out) -> None:
 
 
 class _Stages:
-    """The stage matrix K of one run, and the stage states its quadrature
-    block is evaluated from.
+    """The stage matrix K of one run's trial steps, rows 0..12, and the
+    stage states its quadrature block is evaluated from.
 
     Row s of K is stage s's derivative.  Its leading m columns are written
     as the stage is formed: the first p (x' = v) copied from the stage
     state's v, the rest by ``fun``.  Its trailing columns are written by
-    one ``quad`` call per group of stages, once the group's states are in
-    ``Z``.  A group's first row is a state whose leading block of K is
-    already written: the step's start (row 0, stages 0..11) or its end
-    (row 12, with the dense output's 13..15), so the step-end derivative's
-    quadrature columns wait for the next group.  While a group is formed,
-    the trailing columns of its earlier rows are those of an earlier step,
-    so only the leading block of a stage state in ``Z`` is that stage's;
-    the trailing block is never read.
+    one ``quad`` call per trial step, once the states of stages 0..11 are
+    in ``Z``.  Row 0 is the step's start, whose leading block is already
+    written, and row 12, f at the trial's end, gets its leading block only
+    (``_dense_stages`` evaluates its quadrature columns when a dense
+    output reads them).  While a step is formed, the trailing columns of
+    its rows are those of an earlier step, so only the leading block of a
+    stage state in ``Z`` is that stage's; the trailing block is never
+    read.
     """
 
     def __init__(self, fun, quad, n: int, m: int, p: int):
         self.fun, self.quad, self.m, self.p = fun, quad, m, p
         # zeros, not empty: a stale trailing entry is read into a stage
         # state's unread trailing block, and should be a number
-        self.K = K = np.zeros((N_STAGES_EXTENDED, n))
+        self.K = K = np.zeros((N_STAGES + 1, n))
         # KT[s] @ a combines stages < s
-        self.KT = KT = [K[:s].T for s in range(N_STAGES_EXTENDED)]
-        Z = np.zeros((N_STAGES_EXTENDED, n))
+        self.KT = KT = [K[:s].T for s in range(N_STAGES + 2)]
+        Z = np.zeros((N_STAGES, n))
         # the step h of the stages last formed, as a 0-d array: numpy
         # multiplies by it faster than by a float, with the same bits
         self.h = np.zeros(())
@@ -425,10 +429,8 @@ class _Stages:
         # writes, and the x' columns with the v they copy
         rows = [(a, c, KT[s], Z[s], Z[s, :p] if p else Z[s], K[s, p:m],
                  K[s, :p], Z[s, p:2 * p])
-                for s, a, c in (*_STAGES, *_EXTRA_STAGES)]
-        k, e = len(_STAGES), N_STAGES
-        self.step = (rows[:k], Z[0], Z[:e], K[:e, m:])  # stages 0..11
-        self.dense = (rows[k:], Z[e], Z[e:], K[e:, m:])  # 12, and the dense 13..15
+                for s, a, c in _STAGES]
+        self.rows, self.Z, self.KQ = rows, Z, K[:N_STAGES, m:]
 
     def leading(self, t: float, y: np.ndarray, out: np.ndarray) -> None:
         """The leading block of the derivative at (t, y), written into
@@ -443,17 +445,14 @@ class _Stages:
         self.quad([t], y[None], out[None, self.m:])
         return out
 
-    def fill(self, group, t_head: float, y_head: np.ndarray, t: float, h: float,
-             y: np.ndarray) -> None:
-        """Form the stages of ``group`` (``step`` or ``dense``) from the
-        state y at t, with step h, and the quadrature columns of all its
-        rows; its first row is the state y_head at t_head."""
-        rows, z_head, Z, KQ = group
-        fun, p, h0 = self.fun, self.p, self.h
-        z_head[...] = y_head
-        ts = [t_head]
+    def fill(self, t: float, h: float, y: np.ndarray) -> None:
+        """Form stages 0..11 of the trial step h from the state y at t, and
+        the quadrature columns of all of them."""
+        fun, p, h0, Z = self.fun, self.p, self.h, self.Z
+        Z[0] = y
+        ts = [t]
         h0[()] = h
-        for a, c, KTs, z, x, out, dx, v in rows:
+        for a, c, KTs, z, x, out, dx, v in self.rows:
             # z = y + h (K^T a), formed in place with the same roundings
             KTs.dot(a, z)
             np.multiply(z, h0, out=z)
@@ -463,29 +462,62 @@ class _Stages:
                 dx[...] = v
             fun(tz, x, out)
             ts.append(tz)
-        self.quad(ts, Z, KQ)
+        self.quad(ts, Z, self.KQ)
 
 
-def _dense_step(stages: _Stages, t_old, t, y_old, y):
-    """What the 7th-order interpolant over the accepted step [t_old, t]
-    reads: (t_old, h, y_old, y, f at both ends (2, n), D K (4, n)).  The
-    step's three extra stages are formed here, in K."""
-    h = t - t_old
-    stages.fill(stages.dense, t, y, t_old, h, y_old)
-    K = stages.K
-    return t_old, h, y_old, y, K[[0, N_STAGES]], np.dot(D, K)
+def _dense_stages(stages: _Stages, records: list) -> tuple:
+    """What the 7th-order interpolants over the recorded steps read,
+    stacked over the steps: (t_old, h, y_old, y, K (16, n), D K (4, n)).
+
+    A record (t_old, t, y_old, y, K[0..12]) is an accepted step [t_old, t]
+    with its stage rows, of which row 12, f at (t, y), holds its leading
+    block only.  The three extra stages of every step are formed here at
+    once, stage by stage: the states by one stacked product, the leading
+    derivatives by one ``fun`` call per state, and the quadrature columns
+    of rows 12..15 by one ``quad`` call.  Each step gets the bits of its
+    batch of one."""
+    fun, p, m = stages.fun, stages.p, stages.m
+    t_old, t, y_old, y, K0 = zip(*records)
+    h = [b - a for a, b in zip(t_old, t)]
+    y_old, y = np.array(y_old), np.array(y)
+    n_steps, n = y.shape
+    # zeros, not empty: a row's trailing block is read, unused, into the
+    # next stage states' trailing block before ``quad`` writes it
+    K = np.zeros((n_steps, N_STAGES_EXTENDED, n))
+    K[:, :N_STAGES + 1] = K0
+    # the states of rows 12..15, each row's states together
+    Z = np.empty((N_STAGES_EXTENDED - N_STAGES, n_steps, n))
+    Z[0] = y
+    ts = list(t)
+    hc = np.array(h)[:, None]
+    for z, (s, a, c) in zip(Z[1:], _EXTRA_STAGES):
+        # z = y_old + h (K^T a) per step, with the roundings of one step
+        np.matmul(K[:, :s].transpose(0, 2, 1), a, out=z)
+        z *= hc
+        z += y_old
+        if p:
+            K[:, s, :p] = z[:, p:2 * p]
+        xs, outs = z[:, :p] if p else z, K[:, s, p:m]
+        for k in range(n_steps):
+            tz = t_old[k] + c * h[k]
+            fun(tz, xs[k], outs[k])
+            ts.append(tz)
+    KQ = np.empty((len(ts), n - m))
+    stages.quad(ts, Z.reshape(len(ts), n), KQ)
+    K[:, N_STAGES:, m:] = KQ.reshape(len(Z), n_steps, n - m).transpose(1, 0, 2)
+    return np.array(t_old), np.array(h), y_old, y, K, np.matmul(D, K)
 
 
-def _interpolant(steps: list):
-    """The interpolants of the recorded steps, as (t_old, h, y_old, F):
-    step k's coefficient rows F[k] (7, n) in evaluation order."""
-    t_old, h, y_old, y, f, DK = map(np.array, zip(*steps))
+def _interpolant(t_old, h, y_old, y, K, DK):
+    """The interpolants of the steps ``_dense_stages`` formed, as (t_old,
+    h, y_old, F): step k's coefficient rows F[k] (7, n) in evaluation
+    order."""
     hc = h[:, None]
     delta_y = y - y_old
     F = np.empty((len(h), INTERPOLATOR_POWER, y.shape[1]))
     F[:, 0] = delta_y
-    F[:, 1] = hc * f[:, 0] - delta_y
-    F[:, 2] = 2 * delta_y - hc * (f[:, 1] + f[:, 0])
+    F[:, 1] = hc * K[:, 0] - delta_y
+    F[:, 2] = 2 * delta_y - hc * (K[:, N_STAGES] + K[:, 0])
     F[:, 3:] = hc[:, :, None] * DK
     return t_old, h, y_old, F[:, ::-1]
 
@@ -546,8 +578,8 @@ def integrate(
     of k times, ``ys`` the states (k, n), of which it reads only the
     leading block, and ``out`` the (k, n_quad) block to write.  It is
     called once per group of stages: stages 0..11 of a trial step, whose
-    stage 0 is the step's start, and, on a step that holds samples or an
-    event, the step's end with its three dense-output stages; a trial's
+    stage 0 is the step's start, and, for the steps that hold samples or
+    an event, their ends with their three dense-output stages; a trial's
     end is otherwise evaluated by ``fun`` alone, as no step or error
     estimate reads its quadrature columns.  Nothing reads the quadrature
     block back, so where ``quad`` is finite the steps are those of the
@@ -563,10 +595,12 @@ def integrate(
     4 eps (1 + |t|), with no rhs call; it is the last column, and a sample
     less than 1e-12 before it gives way.
     The interpolant's three extra stages are computed only for steps that
-    hold ``t_eval`` points or an event, in the step loop; the samples are
-    evaluated after the run, in one batch, each with the bits of its own
-    step's interpolant.  ``nfev`` counts the evaluations of f, each of
-    which is one ``fun`` call and a share of a ``quad`` call.
+    hold ``t_eval`` points or an event: after the run, in one batch, for
+    the steps that hold samples only, and in the step loop, once, for the
+    event step.  The samples are evaluated after the run, in one batch,
+    each with the bits of its own step's interpolant.  ``nfev`` counts
+    the evaluations of f, each of which is one ``fun`` call and a share
+    of a ``quad`` call.
     """
     if not t1 > t0:
         raise ValueError("integrate needs t1 > t0")
@@ -598,9 +632,13 @@ def integrate(
     h_abs = float(_initial_step(lambda s, z: stages.derivative(s, z, np.empty(n)),
                                 t, y, f, t1, rtol, atol))
     nfev, n_accepted, n_rejected = 2, 0, 0
-    # the steps that hold samples, and their sample counts
-    steps: list[tuple] = []
+    # the records of the steps that hold samples, formed after the run; an
+    # event step that holds samples, already formed for its bisection, in
+    # ``tail``; and the sample count of each sampled step
+    records: list[tuple] = []
+    tail: list[tuple] = []
     counts: list[int] = []
+    t_list = t_eval.tolist()
     i_eval = 0
     status = None
     # the error scale atol + max(|y|, |y_new|) rtol, formed in place, with
@@ -623,11 +661,12 @@ def integrate(
             h = t_new - t
             h_abs = abs(h)
 
-            stages.fill(stages.step, t, y, t, h, y)
+            stages.fill(t, h, y)
             y_new = KT[N_STAGES].dot(B)
             np.multiply(y_new, h0, out=y_new)  # fill wrote h into h0
             y_new += y
-            # its quadrature columns are evaluated in the next group
+            # its quadrature columns are evaluated with the next step's
+            # stages, or with a dense output's
             stages.leading(t_new, y_new, K[N_STAGES])
             nfev += N_STAGES
 
@@ -658,13 +697,12 @@ def integrate(
         if t >= t1:
             status = FINISHED
 
-        step = None
         if events:
             active = [i for i, ev in enumerate(events) if ev(t, y) <= 0]
             if active:
-                step = _dense_step(stages, t_old, t, y_old, y)
+                event_dense = _dense_stages(stages, [(t_old, t, y_old, y, K)])
                 nfev += _N_EXTRA
-                dense, k0 = _interpolant([step]), np.zeros(1, dtype=int)
+                dense, k0 = _interpolant(*event_dense), np.zeros(1, dtype=int)
 
                 def at(s):
                     return _evaluate(dense, k0, np.array([s]))[0]
@@ -676,19 +714,25 @@ def integrate(
                 y = at(t)
                 status = EVENT
 
-        if i_eval < n_eval and t_eval[i_eval] <= t:
-            i_new = int(np.searchsorted(t_eval, t, side="right"))
-            if step is None:
-                step = _dense_step(stages, t_old, t_new, y_old, y_new)
+        if i_eval < n_eval and t_list[i_eval] <= t:
+            i_new = bisect_right(t_list, t, i_eval)
+            if status == EVENT:
+                tail.append(event_dense)
+            else:
+                records.append((t_old, t_new, y_old, y_new, K.copy()))
                 nfev += _N_EXTRA
-            steps.append(step)
             counts.append(i_new - i_eval)
             i_eval = i_new
 
     # a copy: the caller's t_eval may change after the run
     t_out = t_eval[:i_eval].copy()
-    k = np.repeat(np.arange(len(steps)), counts)
-    y_out = _evaluate(_interpolant(steps), k, t_out) if steps else np.empty((0, n))
+    if counts:
+        parts = [_dense_stages(stages, records)] if records else []
+        dense = _interpolant(*map(np.concatenate, zip(*parts, *tail)))
+        k = np.repeat(np.arange(len(counts)), counts)
+        y_out = _evaluate(dense, k, t_out)
+    else:
+        y_out = np.empty((0, n))
     if status == EVENT:
         if t_out.size and t <= t_out[-1] + 1e-12:
             t_out, y_out = t_out[:-1], y_out[:-1]

@@ -242,6 +242,28 @@ def test_only_the_dense_output_reads_stage_12():
     assert np.all(dop853.D[:, s] != 0)
 
 
+@pytest.mark.parametrize("n_steps", [1, 2, 7, 73])
+def test_stacked_products_have_each_steps_bits(n_steps):
+    """The dense output forms the extra stages of all sampled steps at once
+    by stacked products.  Over a stack of stage matrices K (16, n), each
+    step must get the bits of its own products: K[:s].T @ A[s, :s] for
+    the stage states s = 13..15, and D K.  A BLAS whose result depends
+    on the stack fails here, before the scipy bit tests do."""
+    rng = np.random.default_rng(20201104 + n_steps)
+    for n in (3, 6, 9):
+        K = rng.standard_normal((n_steps, dop853.N_STAGES_EXTENDED, n))
+        K *= 10.0 ** rng.uniform(-8, 8, K.shape)
+        for s in range(dop853.N_STAGES + 1, dop853.N_STAGES_EXTENDED):
+            a = dop853.A[s, :s]
+            z = np.empty((n_steps, n))
+            np.matmul(K[:, :s].transpose(0, 2, 1), a, out=z)
+            for k in range(n_steps):
+                assert z[k].tobytes() == K[k, :s].T.dot(a).tobytes()
+        DK = np.matmul(dop853.D, K)
+        for k in range(n_steps):
+            assert DK[k].tobytes() == np.dot(dop853.D, K[k]).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_batched_mass_exp_has_the_row_bits(n):
     """The quadrature evaluates e^{min(u, cap)} for a block of stage states
@@ -443,7 +465,9 @@ def test_the_samples_own_their_times():
 
 def test_stats_count_every_call_and_step():
     """nfev is the true number of right-hand-side calls, dense-output stages
-    included; accepted plus rejected steps account for the rest."""
+    included; accepted plus rejected steps account for the rest.  On the
+    fine grid every accepted step holds samples, the event step too, and
+    each forms its dense-output stages once."""
     calls = [0]
 
     def fun(t, y, out):
@@ -453,24 +477,29 @@ def test_stats_count_every_call_and_step():
     def leaves_unit_disc(t, y):
         return 0.5 - y[0]
 
-    sol = dop853.integrate(
-        fun, 0.0, 10.0, np.array([0.0, 1.0]), 1e-10, 1e-12,
-        np.linspace(0.0, 10.0, 11), events=(lambda t, y: 2.0, leaves_unit_disc),
-    )
-    st = sol.stats
-    assert st.nfev == calls[0]
-    dense_steps = (st.nfev - 2 - 12 * (st.n_accepted + st.n_rejected)) / 3
-    assert dense_steps == int(dense_steps) and 1 <= dense_steps <= st.n_accepted
-    assert sol.status == dop853.EVENT and sol.event == 1
-    # y = sin t leaves y <= 0.5 at t = pi/6; the root is exact on the
-    # interpolant, which is itself accurate to the tolerances
-    assert sol.t[-1] == pytest.approx(math.pi / 6, abs=1e-9)
-    assert sol.y[0, -1] == pytest.approx(0.5, abs=1e-14)
-    assert list(sol.t[:-1]) == [0.0]
-    assert st.message == "A termination event occurred."
-    assert st.to_json_dict() == {
-        "nfev": st.nfev, "n_accepted": st.n_accepted, "n_rejected": st.n_rejected
-    }
+    for n_eval in (11, 1001):
+        calls[0] = 0
+        t_eval = np.linspace(0.0, 10.0, n_eval)
+        sol = dop853.integrate(
+            fun, 0.0, 10.0, np.array([0.0, 1.0]), 1e-10, 1e-12,
+            t_eval, events=(lambda t, y: 2.0, leaves_unit_disc),
+        )
+        st = sol.stats
+        assert st.nfev == calls[0]
+        dense_steps = (st.nfev - 2 - 12 * (st.n_accepted + st.n_rejected)) / 3
+        assert dense_steps == int(dense_steps) and 1 <= dense_steps <= st.n_accepted
+        if n_eval == 1001:
+            assert dense_steps == st.n_accepted
+        assert sol.status == dop853.EVENT and sol.event == 1
+        # y = sin t leaves y <= 0.5 at t = pi/6; the root is exact on the
+        # interpolant, which is itself accurate to the tolerances
+        assert sol.t[-1] == pytest.approx(math.pi / 6, abs=1e-9)
+        assert sol.y[0, -1] == pytest.approx(0.5, abs=1e-14)
+        assert list(sol.t[:-1]) == list(t_eval[t_eval < math.pi / 6])
+        assert st.message == "A termination event occurred."
+        assert st.to_json_dict() == {
+            "nfev": st.nfev, "n_accepted": st.n_accepted, "n_rejected": st.n_rejected
+        }
 
 
 def test_step_underflow_keeps_the_message():

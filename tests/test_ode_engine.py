@@ -911,30 +911,35 @@ class TestOneReignitionRule:
 
 class TestBatchedDenseOutputIsEachStepAlone:
     def test_batch_has_the_bits_of_each_step_alone(self, monkeypatch):
-        """Evaluated in one batch over all of a real shot's sampled steps,
-        each state has the bits of its own step's interpolant evaluated
-        alone, at both step ends and inside."""
-        made, record = [], dop853._dense_step
+        """Formed in one batch over all of a real shot's sampled steps, each
+        step has the bits of its batch of one: its extra stages, f at both
+        ends (K rows 0 and 12), D K, and its states at both ends and
+        inside, evaluated in one batch over all steps."""
+        calls, form = [], dop853._dense_stages
 
-        def recorded(*args):
-            made.append(record(*args))
-            return made[-1]
+        def recorded(stages, records):
+            calls.append((stages, list(records)))
+            return form(stages, records)
 
-        monkeypatch.setattr(dop853, "_dense_step", recorded)
+        monkeypatch.setattr(dop853, "_dense_stages", recorded)
         shoot(ShootSpec(SystemKind(Variant.LIMIT_PAIR), (LOG8, 1.0), r_max=10.0))
-        assert len(made) > 10
-        ks, ts = [], []
-        for k in (0, len(made) // 2, len(made) - 1):
-            t0, h = made[k][:2]
-            for t in (t0, t0 + h / 3.0, t0 + 0.5 * h, t0 + h):
-                ks.append(k)
-                ts.append(t)
-        batch = dop853._evaluate(dop853._interpolant(made), np.array(ks), np.array(ts))
-        assert batch.shape == (len(ts), made[0][2].size)
-        for row, k, t in zip(batch, ks, ts):
-            alone = dop853._evaluate(dop853._interpolant([made[k]]),
-                                     np.zeros(1, dtype=int), np.array([t]))
-            assert row.tobytes() == alone[0].tobytes()
+        [(stages, records)] = calls
+        assert len(records) > 10
+        batch = form(stages, records)
+        t_old, h, _, _, K, _ = batch
+        assert K.shape == (len(records), dop853.N_STAGES_EXTENDED, records[0][2].size)
+        dense = dop853._interpolant(*batch)
+        for k, record in enumerate(records):
+            alone = form(stages, [record])
+            # t_old, h, y_old, y, K (the extra stages in rows 13..15, f at
+            # both ends in rows 0 and 12) and D K
+            for got, want in zip(batch, alone):
+                assert got[k].tobytes() == want[0].tobytes()
+            ts = t_old[k] + np.array([0.0, 1 / 3, 0.5, 1.0]) * h[k]
+            ts[-1] = record[1]
+            many = dop853._evaluate(dense, np.full(ts.size, k), ts)
+            one = dop853._evaluate(dop853._interpolant(*alone), np.zeros(ts.size, dtype=int), ts)
+            assert many.tobytes() == one.tobytes()
 
 
 class TestProfileQueries:
